@@ -11,13 +11,26 @@ ratio set {mu_i / mu_j}.  Two numerical probes are provided:
   * sylvester_min_sv -- smallest singular value of X -> A X - lambda X A,
     normalized by ||A|| (1 + |lambda|).
 
-Both probes are scanned over grids by ext_scan.  A caution that the test
-suite quantifies: truncations of the hyperbolic/parabolic composition
-operators are exponentially close to singular, which makes the Sylvester
-probe degenerate at *every* lambda (sigma_min(Sylv) <= (1+|lambda|)
-sigma_min(A) -- take X = (right null vector)(left null vector)^H).  The
-candidate-limiting default exists because of this; scan output should be
-read as candidate localization, not as membership proof.
+Both probes are scanned over grids by ext_scan, which settles each Sylvester
+value by the first of three routes that applies (see SylvesterProbe):
+
+  * certificate -- sigma_min(A)/||A|| <= the flag threshold.  X = v u^H from
+    A's smallest right and left singular vectors gives sigma_min(Sylv) <=
+    (1+|lambda|) sigma_min(A), so every lambda flags and the reported value
+    is that certified upper bound.  Truncations of the hyperbolic and
+    parabolic composition operators are exponentially close to singular and
+    always take this route: there the probe cannot tell lambdas apart, the
+    candidate-limiting default exists because of this, and scan output
+    should be read as candidate localization, not as membership proof.
+  * exact -- A is normal (rotations: diagonal truncations), and sigma_min is
+    min |mu_i - lambda mu_j| over the eigenvalues.
+  * iteration -- inverse iteration with triangular Sylvester solves, an
+    upper-bound estimate accurate to a small factor (a dense Kronecker SVD
+    at small orders).
+
+The reported sylvester_min_sv is thus an upper bound on the true value, and
+exact for normal truncations -- apart from the 0.0 the iteration returns when
+a solve overflows.
 """
 
 from __future__ import annotations
@@ -168,7 +181,7 @@ def ratio_set(
       SingularTruncationError when no eigenvalue survives.
     """
     if reliability_tol is None:
-        smin = float(np.linalg.svd(A.entries, compute_uv=False)[-1])
+        smin = float(A.svdvals[-1])
         if smin <= min_singular_value:
             raise SingularTruncationError(
                 f"sigma_min = {smin:.3e} <= {min_singular_value:.3e}; "
@@ -208,12 +221,26 @@ def ratio_distance(lam, ratios: np.ndarray) -> np.ndarray:
 class SylvesterProbe:
     """Normalized sigma_min of X -> A X - lambda X A, reusable across lambdas.
 
-    Dense SVD of the N^2 x N^2 Kronecker matrix up to order dense_cutoff;
-    beyond that, a complex Schur form is computed once and sigma_min is
-    estimated by inverse power iteration on the lifted normal equations,
-    each step solved by two triangular Sylvester solves (ztrsyl).  The
-    estimate is accurate to a small factor -- ample against thresholds used
-    here, which sit many orders away from the values they test.
+    A complex Schur form A = Q T Q^H is computed once; each lambda then takes
+    the first route that applies:
+
+      exact      A is normal (T diagonal to roundoff: ||strict_upper(T)||_F <=
+                 n eps ||T||_F).  X -> Q^H X Q turns the operator into the
+                 diagonal one with entries mu_i - lambda mu_j, so sigma_min is
+                 min |mu_i - lambda mu_j| -- O(n^2) per lambda and, sigma_min
+                 being 1-Lipschitz, within about n eps of the truth.
+      dense      order <= dense_cutoff: SVD of the n^2 x n^2 Kronecker matrix.
+      iteration  inverse power iteration on the lifted normal equations, each
+                 step two triangular Sylvester solves (ztrsyl).  The estimate
+                 is an upper bound accurate to a small factor -- ample against
+                 thresholds here, which sit many orders away from the values
+                 they test.
+
+    One closed form needs no probe at all: when sigma_min(A)/||A|| is at or
+    below the flag threshold, X = v u^H built from A's smallest right and
+    left singular vectors gives ||A X - lambda X A|| <= sigma_min(A)(1+|lambda|),
+    so every lambda flags with the certified bound sigma_min(A)/||A||.
+    ext_scan applies that certificate before it builds a probe.
     """
 
     def __init__(self, A: OperatorMatrix, seed: int = 0, dense_cutoff: int = 16):
@@ -221,34 +248,38 @@ class SylvesterProbe:
         if n > 128:
             raise TooLargeError(f"order {n} > 128: the lifted problem has order {n * n}")
         self.n = n
-        self.norm_a = float(np.linalg.norm(A.entries, 2))
-        self.dense = n <= dense_cutoff
+        self.norm_a = float(A.svdvals[0])
+        self.t, _ = scipy.linalg.schur(A.entries, output="complex")
+        off = np.linalg.norm(np.triu(self.t, 1))
+        normal = off <= n * np.finfo(float).eps * np.linalg.norm(self.t)
+        self.mu = np.diag(self.t).copy() if normal else None
+        self.dense = not normal and n <= dense_cutoff
         if self.dense:
-            self.a = A.entries.astype(np.complex128)
+            self.a = A.entries
             self.eye = np.eye(n)
-        else:
-            self.t, _ = scipy.linalg.schur(A.entries.astype(np.complex128), output="complex")
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         self.v0 = v0 / np.linalg.norm(v0)
 
     def _solve(self, lam: complex, c: np.ndarray, adjoint_eq: bool) -> np.ndarray | None:
-        # trsyl solves op(A) X + isgn X op(B) = scale C for triangular A, B
+        # trsyl solves op(A) X + isgn X op(B) = scale C for triangular A, B;
+        # with B = -lam T, tranb="C" already conjugates lam, giving the
+        # adjoint equation T^H Y - conj(lam) Y T^H = C
         tr = "C" if adjoint_eq else "N"
-        lam_eff = np.conj(lam) if adjoint_eq else lam
-        x, scale, info = lapack.ztrsyl(
-            self.t, -lam_eff * self.t, c, trana=tr, tranb=tr, isgn=1
-        )
+        x, scale, info = lapack.ztrsyl(self.t, -lam * self.t, c, trana=tr, tranb=tr, isgn=1)
         if info < 0 or not np.all(np.isfinite(x)) or scale == 0:
             return None
         return x / scale
 
     def sigma_min(self, lam: complex, iters: int = 8) -> float:
-        """Estimate of sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|))."""
+        """sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|)): exact for normal A
+        and for small orders, an upper-bound estimate otherwise."""
         lam = complex(lam)
         scale = self.norm_a * (1.0 + abs(lam))
         if scale == 0:
             return 0.0
+        if self.mu is not None:
+            return float(np.abs(self.mu[:, None] - lam * self.mu[None, :]).min()) / scale
         if self.dense:
             m = np.kron(self.eye, self.a) - lam * np.kron(self.a.T, self.eye)
             return float(np.linalg.svd(m, compute_uv=False)[-1]) / scale
@@ -578,7 +609,6 @@ def ext_scan(
     if A.order > 128:
         notes.append("order > 128: sylvester probe skipped, flags are ratio-only")
     else:
-        probe = SylvesterProbe(A, seed=seed)
         if candidates == "all" or ratios.size == 0:
             chosen = np.arange(lam.size)
             if candidates != "all":
@@ -586,8 +616,14 @@ def ext_scan(
         else:
             k = min(int(candidates), lam.size)
             chosen = np.sort(np.argsort(rd, kind="stable")[:k])
-        for i in chosen:
-            sylv[i] = probe.sigma_min(lam[i], iters=sylvester_iters)
+        smin, smax = A.svdvals[-1], A.svdvals[0]
+        if smin <= sylvester_threshold * smax:
+            # rank-one certificate (see SylvesterProbe): every lambda flags
+            sylv[chosen] = smin / smax if smax > 0 else 0.0
+        else:
+            probe = SylvesterProbe(A, seed=seed)
+            for i in chosen:
+                sylv[i] = probe.sigma_min(lam[i], iters=sylvester_iters)
 
     sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= sylvester_threshold
     ratio_flag = rd < rt

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class OperatorMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+
+    @cached_property
+    def svdvals(self) -> np.ndarray:
+        """Singular values in descending order, computed once per truncation
+        (the entries are read-only, so the cache cannot go stale)."""
+        sv = np.linalg.svd(self.entries, compute_uv=False)
+        sv.flags.writeable = False
+        return sv
 
     def relabel(self, label: str) -> "OperatorMatrix":
         return replace(self, label=label)
@@ -115,7 +124,7 @@ def direct_sum(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 
 def op_norm(A: OperatorMatrix) -> float:
     """Largest singular value of the truncation."""
-    return float(np.linalg.svd(A.entries, compute_uv=False)[0])
+    return float(A.svdvals[0])
 
 
 def apply_to_series(A: OperatorMatrix, p: PowerSeries) -> PowerSeries:

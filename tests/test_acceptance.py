@@ -349,8 +349,8 @@ def test_c9_convergence_trend():
     floor = 1e-14
     clauses = []
 
-    def trend(name, values):
-        ok = all(b <= a or b <= floor for a, b in zip(values, values[1:]))
+    def trend(name, values, shrink=1.0):
+        ok = all(b <= a / shrink or b <= floor for a, b in zip(values, values[1:]))
         clauses.append((name, ok, values[-1]))
 
     # criterion 2 witnesses
@@ -382,26 +382,38 @@ def test_c9_convergence_trend():
     for i, tag in enumerate(["s1", "s2", "s3", "m1", "m2", "m3"]):
         trend(f"lox {tag}", [res[32][i], res[64][i]])
 
-    # criterion 5 witness
-    vals = []
-    for n in (32, 64):
-        C = _matrix("ha", n)
-        X = build_witness("mult:cayley,1i", PHI_HA, BERGMAN, n)
-        vals.append(intertwining_residual(C, X, complex(3.0) ** 1j, margin=n // 2))
-    trend("ha cayley-mult", vals)
+    # criterion 5 and 6 witnesses whose C_phi is not banded are read on the
+    # fixed blocks C5 and C6 use: a block that grows with N keeps the same
+    # share of coupling to the discarded columns and never converges.  On a
+    # fixed block an exact witness falls to roundoff, while a wrong lambda
+    # levels off at its true residual (slowly decreasing, 1.41 -> 1.36 for
+    # lambda = 3^-i), so these rows ask for a 10x fall per doubling
+    ha = [
+        _fixed_block_residual("ha", PHI_HA, 32, [("mult:cayley,1i", complex(3.0) ** 1j)], order=k)
+        for k in (64, 128, 256)
+    ]
+    trend("ha cayley-mult 32x32 block", ha, shrink=10.0)
 
     # criterion 6 witnesses, through order 128
     res = {}
     for n in (32, 64, 128):
         C = _matrix("hna1", n)
         vals = []
-        for w in (1.0, 2.0, 0.5 + 3j):
+        for w in (1.0, 2.0):
             X = build_witness(
                 f"mult:binomial,{format_complex(complex(w))}", PHI_HNA1, BERGMAN, n
             )
             vals.append(intertwining_residual(C, X, 0.5 ** complex(w), margin=n // 2))
         res[n] = vals
-    for i, tag in enumerate(["w=1", "w=2", "w=0.5+3i"]):
+    for i, tag in enumerate(["w=1", "w=2"]):
         trend(f"hna1 binomial {tag}", [res[32][i], res[64][i], res[128][i]])
+    w = 0.5 + 3j
+    hna1 = [
+        _fixed_block_residual(
+            "hna1", PHI_HNA1, 64, [(f"mult:binomial,{format_complex(w)}", 0.5**w)], order=k
+        )
+        for k in (128, 256)
+    ]
+    trend("hna1 binomial w=0.5+3i 64x64 block", hna1, shrink=10.0)
 
     _report("C9", clauses)

@@ -166,6 +166,114 @@ def test_probe_order_cap():
         SylvesterProbe(A)
 
 
+def _dense_sigma_min(M, lam):
+    """Oracle: normalized sigma_min of the full n^2 x n^2 Kronecker matrix."""
+    import scipy.linalg as sla
+
+    n = M.shape[0]
+    S = np.kron(np.eye(n), M) - lam * np.kron(M.T, np.eye(n))
+    return sla.svdvals(S)[-1] / (sla.svdvals(M)[0] * (1 + abs(lam)))
+
+
+def _nonnormal_with_eigenvalues(mu, coupling, seed):
+    """Q U Q^H with U upper triangular, diag(U) = mu and strict upper part of
+    size `coupling`: non-normal, with eigenvalues mu to roundoff."""
+    rng = np.random.default_rng(seed)
+    n = len(mu)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    U = np.diag(mu) + coupling * np.triu(noise, 1)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return Q @ U @ Q.conj().T
+
+
+@pytest.fixture
+def ztrsyl_calls(monkeypatch):
+    """Count the triangular Sylvester solves the probe makes."""
+    from types import SimpleNamespace
+
+    import compext.extspec as extspec
+
+    calls = []
+    real = extspec.lapack.ztrsyl
+
+    def ztrsyl(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extspec, "lapack", SimpleNamespace(ztrsyl=ztrsyl))
+    return calls
+
+
+def test_adjoint_solve_conjugates_lambda():
+    rng = np.random.default_rng(5)
+    n = 20
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    probe = SylvesterProbe(_op(M))
+    T = probe.t
+    lam = 0.3 + 0.7j
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    y = probe._solve(lam, c, adjoint_eq=True)
+    TH = T.conj().T
+    assert np.linalg.norm(TH @ y - np.conj(lam) * (y @ TH) - c) <= 1e-10 * np.linalg.norm(c)
+    x = probe._solve(lam, c, adjoint_eq=False)
+    assert np.linalg.norm(T @ x - lam * (x @ T) - c) <= 1e-10 * np.linalg.norm(c)
+
+
+def test_iteration_flags_complex_singular_lambda_like_dense_oracle(ztrsyl_calls):
+    # spectrum w^k (w = e^{2 pi i/7}) with a 1e-12 coupling: far above the
+    # normality test's roundoff level, so the iteration runs, yet close
+    # enough to normal that a misconjugated adjoint solve misses the null
+    # direction (it reported 2.9e-6 to 3.3e-5 here)
+    w = np.exp(2j * np.pi / 7)
+    M = _nonnormal_with_eigenvalues(w ** np.arange(20), coupling=1e-12, seed=1)
+    probe = SylvesterProbe(_op(M), seed=0)
+    assert probe.mu is None and not probe.dense
+    for lam in (w, w**2, w**3):  # exactly singular: lam = mu_{k+j} / mu_j
+        assert _dense_sigma_min(M, lam) <= 1e-13
+        assert probe.sigma_min(lam, iters=30) <= 1e-12
+    assert ztrsyl_calls
+    # at a nearby nonsingular complex lambda the estimate still brackets
+    off = w**2 * 1.1 * np.exp(0.05j)
+    want = _dense_sigma_min(M, off)
+    assert 0.9 * want <= probe.sigma_min(off, iters=30) <= 4.0 * want
+
+
+@pytest.mark.parametrize("space", [FOCK, BERGMAN], ids=["fock", "bergman"])
+def test_normal_route_is_exact(space, ztrsyl_calls):
+    w = np.exp(2j * np.pi / 7)
+    C = composition_matrix(LinearFractionalMap(w, 0, 0, 1), space, 24)
+    probe = SylvesterProbe(C)
+    assert probe.mu is not None
+    for lam in (w**2, w**-3, 0.3 + 0.7j, 1.1 * np.exp(0.4j)):
+        assert probe.sigma_min(lam) == pytest.approx(_dense_sigma_min(C.entries, lam), abs=1e-12)
+    assert not ztrsyl_calls
+
+
+def test_singular_certificate_bounds_dense_sigma_min(ztrsyl_calls):
+    C = composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 24)
+    bound = C.svdvals[-1] / C.svdvals[0]
+    rep = ext_scan(C, GridSpec("annulus", 12, rmin=0.3, rmax=3.0), candidates="all")
+    assert np.all(rep.sylvester == bound) and rep.flagged.all()
+    for lam in rep.lam[::3]:
+        assert _dense_sigma_min(C.entries, lam) <= bound <= rep.sylvester_threshold
+    assert not ztrsyl_calls
+
+
+def test_acceptance_scan_shapes_make_no_solves(ztrsyl_calls):
+    # C1: Fock rotation (normal, exact route); C6: 0.5z+0.5 on Bergman
+    # (singular, certificate): neither needs a single triangular solve
+    w7 = np.exp(2j * np.pi / 7)
+    C1 = composition_matrix(LinearFractionalMap(w7, 0, 0, 1), FOCK, 48)
+    ext_scan(C1, GridSpec("circle", 504, rmax=1.0))
+    C6 = composition_matrix(standard_form("hyperbolic-na-1", r=0.5), BERGMAN, 128)
+    ext_scan(C6, GridSpec("disk", 600, rmax=1.0), candidates="all")
+    assert not ztrsyl_calls
+    rng = np.random.default_rng(17)
+    M = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)) + 3.0 * np.eye(24)
+    ext_scan(_op(M), GridSpec("circle", 4, rmax=1.0), candidates="all")
+    assert ztrsyl_calls
+
+
 def test_small_truncation_equivalence():
     # at tiny orders the probe and the eigenvalue-ratio criterion agree:
     # sigma_min vanishes iff lam sits on the ratio set
