@@ -27,7 +27,6 @@ from .extspec import (
     SingularTruncationError,
     TooLargeError,
     UnresolvedClassError,
-    _eig_with_reliability,
     build_witness,
     ext_scan,
     intertwining_residual,
@@ -224,7 +223,7 @@ def cmd_matrix(args) -> int:
 def cmd_eigs(args) -> int:
     space = _space(args)
     A = composition_matrix(args.phi, space, args.n)
-    w, err = _eig_with_reliability(A.entries)
+    w, err = A.eig_reliability
     order = np.lexsort((w.imag, w.real))
     w, err = w[order], err[order]
     reliable = err <= args.reliability_tol * np.abs(w)

@@ -44,10 +44,17 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .lft import Classification, LinearFractionalMap, classify, is_fock_symbol
+from .lft import (
+    LinearFractionalMap,
+    classify,
+    format_complex,
+    is_fock_symbol,
+    parse_complex,
+)
 from .operators import (
     DimensionMismatchError,
     OperatorMatrix,
+    _eig_with_reliability,  # noqa: F401 -- bench/tracing.py wraps the eig layer by this name
     adjoint,
     basis_shift_matrix,
     composition_matrix,
@@ -128,35 +135,51 @@ def intertwining_residual(
 # eigenvalue ratios
 
 
-def _eig_with_reliability(entries: np.ndarray):
-    """Eigenvalues plus a forward-error estimate for each one.
-
-    err_j ~ eps ||A|| / rcond_j, where rcond_j = |y^H x| / (||x|| ||y||) is the
-    reciprocal condition number from the left/right eigenvector pair.  This is
-    the standard first-order perturbation bound; for severely nonnormal
-    truncations the unreliable eigenvalues show err far above |mu|.
-    """
-    w, vl, vr = scipy.linalg.eig(entries, left=True, right=True)
-    overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
-    norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
-    rcond = overlap / np.where(norms == 0, 1.0, norms)
-    norm_a = np.linalg.norm(entries, 2)
-    eps = np.finfo(float).eps
-    err = np.where(rcond > 0, eps * norm_a / np.where(rcond == 0, 1.0, rcond), np.inf)
-    return w, err
-
-
 def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
-    """Sort lexicographically by (re, im) and merge runs closer than tol."""
+    """The distinct values to tolerance tol, sorted by (re, im).
+
+    Each value is snapped to a square cell of side tol, and each cell keeps
+    its (re, im)-smallest value.  Two kept values within tol lie at most two
+    cells apart; such pairs are resolved greedily in (re, im) order, each
+    value dropped when it lies within tol of an earlier one that was kept.
+    The result is a subset of the input in which no two values lie within
+    tol, and it does not depend on the input's order.  tol <= 0 merges
+    exact duplicates only.
+    """
     if values.size == 0:
         return values
-    order = np.lexsort((values.imag, values.real))
-    vals = values[order]
-    kept = [vals[0]]
-    for v in vals[1:]:
-        if abs(v - kept[-1]) > tol:
-            kept.append(v)
-    return np.array(kept)
+    if tol <= 0:
+        return np.unique(values)  # complex values sort by (re, im)
+    # presorting by the real part leaves the cell keys nearly sorted, which
+    # the stable sort below then orders in close to linear time
+    vals = values[np.argsort(values.real)]
+    cells = np.floor(vals.real / tol) + 1j * np.floor(vals.imag / tol)
+    perm = np.argsort(cells, kind="stable")  # complex keys sort by (re, im)
+    cells = cells[perm]
+    starts = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    keys = cells[starts]
+    # np.minimum orders complex values by (re, im)
+    reps = np.minimum.reduceat(vals[perm], starts)
+    rank = np.empty(reps.size, dtype=np.intp)
+    rank[np.argsort(reps)] = np.arange(reps.size)
+    # rounding in v / tol and |u - v| can put values within tol two cells apart
+    pairs = []
+    for offset in (dx + 1j * dy for dx in range(3) for dy in range(-2, 3) if (dx, dy) > (0, 0)):
+        nb = np.searchsorted(keys, keys + offset)
+        hit = nb < keys.size
+        hit[hit] = keys[nb[hit]] == keys[hit] + offset
+        i = np.flatnonzero(hit)
+        j = nb[hit]
+        close = np.abs(reps[i] - reps[j]) <= tol
+        pairs.extend(zip(i[close].tolist(), j[close].tolist()))
+    earlier = {}
+    for i, j in pairs:
+        lo, hi = sorted((i, j), key=rank.__getitem__)
+        earlier.setdefault(hi, []).append(lo)
+    keep = np.ones(reps.size, dtype=bool)
+    for hi in sorted(earlier, key=rank.__getitem__):
+        keep[hi] = not keep[earlier[hi]].any()
+    return np.sort(reps[keep])
 
 
 def ratio_set(
@@ -165,8 +188,10 @@ def ratio_set(
     dedup_tol: float = 1e-9,
     reliability_tol: float | None = None,
 ) -> np.ndarray:
-    """All pairwise eigenvalue ratios mu_i / mu_j of the truncation,
-    deduplicated to dedup_tol, sorted by (re, im).
+    """The distinct eigenvalue ratios mu_i / mu_j of the truncation, to
+    dedup_tol (see _dedup_sorted), sorted by (re, im).  For a rotation
+    z -> w z these are the powers w^k, |k| < N: 2N - 1 values when those
+    powers are distinct to dedup_tol.
 
     Two modes:
 
@@ -178,7 +203,8 @@ def ratio_set(
       perturbation-theory error estimate is at most t |mu_j|.  This is the
       only usable mode for the hyperbolic/parabolic composition truncations,
       whose smallest singular values underflow; raises
-      SingularTruncationError when no eigenvalue survives.
+      SingularTruncationError when no eigenvalue survives.  The eigenvalues
+      and estimates are A.eig_reliability, computed once per truncation.
     """
     if reliability_tol is None:
         smin = float(A.svdvals[-1])
@@ -190,7 +216,7 @@ def ratio_set(
             )
         mu = np.linalg.eigvals(A.entries)
     else:
-        w, err = _eig_with_reliability(A.entries)
+        w, err = A.eig_reliability
         keep = err <= reliability_tol * np.abs(w)
         mu = w[keep]
         if mu.size == 0:
@@ -202,12 +228,14 @@ def ratio_set(
 
 
 def ratio_distance(lam, ratios: np.ndarray) -> np.ndarray:
-    """Distance from each trial point to the nearest ratio (vectorized)."""
+    """Distance from each trial point to the nearest ratio: exactly
+    np.abs(lam[:, None] - ratios[None, :]).min(axis=1), computed in blocks of
+    about 2**16 differences, so that the temporaries stay near 1 MB."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     if ratios.size == 0:
         return np.full(lam.shape, np.inf)
     out = np.empty(lam.size)
-    block = max(1, int(2**22 // max(ratios.size, 1)))
+    block = max(1, 2**16 // ratios.size)
     for start in range(0, lam.size, block):
         chunk = lam[start : start + block]
         out[start : start + block] = np.abs(chunk[:, None] - ratios[None, :]).min(axis=1)
@@ -402,22 +430,6 @@ class PredictedExt:
         if self.outer is not None:
             out["outer"] = self.outer
         return out
-
-    def members(self, bound: float = 8.0, max_power: int = 64) -> np.ndarray:
-        """Finite sample of the predicted set, for distance checks: powers
-        base^j with |base^j| <= bound for discrete-cyclic, else empty."""
-        if self.kind != "discrete-cyclic" or self.base in (None, 0):
-            return np.array([], dtype=complex)
-        b = complex(self.base)
-        out = []
-        for j in range(-max_power, max_power + 1):
-            try:
-                v = b**j
-            except OverflowError:
-                continue
-            if np.isfinite(v) and 1.0 / bound <= abs(v) <= bound:
-                out.append(v)
-        return np.array(sorted(set(out), key=lambda z: (abs(z), cmath.phase(z))))
 
 
 def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
@@ -871,8 +883,6 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
         mult:exponential,t        M_{exp(-t (1+z)/(1-z))}
         mult:sigma-power,k        M_{(z-c)^k}, c = phi's interior fixed point
     """
-    from .lft import parse_complex  # local import to keep module load cheap
-
     text = text.strip()
     name, _, args = text.partition(":")
     if name == "identity":
@@ -1050,8 +1060,6 @@ def verify_theorem_suite(
             kind = "fock-affine-contraction"
             tau = (phi.b / phi.d) / (1 - w)
             run("qdiff-intertwines", "qdiff:1", 1.0 / w, 1, 1e-10, C)
-            from .lft import format_complex
-
             for k in range(1, 4):
                 run(
                     "shifted-qmult-power-intertwines",
@@ -1091,7 +1099,7 @@ def verify_theorem_suite(
         margin = order - order // 8
         for w_exp in (1j, 2j):
             lam = complex(big_r) ** w_exp
-            run("cayley-mult-intertwines", f"mult:cayley,{format_cx(w_exp)}", lam, margin, 1e-6, C)
+            run("cayley-mult-intertwines", f"mult:cayley,{format_complex(w_exp)}", lam, margin, 1e-6, C)
         pts = scan_points or 1500
         rep = ext_scan(
             A=C,
@@ -1107,7 +1115,7 @@ def verify_theorem_suite(
         margin = 3 * order // 4
         for w_exp in (1.0, 2.0, 1 + 1j):
             lam = r**w_exp if isinstance(w_exp, float) else complex(r) ** w_exp
-            run("binomial-mult-intertwines", f"mult:binomial,{format_cx(w_exp)}", lam, margin, 1e-6, C)
+            run("binomial-mult-intertwines", f"mult:binomial,{format_complex(w_exp)}", lam, margin, 1e-6, C)
         pts = scan_points or 600
         rep = ext_scan(
             A=C, grid=GridSpec("disk", pts, rmax=1.0), candidates=50, seed=seed, predicted=predicted
@@ -1128,8 +1136,6 @@ def verify_theorem_suite(
     elif kind in ("hyperbolic-na-3", "loxodromic"):
         a = cls.multiplier
         c = _interior_fixed_point(phi)
-        from .lft import format_complex
-
         for k in range(1, 4):
             run(
                 "sigma-shift-intertwines",
@@ -1171,9 +1177,3 @@ def verify_theorem_suite(
         raise UnresolvedClassError(f"no verification recipe for class {kind!r}")
 
     return VerifyReport(str(phi), space, order, kind, rows, scan_rows, predicted)
-
-
-def format_cx(z) -> str:
-    from .lft import format_complex
-
-    return format_complex(complex(z))

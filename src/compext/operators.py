@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .lft import LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 from .series import PowerSeries, lft_taylor
@@ -77,11 +78,38 @@ class OperatorMatrix:
         sv.flags.writeable = False
         return sv
 
+    @cached_property
+    def eig_reliability(self) -> tuple:
+        """(eigenvalues, forward-error estimates), computed once per
+        truncation by _eig_with_reliability and read-only, like svdvals."""
+        w, err = _eig_with_reliability(self)
+        w.flags.writeable = False
+        err.flags.writeable = False
+        return w, err
+
     def relabel(self, label: str) -> "OperatorMatrix":
         return replace(self, label=label)
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return matmul(self, other)
+
+
+def _eig_with_reliability(A: OperatorMatrix):
+    """Eigenvalues plus a forward-error estimate for each one.
+
+    err_j ~ eps ||A|| / rcond_j, where rcond_j = |y^H x| / (||x|| ||y||) is the
+    reciprocal condition number from the left/right eigenvector pair.  This is
+    the standard first-order perturbation bound; for severely nonnormal
+    truncations the unreliable eigenvalues show err far above |mu|.
+    Read it through OperatorMatrix.eig_reliability, which computes it once.
+    """
+    w, vl, vr = scipy.linalg.eig(A.entries, left=True, right=True)
+    overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+    norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+    rcond = overlap / np.where(norms == 0, 1.0, norms)
+    eps = np.finfo(float).eps
+    err = np.where(rcond > 0, eps * A.svdvals[0] / np.where(rcond == 0, 1.0, rcond), np.inf)
+    return w, err
 
 
 def _check_compatible(A: OperatorMatrix, B: OperatorMatrix):

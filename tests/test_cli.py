@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from compext import operators
 from compext.cli import main
 
 
@@ -105,6 +106,26 @@ def test_eigs_reliability_report():
     assert 0 < res["reliable_count"] <= 16
     assert res["ratio_set"]["count"] >= 1
     assert len(res["ratio_set"]["sample"]) <= 64
+
+
+@pytest.mark.parametrize(
+    "phi, space",
+    [("0.8090169943749475+0.5877852522924731i,0,0,1", "bergman"), ("1,0.5,0.5,1", "bergman"),
+     ("0.5,1,0,1", "fock")],
+)
+def test_eigs_computes_one_eigendecomposition(monkeypatch, phi, space):
+    calls = []
+    inner = operators._eig_with_reliability
+
+    def counting(A):
+        calls.append(A.order)
+        return inner(A)
+
+    monkeypatch.setattr(operators, "_eig_with_reliability", counting)
+    rc, out, _ = run(["eigs", "--phi", phi, "--space", space, "--n", "24"])
+    assert rc == 0
+    assert calls == [24]
+    assert json.loads(out)["result"]["ratio_set"]["count"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compext import (
     GridSpec,
@@ -38,6 +40,7 @@ from compext import (
     sylvester_min_sv,
     verify_theorem_suite,
 )
+from compext.extspec import _dedup_sorted, _power_members
 
 HARDY = SpaceSpec("hardy")
 BERGMAN = SpaceSpec("bergman")
@@ -107,13 +110,105 @@ def test_reliable_ratios_of_affine_symbol_are_powers():
     np.testing.assert_allclose(rs, 2.0 ** expo.astype(float), atol=1e-10)
 
 
+def _naive_distance(lam, ratios):
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    return np.array([np.abs(z - ratios).min() for z in lam])
+
+
 def test_ratio_distance_matches_brute_force():
+    # bit for bit, not to a tolerance
     rng = np.random.default_rng(4)
     ratios = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     lam = rng.standard_normal(23) + 1j * rng.standard_normal(23)
     got = ratio_distance(lam, ratios)
-    want = np.abs(lam[:, None] - ratios[None, :]).min(axis=1)
-    np.testing.assert_allclose(got, want, atol=1e-14)
+    assert np.array_equal(got, np.abs(lam[:, None] - ratios[None, :]).min(axis=1))
+    # a 700 x 200 grid is 140,000 differences: several blocks
+    ratios = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    lam = 2 * (rng.standard_normal(700) + 1j * rng.standard_normal(700))
+    assert np.array_equal(ratio_distance(lam, ratios), _naive_distance(lam, ratios))
+    # more ratios than one block holds: one grid point per block
+    many = rng.standard_normal(70_000) + 1j * rng.standard_normal(70_000)
+    assert np.array_equal(ratio_distance(lam[:5], many), _naive_distance(lam[:5], many))
+    # duplicated ratios, a ratio on a grid point, and exact ties
+    dup = np.array([1.0, 1.0, -1.0, 1j, 1j, -1j], dtype=complex)
+    pts = np.array([0.0, 1.0, 0.5 + 0.5j, 2.0, 1j], dtype=complex)
+    got = ratio_distance(pts, dup)
+    assert np.array_equal(got, _naive_distance(pts, dup))
+    assert got[0] == 1.0 and got[1] == 0.0 and got[4] == 0.0
+    # a scalar lambda and an empty ratio set
+    assert np.array_equal(ratio_distance(0.3 + 0.1j, ratios), _naive_distance(0.3 + 0.1j, ratios))
+    empty = ratio_distance(pts, np.array([], dtype=complex))
+    assert empty.shape == pts.shape and np.all(np.isinf(empty))
+
+
+# values on a 0.05 lattice, or anywhere, so that many pairs fall within
+# DEDUP_TOL, exactly on it, or across cell boundaries
+_coords = st.integers(-6, 6).map(lambda k: 0.05 * k) | st.floats(-0.4, 0.4)
+_points = st.builds(complex, _coords, _coords)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_points, max_size=40), st.lists(_points, min_size=1, max_size=12))
+def test_ratio_distance_equals_oracle_on_random_sets(ratios, lam):
+    ratios, lam = np.array(ratios, dtype=complex), np.array(lam, dtype=complex)
+    got = ratio_distance(lam, ratios)
+    if ratios.size == 0:
+        assert np.all(np.isinf(got))
+    else:
+        assert np.array_equal(got, _naive_distance(lam, ratios))
+
+
+DEDUP_TOL = 0.1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_points, max_size=60), st.randoms(use_true_random=False))
+def test_dedup_properties(values, rnd):
+    vals = np.array(values, dtype=complex)
+    out = _dedup_sorted(vals, DEDUP_TOL)
+    # a subset of the input
+    assert all(z in values for z in out.tolist())
+    # no two outputs within tol
+    if out.size > 1:
+        d = np.abs(out[:, None] - out[None, :])
+        assert d[~np.eye(out.size, dtype=bool)].min() > DEDUP_TOL
+    # sorted by (re, im)
+    keys = [(z.real, z.imag) for z in out.tolist()]
+    assert keys == sorted(keys)
+    # every input lies near an output: within tol of its cell's
+    # representative, which lies within tol of a kept value
+    if vals.size:
+        near = np.abs(vals[:, None] - out[None, :]).min(axis=1)
+        assert near.max() <= (1 + math.sqrt(2)) * DEDUP_TOL
+    # independent of the input order
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    assert np.array_equal(_dedup_sorted(np.array(shuffled, dtype=complex), DEDUP_TOL), out)
+
+
+def test_dedup_merges_interleaved_conjugate_clusters():
+    # roundoff copies of w and conj(w) share the real part; sorted by (re, im)
+    # they interleave, which a merge against the last kept value cannot undo
+    w = np.exp(0.7j)
+    jitter = np.array([0.0, 3e-16, -2e-16, 5e-16])
+    vals = np.concatenate([w.real + jitter + 1j * (w.imag + jitter[::-1]),
+                           w.real - jitter + 1j * (-w.imag + jitter)])
+    out = _dedup_sorted(vals, 1e-9)
+    assert out.size == 2
+    np.testing.assert_allclose(np.sort_complex(out), [np.conj(w), w], atol=1e-15)
+    # a zero tolerance merges exact duplicates only
+    assert np.array_equal(_dedup_sorted(np.concatenate([vals, vals]), 0.0), np.unique(vals))
+
+
+@pytest.mark.parametrize("space", [BERGMAN, FOCK])
+def test_rotation_ratio_set_has_two_n_minus_one_values(space):
+    # w = e^{2 pi i 0.1234567}: the powers w^k, |k| < 256, are 511 distinct values
+    w = np.exp(2j * np.pi * 0.1234567)
+    C = composition_matrix(LinearFractionalMap(w, 0, 0, 1), space, 256)
+    rs = ratio_set(C)
+    assert rs.size == 511
+    assert np.abs(np.abs(rs) - 1.0).max() < 1e-12
+    assert ratio_set(C, reliability_tol=1e-6).size == 511
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +523,18 @@ def test_predicted_ext_unresolved_cases():
         predicted_ext(standard_form("hyperbolic-automorphism", r=0.5), FOCK)
 
 
-def test_predicted_members_discrete_cyclic():
-    pe = predicted_ext(standard_form("elliptic-automorphism", w=np.exp(2j * np.pi / 5)), BERGMAN)
-    m = pe.members()
-    assert m is not None and np.abs(m - 1.0).min() < 1e-12
+def test_power_members_discrete_cyclic():
+    w = np.exp(2j * np.pi / 5)
+    pe = predicted_ext(standard_form("elliptic-automorphism", w=w), BERGMAN)
+    m = _power_members(pe.base, 1.0, 1.0, 1e-9)
+    assert np.abs(m - 1.0).min() < 1e-12
+    # all five fifth roots of unity, and only those
+    roots = np.exp(2j * np.pi * np.arange(5) / 5)
+    assert np.abs(m[:, None] - roots[None, :]).min(axis=1).max() < 1e-12
+    assert np.abs(roots[:, None] - m[None, :]).min(axis=1).max() < 1e-12
+    # powers of a contraction, cut to the modulus window
+    a = _power_members(0.5, 0.2, 3.0, 0.0)
+    np.testing.assert_allclose(np.sort(a.real), [0.25, 0.5, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compext import (
     INF,
@@ -259,6 +261,73 @@ def test_self_map_predicates():
     assert is_self_map_of_disk(standard_form("loxodromic", a=0.5j, c=0.2))
     assert not is_self_map_of_disk(LinearFractionalMap(2, 0, 0, 1))
     assert not is_self_map_of_disk(LinearFractionalMap(1, 0.5, 0, 1))
+
+
+def test_self_map_rejects_map_just_outside_the_disk():
+    # max |phi| on the circle is 1 + 1e-7, attained at e^{i pi/720}, between
+    # the points of a 720-point sample of the circle
+    tilt = cmath.exp(1j * math.pi / 720)
+    outside = LinearFractionalMap(0.5, 0.5 * (1 + 2e-7) * tilt, 0, 1)
+    assert not is_self_map_of_disk(outside)
+    assert classify(outside).kind == "not-self-map"
+    inside = LinearFractionalMap(0.5, 0.5 * (1 - 2e-7) * tilt, 0, 1)
+    assert is_self_map_of_disk(inside)
+
+
+def _disk_automorphism(theta, p):
+    """z -> e^{i theta} (z - p) / (1 - conj(p) z)."""
+    u = cmath.exp(1j * theta)
+    return LinearFractionalMap(u, -u * p, -p.conjugate(), 1)
+
+
+_angles = st.floats(-math.pi, math.pi)
+_inside = st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.95), _angles)
+
+
+@st.composite
+def _self_maps(draw):
+    """aut o (rho z + t) o aut with rho + |t| <= 1: a self-map of the disk."""
+    rho = draw(st.floats(0.05, 1.0))
+    t = draw(st.floats(0.0, 1.0 - rho)) * cmath.exp(1j * draw(_angles))
+    inner = LinearFractionalMap(rho, t, 0, 1)
+    left = _disk_automorphism(draw(_angles), draw(_inside))
+    right = _disk_automorphism(draw(_angles), draw(_inside))
+    return compose(left, compose(inner, right))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_self_maps(), _self_maps())
+def test_self_maps_are_closed_under_composition(f, g):
+    assert is_self_map_of_disk(f) and is_self_map_of_disk(g)
+    assert is_self_map_of_disk(compose(f, g))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_self_maps(), st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0))
+def test_self_map_test_ignores_coefficient_scaling(f, s):
+    scaled = LinearFractionalMap(s * f.a, s * f.b, s * f.c, s * f.d)
+    assert is_self_map_of_disk(scaled)
+    assert classify(scaled).kind == classify(f).kind
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_self_maps(), _angles)
+def test_class_is_invariant_under_conjugation_by_rotations(f, theta):
+    u = cmath.exp(1j * theta)
+    rotated = compose(LinearFractionalMap(u, 0, 0, 1), compose(f, LinearFractionalMap(1 / u, 0, 0, 1)))
+    assert is_self_map_of_disk(rotated)
+    assert classify(rotated).kind == classify(f).kind
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_angles, _inside, st.floats(1e-6, 1.0))
+def test_automorphisms_and_inverses_are_self_maps_and_blowups_are_not(theta, p, grow):
+    f = _disk_automorphism(theta, p)
+    assert is_self_map_of_disk(f) and is_self_map_of_disk(inverse(f))
+    assert is_automorphism_of_disk(f) and is_automorphism_of_disk(inverse(f))
+    # (1 + grow) f maps some point of the disk outside it
+    blown = LinearFractionalMap((1 + grow) * f.a, (1 + grow) * f.b, f.c, f.d)
+    assert not is_self_map_of_disk(blown)
 
 
 def test_automorphism_predicate():
