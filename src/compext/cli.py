@@ -54,7 +54,7 @@ from .operators import (
     SymbolNotAdmissibleError,
     WrongSpaceError,
     composition_matrix,
-    operator_to_json,
+    operator_to_dict,
     operator_to_matrix_market,
 )
 from .series import (
@@ -215,7 +215,7 @@ def cmd_matrix(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    doc = _wrap(_config(args, "matrix"), json.loads(operator_to_json(A)))
+    doc = _wrap(_config(args, "matrix"), operator_to_dict(A))
     _emit(doc, args.out)
     return 0
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -432,6 +433,39 @@ class PredictedExt:
         return out
 
 
+def _power_members(base: complex, lo: float, hi: float, pad: float) -> np.ndarray:
+    """All powers base^j whose modulus lies in [lo - pad, hi + pad]."""
+    out = []
+    for j in range(-64, 65):
+        try:
+            v = complex(base) ** j
+        except (OverflowError, ZeroDivisionError):
+            continue
+        if np.isfinite(v) and lo - pad <= abs(v) <= hi + pad:
+            out.append(v)
+    return np.array(out, dtype=complex)
+
+
+def _resolve(phi: LinearFractionalMap, space: SpaceSpec) -> tuple:
+    """(class label, multiplier, fixed points) of a resolved (space, class)
+    pair, the label a key of _RECIPES; raises UnresolvedClassError for every
+    other pair.  On fock the multiplier is w of the affine symbol w z + b and
+    no fixed points are computed; on bergman all three come from one classify.
+    """
+    if space.kind == "fock":
+        if not is_fock_symbol(phi):
+            raise UnresolvedClassError("no prediction for non-affine symbols on fock space")
+        w = phi.a / phi.d
+        label = "fock-rotation" if abs(abs(w) - 1.0) <= 1e-12 else "fock-affine-contraction"
+        return label, w, ()
+    if space.kind != "bergman":
+        raise UnresolvedClassError(f"no prediction on {space.kind} space")
+    cls = classify(phi)
+    if cls.kind not in _RECIPES:
+        raise UnresolvedClassError(f"no prediction for class {cls.kind!r} on bergman space")
+    return cls.kind, cls.multiplier, cls.fixed_points
+
+
 def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
     """Predicted extended spectrum of C_phi on the given space.
 
@@ -449,49 +483,123 @@ def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
     this module records as metadata originate there, and turning them into
     extended-spectrum predictions is exactly the open part.
     """
-    if space.kind == "fock":
-        if is_fock_symbol(phi):
-            w = phi.a / phi.d
-            return PredictedExt(
-                "discrete-cyclic",
-                base=w,
-                metadata={"point_spectrum": "w^n, n >= 0", "symbol": "affine"},
-            )
-        raise UnresolvedClassError("no prediction for non-affine symbols on fock space")
-    if space.kind != "bergman":
-        raise UnresolvedClassError(f"no prediction on {space.kind} space")
+    label, mult, _ = _resolve(phi, space)
+    return _RECIPES[label].predict(mult)
 
-    cls = classify(phi)
-    k = cls.kind
-    if k == "elliptic-automorphism":
-        return PredictedExt("discrete-cyclic", base=cls.multiplier)
-    if k == "hyperbolic-automorphism":
-        big_r = 1.0 / cls.multiplier.real  # multiplier is 1/R, real positive
-        return PredictedExt(
-            "unit-circle",
-            metadata={
-                "point_spectrum_annulus": [big_r**-0.5, big_r**0.5],
-                "point_spectrum_source": "hardy",
-            },
-        )
-    if k == "hyperbolic-na-1":
-        r = cls.multiplier.real
-        return PredictedExt(
-            "closed-punctured-disk",
-            metadata={
-                "point_spectrum_disk_radius": r**-0.5,
-                "point_spectrum_source": "hardy",
-            },
-        )
-    if k in ("hyperbolic-na-3", "loxodromic"):
-        return PredictedExt(
-            "discrete-cyclic",
-            base=cls.multiplier,
-            metadata={"point_spectrum": "phi'(c)^n, n >= 0"},
-        )
-    if k == "parabolic-automorphism":
-        return PredictedExt("unit-circle")
-    raise UnresolvedClassError(f"no prediction for class {k!r} on bergman space")
+
+# Recipes, one per resolved (space, class).  rows(phi, m, fixed_points,
+# order) yields the witness rows (check, witness text, lambda, margin,
+# threshold) that verify checks, each threshold calibrated to what its
+# identity achieves in floating point.
+
+
+def _fock_rotation_rows(phi, w, fixed_points, order):
+    for k in range(1, 6):
+        yield "shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10
+        yield "qdiff-power-intertwines", f"qdiff:{k}", w ** (-k), k, 1e-10
+    yield "qmult-intertwines", "qmult-shifted:0,1", w, 0, 1e-10
+
+
+def _fock_affine_rows(phi, w, fixed_points, order):
+    tau = (phi.b / phi.d) / (1 - w)
+    yield "qdiff-intertwines", "qdiff:1", 1.0 / w, 1, 1e-10
+    for k in range(1, 4):
+        yield "shifted-qmult-power-intertwines", f"qmult-shifted:{format_complex(tau)},{k}", w**k, k, 1e-9
+
+
+def _elliptic_rows(phi, w, fixed_points, order):
+    for k in range(1, 6):
+        yield "shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10
+        yield "monomial-mult-intertwines", f"mult:monomial,{k}", w**k, k, 1e-10
+
+
+def _cayley_rows(phi, mult, fixed_points, order):
+    big_r = 1.0 / mult.real  # multiplier is 1/R, real positive
+    for w_exp in (1j, 2j):
+        lam = complex(big_r) ** w_exp
+        yield "cayley-mult-intertwines", f"mult:cayley,{format_complex(w_exp)}", lam, order - order // 8, 1e-6
+
+
+def _binomial_rows(phi, mult, fixed_points, order):
+    r = mult.real
+    for w_exp in (1.0, 2.0, 1 + 1j):
+        lam = r**w_exp if isinstance(w_exp, float) else complex(r) ** w_exp
+        yield "binomial-mult-intertwines", f"mult:binomial,{format_complex(w_exp)}", lam, 3 * order // 4, 1e-6
+
+
+def _sigma_rows(phi, a, fixed_points, order):
+    c = _interior_fixed_point(fixed_points)
+    for k in range(1, 4):
+        yield "sigma-shift-intertwines", f"sigma-shift:{format_complex(c)},{k}", a ** (-k), k, 1e-9
+        yield "sigma-power-mult-intertwines", f"mult:sigma-power,{k}", a**k, k, 1e-9
+
+
+def _exponential_rows(phi, mult, fixed_points, order):
+    phi0 = phi.b / phi.d  # phi(0)
+    a = (1 + phi0) / (1 - phi0) - 1.0  # half-plane translation length
+    for t in (1.0, 2.0):
+        # the 1e-3 threshold covers the order-64 reading of this m = 8
+        # block (about 1e-4); the witness is exact, and since C is not
+        # banded only a fixed block converges as the order grows: the
+        # same m = 8 block reads 1.6e-16 (t = 1) at order 256
+        yield "exponential-mult-intertwines", f"mult:exponential,{t}", cmath.exp(-a * t), order - order // 8, 1e-3
+
+
+def _fock_metadata(w: complex) -> dict:
+    return {"point_spectrum": "w^n, n >= 0", "symbol": "affine"}
+
+
+def _sigma_metadata(a: complex) -> dict:
+    return {"point_spectrum": "phi'(c)^n, n >= 0"}
+
+
+def _annulus_metadata(mult: complex) -> dict:
+    big_r = 1.0 / mult.real  # from R, as the cayley rows are, not from mult**0.5
+    return {"point_spectrum_annulus": [big_r**-0.5, big_r**0.5], "point_spectrum_source": "hardy"}
+
+
+def _disk_metadata(r: complex) -> dict:
+    return {"point_spectrum_disk_radius": r.real**-0.5, "point_spectrum_source": "hardy"}
+
+
+@dataclass(frozen=True)
+class _Recipe:
+    """How one resolved class is predicted and verified, given its multiplier
+    m: the prediction has this kind, metadata(m) and, when discrete-cyclic,
+    base m; rows as above; circle_targets(m, order), set for the rotation
+    classes only, gives the targets of their circle scan."""
+
+    kind: str
+    rows: Callable
+    metadata: Callable = lambda m: {}
+    circle_targets: Callable | None = None
+
+    def predict(self, mult: complex) -> PredictedExt:
+        base = mult if self.kind == "discrete-cyclic" else None
+        return PredictedExt(self.kind, base=base, metadata=self.metadata(mult))
+
+
+_RECIPES = {
+    # the two rotations target the powers of w in different forms: every
+    # w^j, |j| <= 64, on fock, and w^k, |k| < order, rounded, on bergman
+    "fock-rotation": _Recipe(
+        "discrete-cyclic",
+        _fock_rotation_rows,
+        _fock_metadata,
+        lambda w, order: _power_members(w, 1.0, 1.0, 1e-9),
+    ),
+    "fock-affine-contraction": _Recipe("discrete-cyclic", _fock_affine_rows, _fock_metadata),
+    "elliptic-automorphism": _Recipe(
+        "discrete-cyclic",
+        _elliptic_rows,
+        circle_targets=lambda w, order: np.unique(np.round(w ** np.arange(-(order - 1), order), 12)),
+    ),
+    "hyperbolic-automorphism": _Recipe("unit-circle", _cayley_rows, _annulus_metadata),
+    "hyperbolic-na-1": _Recipe("closed-punctured-disk", _binomial_rows, _disk_metadata),
+    "hyperbolic-na-3": _Recipe("discrete-cyclic", _sigma_rows, _sigma_metadata),
+    "loxodromic": _Recipe("discrete-cyclic", _sigma_rows, _sigma_metadata),
+    "parabolic-automorphism": _Recipe("unit-circle", _exponential_rows),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -857,9 +965,8 @@ def _sigma_power_series(c: complex, k: int, order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-def _interior_fixed_point(phi: LinearFractionalMap) -> complex:
-    cls = classify(phi)
-    for p in cls.fixed_points:
+def _interior_fixed_point(fixed_points: tuple) -> complex:
+    for p in fixed_points:
         if not isinstance(p, complex):
             continue
         if abs(p) < 1.0 - 1e-9:
@@ -911,7 +1018,7 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
         elif family == "exponential":
             b = parabolic_eigenfunction(float(param), order)
         elif family == "sigma-power":
-            b = _sigma_power_series(_interior_fixed_point(phi), int(param), order)
+            b = _sigma_power_series(_interior_fixed_point(classify(phi).fixed_points), int(param), order)
         else:
             raise ValueError(f"unknown multiplication family {family!r}")
         return multiplication_matrix(b, space, order).relabel(f"M[{family},{param}]")
@@ -970,19 +1077,6 @@ class VerifyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _power_members(base: complex, lo: float, hi: float, pad: float) -> np.ndarray:
-    """All powers base^j whose modulus lies in [lo - pad, hi + pad]."""
-    out = []
-    for j in range(-64, 65):
-        try:
-            v = complex(base) ** j
-        except (OverflowError, ZeroDivisionError):
-            continue
-        if np.isfinite(v) and lo - pad <= abs(v) <= hi + pad:
-            out.append(v)
-    return np.array(out, dtype=complex)
-
-
 def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
     """Scan check: every flagged point within one grid step of the target set."""
     fl = report.flagged_points()
@@ -992,19 +1086,6 @@ def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> Che
         return CheckRow(name, False, math.inf, "empty target set")
     worst = float(np.abs(fl[:, None] - targets[None, :]).min(axis=1).max())
     return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
-
-
-def _scan_near_circle(report: ExtScanReport, name: str) -> CheckRow:
-    fl = report.flagged_points()
-    if fl.size == 0:
-        return CheckRow(name, False, math.inf, "no points flagged at all")
-    worst = float(np.abs(np.abs(fl) - 1.0).max())
-    return CheckRow(
-        name,
-        worst <= report.step,
-        worst,
-        f"{fl.size} flagged points; worst distance from |lambda|=1",
-    )
 
 
 def _scan_presence(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
@@ -1027,153 +1108,68 @@ def verify_theorem_suite(
     symbol's class is known to satisfy, plus a scan-localization check
     against the predicted extended spectrum.
 
-    Witness thresholds are calibrated to what the identities actually
-    achieve in floating point (see the per-class blocks); the scan rows are
-    strict localization statements and genuinely fail for the hyperbolic and
-    parabolic automorphism classes, where finite sections cannot see the
-    predicted unit circle.  Raises UnresolvedClassError for classes/spaces
-    with no resolved prediction.
+    The class's recipe (_RECIPES) gives the prediction and the witness rows,
+    each a residual of C X - lambda X C against a threshold calibrated to what
+    the identity achieves in floating point.  The scan and its check follow
+    the prediction's kind (scan_points overrides the default point count):
+
+      discrete-cyclic, rotation classes   circle |lambda| = 1, 504 points;
+                                          every flag near a power of the base
+      discrete-cyclic, otherwise          annulus |base|^1.5 .. 1.1/|base|,
+                                          600 points; every flag near a power
+      unit-circle                         annulus 0.2 .. 5, 1500 points; every
+                                          flag within one step of |lambda| = 1
+      closed-punctured-disk               disk |lambda| <= 1, 600 points; every
+                                          flag inside, and flags at r and r^2
+
+    Away from the rotation classes only the 50 ratio-nearest points are
+    probed.  The scan rows are strict localization statements and genuinely
+    fail for the hyperbolic and parabolic automorphism classes, where finite
+    sections cannot see the predicted unit circle.  Raises
+    UnresolvedClassError for classes/spaces with no resolved prediction.
     """
-    predicted = predicted_ext(phi, space)  # raises UnresolvedClassError early
-    rows: list = []
-    scan_rows: list = []
-
-    def run(check, witness_text, lam, margin, threshold, C):
-        X = build_witness(witness_text, phi, space, order)
-        res = intertwining_residual(C, X, lam, margin)
-        rows.append(VerifyRow(check, witness_text, complex(lam), margin, res, threshold, res <= threshold))
-
-    if space.kind == "fock":
-        w = phi.a / phi.d
-        C = composition_matrix(phi, space, order)
-        if abs(abs(w) - 1.0) <= 1e-12:
-            kind = "fock-rotation"
-            for k in range(1, 6):
-                run("shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10, C)
-                run("qdiff-power-intertwines", f"qdiff:{k}", w ** (-k), k, 1e-10, C)
-            run("qmult-intertwines", "qmult-shifted:0,1", w, 0, 1e-10, C)
-            pts = scan_points or 504
-            rep = ext_scan(A=C, grid=GridSpec("circle", pts, rmax=1.0), seed=seed, predicted=predicted)
-            targets = _power_members(w, 1.0, 1.0, 1e-9)
-            scan_rows.append(_scan_near_set(rep, targets, "scan-flags-near-powers"))
-        else:
-            kind = "fock-affine-contraction"
-            tau = (phi.b / phi.d) / (1 - w)
-            run("qdiff-intertwines", "qdiff:1", 1.0 / w, 1, 1e-10, C)
-            for k in range(1, 4):
-                run(
-                    "shifted-qmult-power-intertwines",
-                    f"qmult-shifted:{format_complex(tau)},{k}",
-                    w**k,
-                    k,
-                    1e-9,
-                    C,
-                )
-            pts = scan_points or 600
-            gs = GridSpec("annulus", pts, rmin=abs(w) ** 1.5, rmax=1.1 / abs(w))
-            # the truncation is triangular with entries w^n, so sigma_min is
-            # exponentially small and probing every grid point would flag all
-            # of them; only the ratio-nearest points are worth confirming
-            rep = ext_scan(A=C, grid=gs, candidates=50, seed=seed, predicted=predicted)
-            targets = _power_members(w, gs.rmin, gs.rmax, rep.step)
-            scan_rows.append(_scan_near_set(rep, targets, "scan-flags-near-powers"))
-        return VerifyReport(str(phi), space, order, kind, rows, scan_rows, predicted)
-
-    # bergman (predicted_ext already rejected hardy and unresolved classes)
-    cls = classify(phi)
-    kind = cls.kind
+    label, mult, fixed_points = _resolve(phi, space)
+    recipe = _RECIPES[label]
+    predicted = recipe.predict(mult)
     C = composition_matrix(phi, space, order)
+    rows = []
+    for check, text, lam, margin, threshold in recipe.rows(phi, mult, fixed_points, order):
+        X = build_witness(text, phi, space, order)
+        res = intertwining_residual(C, X, lam, margin)
+        rows.append(VerifyRow(check, text, complex(lam), margin, res, threshold, res <= threshold))
 
-    if kind == "elliptic-automorphism":
-        w = cls.multiplier
-        for k in range(1, 6):
-            run("shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10, C)
-            run("monomial-mult-intertwines", f"mult:monomial,{k}", w**k, k, 1e-10, C)
-        pts = scan_points or 504
-        rep = ext_scan(A=C, grid=GridSpec("circle", pts, rmax=1.0), seed=seed, predicted=predicted)
-        targets = np.unique(np.round(w ** np.arange(-(order - 1), order), 12))
-        scan_rows.append(_scan_near_set(rep, targets, "scan-flags-near-powers"))
+    def scan(grid: GridSpec, candidates=None) -> ExtScanReport:
+        return ext_scan(A=C, grid=grid, candidates=candidates, seed=seed, predicted=predicted)
 
-    elif kind == "hyperbolic-automorphism":
-        big_r = 1.0 / cls.multiplier.real
-        margin = order - order // 8
-        for w_exp in (1j, 2j):
-            lam = complex(big_r) ** w_exp
-            run("cayley-mult-intertwines", f"mult:cayley,{format_complex(w_exp)}", lam, margin, 1e-6, C)
-        pts = scan_points or 1500
-        rep = ext_scan(
-            A=C,
-            grid=GridSpec("annulus", pts, rmin=0.2, rmax=5.0),
-            candidates=50,
-            seed=seed,
-            predicted=predicted,
-        )
-        scan_rows.append(_scan_near_circle(rep, "scan-flags-on-unit-circle"))
-
-    elif kind == "hyperbolic-na-1":
-        r = cls.multiplier.real
-        margin = 3 * order // 4
-        for w_exp in (1.0, 2.0, 1 + 1j):
-            lam = r**w_exp if isinstance(w_exp, float) else complex(r) ** w_exp
-            run("binomial-mult-intertwines", f"mult:binomial,{format_complex(w_exp)}", lam, margin, 1e-6, C)
-        pts = scan_points or 600
-        rep = ext_scan(
-            A=C, grid=GridSpec("disk", pts, rmax=1.0), candidates=50, seed=seed, predicted=predicted
-        )
+    if recipe.circle_targets is not None:
+        rep = scan(GridSpec("circle", scan_points or 504, rmax=1.0))
+        scan_rows = [_scan_near_set(rep, recipe.circle_targets(mult, order), "scan-flags-near-powers")]
+    elif predicted.kind == "discrete-cyclic":
+        gs = GridSpec("annulus", scan_points or 600, rmin=abs(mult) ** 1.5, rmax=1.1 / abs(mult))
+        # sigma_min of these truncations is exponentially small (on fock the
+        # truncation is triangular with entries w^n), so probing every grid
+        # point would flag all of them; only the ratio-nearest points are
+        # worth confirming
+        rep = scan(gs, candidates=50)
+        targets = _power_members(mult, gs.rmin, gs.rmax, rep.step)
+        scan_rows = [_scan_near_set(rep, targets, "scan-flags-near-powers")]
+    elif predicted.kind == "unit-circle":
+        rep = scan(GridSpec("annulus", scan_points or 1500, rmin=0.2, rmax=5.0), candidates=50)
+        fl = rep.flagged_points()
+        if fl.size == 0:
+            worst, detail = math.inf, "no points flagged at all"
+        else:
+            worst = float(np.abs(np.abs(fl) - 1.0).max())
+            detail = f"{fl.size} flagged points; worst distance from |lambda|=1"
+        scan_rows = [CheckRow("scan-flags-on-unit-circle", worst <= rep.step, worst, detail)]
+    else:  # closed-punctured-disk
+        rep = scan(GridSpec("disk", scan_points or 600, rmax=1.0), candidates=50)
         fl = rep.flagged_points()
         inside = fl.size > 0 and bool(np.all(np.abs(fl) <= 1.0 + rep.step))
-        scan_rows.append(
-            CheckRow(
-                "scan-flags-inside-closed-disk",
-                inside,
-                float(np.abs(fl).max()) if fl.size else math.inf,
-                f"{fl.size} flagged points",
-            )
-        )
-        targets = np.array([r ** 1.0, r ** 2.0], dtype=complex)
-        scan_rows.append(_scan_presence(rep, targets, "scan-flags-present-at-powers"))
-
-    elif kind in ("hyperbolic-na-3", "loxodromic"):
-        a = cls.multiplier
-        c = _interior_fixed_point(phi)
-        for k in range(1, 4):
-            run(
-                "sigma-shift-intertwines",
-                f"sigma-shift:{format_complex(c)},{k}",
-                a ** (-k),
-                k,
-                1e-9,
-                C,
-            )
-            run("sigma-power-mult-intertwines", f"mult:sigma-power,{k}", a**k, k, 1e-9, C)
-        pts = scan_points or 600
-        gs = GridSpec("annulus", pts, rmin=abs(a) ** 1.5, rmax=1.1 / abs(a))
-        rep = ext_scan(A=C, grid=gs, candidates=50, seed=seed, predicted=predicted)
-        targets = _power_members(a, gs.rmin, gs.rmax, rep.step)
-        scan_rows.append(_scan_near_set(rep, targets, "scan-flags-near-powers"))
-
-    elif kind == "parabolic-automorphism":
-        phi0 = phi.b / phi.d  # phi(0)
-        a = (1 + phi0) / (1 - phi0) - 1.0  # half-plane translation length
-        margin = order - order // 8
-        for t in (1.0, 2.0):
-            lam = cmath.exp(-a * t)
-            # the 1e-3 threshold covers the order-64 reading of this m = 8
-            # block (about 1e-4); the witness is exact, and since C is not
-            # banded only a fixed block converges as the order grows: the
-            # same m = 8 block reads 1.6e-16 (t = 1) at order 256
-            run("exponential-mult-intertwines", f"mult:exponential,{t}", lam, margin, 1e-3, C)
-        pts = scan_points or 1500
-        rep = ext_scan(
-            A=C,
-            grid=GridSpec("annulus", pts, rmin=0.2, rmax=5.0),
-            candidates=50,
-            seed=seed,
-            predicted=predicted,
-        )
-        scan_rows.append(_scan_near_circle(rep, "scan-flags-on-unit-circle"))
-
-    else:  # pragma: no cover - predicted_ext already rejects these
-        raise UnresolvedClassError(f"no verification recipe for class {kind!r}")
-
-    return VerifyReport(str(phi), space, order, kind, rows, scan_rows, predicted)
+        worst = float(np.abs(fl).max()) if fl.size else math.inf
+        targets = np.array([mult.real**1.0, mult.real**2.0], dtype=complex)
+        scan_rows = [
+            CheckRow("scan-flags-inside-closed-disk", inside, worst, f"{fl.size} flagged points"),
+            _scan_presence(rep, targets, "scan-flags-present-at-powers"),
+        ]
+    return VerifyReport(str(phi), space, order, label, rows, scan_rows, predicted)

@@ -25,7 +25,6 @@ the modulus of the multiplier at the attracting one.  Class names:
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -416,12 +415,3 @@ def parse_lft(text: str) -> LinearFractionalMap:
 def format_lft(f: LinearFractionalMap) -> str:
     return ",".join(format_complex(z) for z in (f.a, f.b, f.c, f.d))
 
-
-def lft_to_json(f: LinearFractionalMap) -> str:
-    return json.dumps({"coefficients": [[z.real, z.imag] for z in (f.a, f.b, f.c, f.d)]})
-
-
-def lft_from_json(text: str) -> LinearFractionalMap:
-    data = json.loads(text)
-    a, b, c, d = (complex(re_, im_) for re_, im_ in data["coefficients"])
-    return LinearFractionalMap(a, b, c, d)

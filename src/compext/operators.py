@@ -21,7 +21,6 @@ eigenvalue tests exercise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -284,24 +283,14 @@ def shifted_quasi_mult(space: SpaceSpec, tau: complex, order: int) -> OperatorMa
 # serialization
 
 
-def operator_to_json(A: OperatorMatrix) -> str:
-    flat = [[z.real, z.imag] for z in A.entries.ravel()]  # row-major
-    return json.dumps(
-        {
-            "space": {"kind": A.space.kind, "alpha": A.space.alpha},
-            "order": A.order,
-            "entries": flat,
-            "label": A.label,
-        }
-    )
-
-
-def operator_from_json(text: str) -> OperatorMatrix:
-    data = json.loads(text)
-    n = int(data["order"])
-    flat = np.array([complex(re_, im_) for re_, im_ in data["entries"]])
-    space = SpaceSpec(kind=data["space"]["kind"], alpha=data["space"].get("alpha", 1.0))
-    return OperatorMatrix(space, n, flat.reshape(n, n), label=data.get("label", ""))
+def operator_to_dict(A: OperatorMatrix) -> dict:
+    """Space, order, label and the entries, row-major, as [re, im] pairs."""
+    return {
+        "space": {"kind": A.space.kind, "alpha": A.space.alpha},
+        "order": A.order,
+        "entries": [[z.real, z.imag] for z in A.entries.ravel().tolist()],
+        "label": A.label,
+    }
 
 
 def operator_to_matrix_market(A: OperatorMatrix) -> str:

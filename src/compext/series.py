@@ -13,7 +13,6 @@ throughout, e.g. r**w means exp(w log r) with real log r.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,15 +227,3 @@ def compose_series(g: PowerSeries, f: LinearFractionalMap, order: int) -> PowerS
         acc[0] += g.coeffs[k]
     return PowerSeries(acc)
 
-
-# ---------------------------------------------------------------------------
-# serialization: coefficients as [re, im] pairs
-
-
-def series_to_json(p: PowerSeries) -> str:
-    return json.dumps({"coeffs": [[c.real, c.imag] for c in p.coeffs]})
-
-
-def series_from_json(text: str) -> PowerSeries:
-    data = json.loads(text)
-    return PowerSeries(np.array([complex(re_, im_) for re_, im_ in data["coeffs"]]))

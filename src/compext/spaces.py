@@ -12,7 +12,6 @@ l^2 sums of coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,14 +37,6 @@ class SpaceSpec:
         if self.kind == "fock" and not self.alpha > 0:
             raise ValueError("fock weight alpha must be positive")
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "alpha": self.alpha})
-
-    @staticmethod
-    def from_json(text: str) -> "SpaceSpec":
-        data = json.loads(text)
-        return SpaceSpec(kind=data["kind"], alpha=data.get("alpha", 1.0))
 
 
 def monomial_norm(space: SpaceSpec, n: int) -> float:

@@ -3,9 +3,10 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from compext import operators
+from compext import LinearFractionalMap, SpaceSpec, composition_matrix, operators
 from compext.cli import main
 
 
@@ -66,6 +67,11 @@ def test_matrix_json_and_matrix_market(tmp_path):
     assert rc == 0
     doc = json.loads(out)
     assert doc["result"]["order"] == 8
+    # the entries, row-major [re, im] pairs, are the truncation's bit for bit
+    C = composition_matrix(LinearFractionalMap(0.5, 1, 0, 1), SpaceSpec("fock"), 8)
+    entries = np.array(doc["result"]["entries"])
+    assert np.array_equal(entries[:, 0] + 1j * entries[:, 1], C.entries.ravel())
+    assert doc["result"]["space"] == {"kind": "fock", "alpha": 1.0}
     rc, out, _ = run(
         ["matrix", "--phi", "0.5,1,0,1", "--space", "fock", "--n", "8",
          "--format", "mm"]

@@ -5,6 +5,7 @@ Dense Sylvester reference values were computed from the full Kronecker matrix
 with scipy.linalg.svdvals; the probe reports sigma_min / (||A|| (1 + |lam|)),
 so the frozen raw values are normalized the same way inside the assertions.
 """
+import cmath
 import json
 import math
 
@@ -25,9 +26,11 @@ from compext import (
     UnresolvedClassError,
     basis_shift_matrix,
     build_witness,
+    classify,
     composition_matrix,
     direct_sum,
     ext_scan,
+    format_complex,
     intertwining_residual,
     lemma_suite,
     make_grid,
@@ -701,8 +704,134 @@ def test_verify_hyperbolic_automorphism_shape():
 
 
 def test_verify_unresolved_raises():
-    with pytest.raises(UnresolvedClassError):
-        verify_theorem_suite(standard_form("hyperbolic-na-2", r=0.5), BERGMAN, 16)
+    # the four unresolved inputs of test_predicted_ext_unresolved_cases
+    cases = [
+        (standard_form("elliptic-automorphism", w=1j), HARDY, "no prediction on hardy space"),
+        (standard_form("hyperbolic-na-2", r=0.5), BERGMAN,
+         "no prediction for class 'hyperbolic-na-2' on bergman space"),
+        (standard_form("parabolic-non-automorphism", a=1.0), BERGMAN,
+         "no prediction for class 'parabolic-non-automorphism' on bergman space"),
+        (standard_form("hyperbolic-automorphism", r=0.5), FOCK,
+         "no prediction for non-affine symbols on fock space"),
+    ]
+    for phi, space, message in cases:
+        with pytest.raises(UnresolvedClassError, match=f"^{message}$"):
+            verify_theorem_suite(phi, space, 16)
+
+
+def _fock_rotation_recipe(phi, order):
+    w = phi.a / phi.d
+    rows = []
+    for k in range(1, 6):
+        rows.append(("shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10))
+        rows.append(("qdiff-power-intertwines", f"qdiff:{k}", w ** (-k), k, 1e-10))
+    return rows + [("qmult-intertwines", "qmult-shifted:0,1", w, 0, 1e-10)]
+
+
+def _fock_affine_recipe(phi, order):
+    w = phi.a / phi.d  # 0.5, with fixed point tau = 2
+    return [("qdiff-intertwines", "qdiff:1", 1.0 / w, 1, 1e-10)] + [
+        ("shifted-qmult-power-intertwines", f"qmult-shifted:2.0,{k}", w**k, k, 1e-9) for k in range(1, 4)
+    ]
+
+
+def _elliptic_recipe(phi, order):
+    w = classify(phi).multiplier
+    rows = []
+    for k in range(1, 6):
+        rows.append(("shift-intertwines", f"shift:{k}", w ** (-k), 0, 1e-10))
+        rows.append(("monomial-mult-intertwines", f"mult:monomial,{k}", w**k, k, 1e-10))
+    return rows
+
+
+def _cayley_recipe(phi, order):
+    big_r = 1.0 / classify(phi).multiplier.real
+    return [
+        ("cayley-mult-intertwines", f"mult:cayley,{text}", complex(big_r) ** w, order - order // 8, 1e-6)
+        for text, w in (("0.0+1.0i", 1j), ("0.0+2.0i", 2j))
+    ]
+
+
+def _binomial_recipe(phi, order):
+    r = classify(phi).multiplier.real
+    lams = (r**1.0, r**2.0, complex(r) ** (1 + 1j))
+    return [
+        ("binomial-mult-intertwines", f"mult:binomial,{text}", lam, 3 * order // 4, 1e-6)
+        for text, lam in zip(("1.0", "2.0", "1.0+1.0i"), lams)
+    ]
+
+
+def _sigma_recipe(phi, order):
+    cls = classify(phi)
+    a, c = cls.multiplier, cls.fixed_points[0]
+    rows = []
+    for k in range(1, 4):
+        rows.append(("sigma-shift-intertwines", f"sigma-shift:{format_complex(c)},{k}", a ** (-k), k, 1e-9))
+        rows.append(("sigma-power-mult-intertwines", f"mult:sigma-power,{k}", a**k, k, 1e-9))
+    return rows
+
+
+def _exponential_recipe(phi, order):
+    phi0 = phi.b / phi.d
+    shift = (1 + phi0) / (1 - phi0) - 1.0
+    return [
+        ("exponential-mult-intertwines", f"mult:exponential,{t}", cmath.exp(-shift * t), order - order // 8, 1e-3)
+        for t in (1.0, 2.0)
+    ]
+
+
+NEAR_POWERS = ["scan-flags-near-powers"]
+ON_CIRCLE = ["scan-flags-on-unit-circle"]
+IN_DISK = ["scan-flags-inside-closed-disk", "scan-flags-present-at-powers"]
+
+
+@pytest.mark.parametrize(
+    "phi,space,label,kind,recipe,scans",
+    [
+        (LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, "fock-rotation",
+         "discrete-cyclic", _fock_rotation_recipe, NEAR_POWERS),
+        (LinearFractionalMap(0.5, 1, 0, 1), FOCK, "fock-affine-contraction",
+         "discrete-cyclic", _fock_affine_recipe, NEAR_POWERS),
+        (standard_form("elliptic-automorphism", w=np.exp(2j * np.pi / 5)), BERGMAN, "elliptic-automorphism",
+         "discrete-cyclic", _elliptic_recipe, NEAR_POWERS),
+        (standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, "hyperbolic-automorphism",
+         "unit-circle", _cayley_recipe, ON_CIRCLE),
+        (standard_form("hyperbolic-na-1", r=0.5), BERGMAN, "hyperbolic-na-1",
+         "closed-punctured-disk", _binomial_recipe, IN_DISK),
+        (standard_form("hyperbolic-na-3", a=0.5, c=0.2), BERGMAN, "hyperbolic-na-3",
+         "discrete-cyclic", _sigma_recipe, NEAR_POWERS),
+        (standard_form("loxodromic", a=0.5j, c=0.2), BERGMAN, "loxodromic",
+         "discrete-cyclic", _sigma_recipe, NEAR_POWERS),
+        (standard_form("parabolic-automorphism", a=2j), BERGMAN, "parabolic-automorphism",
+         "unit-circle", _exponential_recipe, ON_CIRCLE),
+    ],
+)
+def test_verify_recipe_rows_are_pinned(phi, space, label, kind, recipe, scans):
+    # every resolved (space, class) pair: class label, prediction kind, the
+    # exact (check, witness, lambda, margin, threshold) rows and scan checks
+    report = verify_theorem_suite(phi, space, 16, scan_points=16)
+    assert report.kind == label
+    assert report.predicted.kind == kind
+    assert report.predicted == predicted_ext(phi, space)
+    got = [(r.check, r.witness, r.lam, r.margin, r.threshold) for r in report.rows]
+    assert got == recipe(phi, 16)
+    assert all(type(r.lam) is complex for r in report.rows)
+    assert [r.name for r in report.scan_rows] == scans
+
+
+def test_verify_classifies_once(monkeypatch):
+    import compext.extspec as extspec
+
+    calls = []
+
+    def counting(phi, *args, **kwargs):
+        calls.append(phi)
+        return classify(phi, *args, **kwargs)
+
+    monkeypatch.setattr(extspec, "classify", counting)
+    phi = standard_form("hyperbolic-na-1", r=0.5)
+    verify_theorem_suite(phi, BERGMAN, 16, scan_points=16)
+    assert calls == [phi]
 
 
 def test_verify_report_serializes():

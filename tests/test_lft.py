@@ -24,8 +24,6 @@ from compext import (
     is_fock_symbol,
     is_inf,
     is_self_map_of_disk,
-    lft_from_json,
-    lft_to_json,
     multiplier,
     parse_complex,
     parse_lft,
@@ -386,13 +384,6 @@ def test_parse_format_lft_round_trip():
     assert (g.a, g.b, g.c, g.d) == (f.a, f.b, f.c, f.d)
     h = parse_lft("2+1i,-1,0.5i,3")
     assert h.a == 2 + 1j and h.b == -1 and h.c == 0.5j and h.d == 3
-
-
-def test_lft_json_round_trip():
-    f = standard_form("loxodromic", a=0.3 + 0.3j, c=0.1)
-    g = lft_from_json(lft_to_json(f))
-    for z in (0.2, -0.1 + 0.4j):
-        assert apply(g, z) == pytest.approx(apply(f, z))
 
 
 def test_classification_to_dict_is_serializable():

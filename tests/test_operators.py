@@ -33,8 +33,6 @@ from compext import (
     monomial_norms,
     multiplication_matrix,
     op_norm,
-    operator_from_json,
-    operator_to_json,
     operator_to_matrix_market,
     quasi_diff_matrix,
     quasi_mult_matrix,
@@ -351,13 +349,6 @@ def test_apply_to_series_length_check():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def test_operator_json_round_trip():
-    C = composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 6)
-    D = operator_from_json(operator_to_json(C))
-    assert D.space == C.space and D.order == C.order and D.label == C.label
-    np.testing.assert_allclose(D.entries, C.entries, atol=0)
 
 
 def test_matrix_market_format():

@@ -30,8 +30,6 @@ from compext import (
     parabolic_eigenfunction,
     reciprocal,
     scalar_mul,
-    series_from_json,
-    series_to_json,
     standard_form,
     sub,
 )
@@ -274,14 +272,7 @@ def test_compose_accepts_fock_symbol():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_series_json_round_trip():
-    rng = np.random.default_rng(5)
-    p = PowerSeries(rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    q = series_from_json(series_to_json(p))
-    np.testing.assert_allclose(q.coeffs, p.coeffs, atol=0)
+# immutability
 
 
 def test_power_series_is_immutable():

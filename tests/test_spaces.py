@@ -147,5 +147,5 @@ def test_space_spec_validation_and_json():
         SpaceSpec("dirichlet")
     with pytest.raises(ValueError):
         SpaceSpec("fock", alpha=0.0)
-    sp = SpaceSpec("fock", alpha=2.5)
-    assert SpaceSpec.from_json(sp.to_json()) == sp
+    # alpha is stored as a float, so JSON output reads 2.0, not 2
+    assert type(SpaceSpec("fock", alpha=2).alpha) is float

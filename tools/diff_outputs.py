@@ -1,6 +1,7 @@
 """Compare the CLI outputs of two source trees over the benchmark's request pools.
 
     python3 tools/diff_outputs.py OLD_TREE NEW_TREE [--workload W ...]
+    python3 tools/diff_outputs.py OLD_TREE NEW_TREE --acceptance
 
 Every request of the pools in bench/workloads.py (all three workloads unless
 --workload narrows them) is sent through compext.cli.main once per tree, each
@@ -16,6 +17,11 @@ output (exit code, stdout, stderr and files) and, for the rest, each differing
 field with wildcard indices (extscan rows by column name), the number of
 requests in which it differs and the largest absolute difference of its
 numbers, followed by two of the differing requests.  Exit status: 0 when every output is identical, 1 otherwise.
+
+With --acceptance the pools are not sent; instead each tree runs its own
+tests/test_acceptance.py (pytest -s, the same environment) and the nine
+"[Cn] PASS/FAIL: ..." lines the acceptance tests print are compared, label by
+label.  Exit status: 0 when both trees print the same nine lines, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -153,11 +160,34 @@ def compare(requests: list, old: list, new: list) -> bool:
     return identical
 
 
+def acceptance_lines(tree: str, env: dict) -> subprocess.Popen:
+    """Start the tree's acceptance tests; their output is read from stdout."""
+    root = Path(tree).resolve()
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", "tests/test_acceptance.py"]
+    return subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+
+
+def compare_acceptance(old: str, new: str) -> bool:
+    """Print each [Cn] label as identical or with both trees' lines."""
+    lines = [dict(re.findall(r"(\[C\d+\])([^\n]*)", text)) for text in (old, new)]
+    identical = len(lines[0]) == 9
+    for label in sorted(set(lines[0]) | set(lines[1]), key=lambda k: int(k[2:-1])):
+        a, b = (side.get(label, " (not printed)") for side in lines)
+        if a == b:
+            print(f"{label} identical")
+        else:
+            identical = False
+            print(f"{label} differs\n  old:{a}\n  new:{b}")
+    return identical
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", nargs="?", help="root of the first source tree")
     ap.add_argument("new", nargs="?", help="root of the second source tree")
     ap.add_argument("--workload", action="append", help="limit to these workloads (repeatable)")
+    ap.add_argument("--acceptance", action="store_true", help="compare the [Cn] lines of the acceptance tests instead")
     ap.add_argument("--run-tree", nargs=3, metavar=("SRC", "REQUESTS", "RESULTS"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run_tree:
@@ -167,11 +197,20 @@ def main(argv=None) -> int:
     if not (args.old and args.new):
         ap.error("give two source trees")
 
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    if args.acceptance:
+        for tree in (args.old, args.new):
+            if not (Path(tree) / "tests" / "test_acceptance.py").is_file():
+                ap.error(f"{tree} has no tests/test_acceptance.py")
+        procs = [acceptance_lines(tree, env) for tree in (args.old, args.new)]
+        old, new = (p.communicate()[0] for p in procs)
+        print(f"acceptance, {args.old} vs {args.new}")
+        return 0 if compare_acceptance(old, new) else 1
+
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     requests = [list(req.argv) for w in (args.workload or workloads.WORKLOADS) for req in workloads.pool(w)]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         req_file = os.path.join(tmp, "requests.json")
         Path(req_file).write_text(json.dumps(requests))
