@@ -3,7 +3,8 @@
 Subcommands: classify, matrix, eigs, extcheck, extscan, verify.  Every
 command echoes its resolved configuration in the JSON it emits, so runs are
 reproducible from their own output; output is byte-stable across runs with
-the same inputs, except for the timestamp field.
+the same inputs, except for the timestamp field.  This module alone decides
+how results become JSON (_encode) and CSV (cmd_extscan).
 
 Exit codes: 0 success, 1 domain error (inadmissible symbol, wrong space,
 singular truncation, ...), 2 usage or parse error (including an empty or
@@ -13,7 +14,9 @@ malformed grid), 3 unresolved symbol class.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -21,7 +24,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .extspec import (
-    BadAnnulusError,
     EmptyGridError,
     GridSpec,
     SingularTruncationError,
@@ -43,6 +45,7 @@ from .lft import (
     format_complex,
     format_lft,
     is_fock_symbol,
+    is_inf,
     is_self_map_of_disk,
     parse_complex,
     parse_lft,
@@ -54,7 +57,6 @@ from .operators import (
     SymbolNotAdmissibleError,
     WrongSpaceError,
     composition_matrix,
-    operator_to_dict,
     operator_to_matrix_market,
 )
 from .series import (
@@ -81,7 +83,6 @@ DOMAIN_ERRORS = (
     OrderMismatchError,
     SingularTruncationError,
     TooLargeError,
-    BadAnnulusError,
 )
 
 
@@ -171,8 +172,41 @@ def _config(args, command: str) -> RunConfig:
     )
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields under their JSON names: the "json" entry of a
+    field's metadata, else the field's own name.  A field still at a None
+    default is left out."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        out[f.metadata.get("json", f.name)] = value
+    return out
+
+
+def _encode(obj):
+    """json.dumps hook for what the standard encoder does not know: a complex
+    number as [re, im], INF as null, an ndarray as its flat row-major list, a
+    numpy scalar as its Python value and a dataclass as _fields(obj)."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        flat = obj.ravel()
+        if np.iscomplexobj(flat):  # all pairs at once, not one hook call per entry
+            return np.stack([flat.real, flat.imag], axis=-1).tolist()
+        return flat.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if is_inf(obj):
+        return None
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_encode) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -180,9 +214,9 @@ def _emit(doc: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _wrap(config: RunConfig, result: dict) -> dict:
+def _wrap(config: RunConfig, result) -> dict:
     return {
-        "config": asdict(config),
+        "config": asdict(config),  # unset options stay null, which _fields would drop
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
@@ -193,8 +227,7 @@ def _space(args) -> SpaceSpec:
 
 
 def cmd_classify(args) -> int:
-    cls = classify(args.phi)
-    result = cls.to_dict()
+    result = _fields(classify(args.phi))
     result["self_map"] = is_self_map_of_disk(args.phi)
     result["fock_symbol"] = is_fock_symbol(args.phi)
     _emit(_wrap(_config(args, "classify"), result), args.out)
@@ -215,8 +248,7 @@ def cmd_matrix(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    doc = _wrap(_config(args, "matrix"), operator_to_dict(A))
-    _emit(doc, args.out)
+    _emit(_wrap(_config(args, "matrix"), A), args.out)
     return 0
 
 
@@ -229,17 +261,14 @@ def cmd_eigs(args) -> int:
     reliable = err <= args.reliability_tol * np.abs(w)
     try:
         ratios = ratio_set(A, reliability_tol=args.reliability_tol)
-        ratio_info = {
-            "count": int(ratios.size),
-            "sample": [[z.real, z.imag] for z in ratios[:64]],
-        }
+        ratio_info = {"count": ratios.size, "sample": ratios[:64]}
     except SingularTruncationError as exc:
         ratio_info = {"count": 0, "sample": [], "note": str(exc)}
     result = {
-        "eigenvalues": [[z.real, z.imag] for z in w],
+        "eigenvalues": w,
         "error_estimates": [float(e) if np.isfinite(e) else None for e in err],
-        "reliable": [bool(b) for b in reliable],
-        "reliable_count": int(np.count_nonzero(reliable)),
+        "reliable": reliable,
+        "reliable_count": np.count_nonzero(reliable),
         "ratio_set": ratio_info,
     }
     _emit(_wrap(_config(args, "eigs"), result), args.out)
@@ -255,7 +284,7 @@ def cmd_extcheck(args) -> int:
     passed = res <= args.threshold
     result = {
         "witness": args.witness,
-        "lambda": [lam.real, lam.imag],
+        "lambda": lam,
         "margin": args.margin,
         "residual": res,
         "threshold": args.threshold,
@@ -263,6 +292,9 @@ def cmd_extcheck(args) -> int:
     }
     _emit(_wrap(_config(args, "extcheck"), result), args.out)
     return 0
+
+
+SCAN_COLUMNS = ("re(lambda)", "im(lambda)", "ratio_distance", "sylvester_min_sv", "flagged")
 
 
 def cmd_extscan(args) -> int:
@@ -290,21 +322,39 @@ def cmd_extscan(args) -> int:
         seed=args.seed,
         predicted=predicted,
     )
-    rep_dict = rep.to_dict()
-    if unresolved:
-        rep_dict["notes"].append(f"prediction unresolved: {unresolved}")
-    rows = rep_dict.pop("rows")
-    columns = rep_dict.pop("columns")
-    summary = dict(rep_dict)
+    summary = {
+        "label": rep.label,
+        "space": rep.space,
+        "order": rep.order,
+        "grid": _fields(rep.grid) | {"step": rep.step, "count": rep.lam.size},
+        "sylvester_threshold": rep.sylvester_threshold,
+        "ratio_threshold": rep.ratio_threshold,
+        "candidates": rep.candidates,
+        "seed": rep.seed,
+        "flagged_count": np.count_nonzero(rep.flagged),
+        "notes": rep.notes + ([f"prediction unresolved: {unresolved}"] if unresolved else []),
+        "predicted": rep.predicted,
+    }
     doc = _wrap(_config(args, "extscan"), summary)
+    rows = zip(
+        rep.lam.real.tolist(),
+        rep.lam.imag.tolist(),
+        rep.ratio_dist.tolist(),
+        rep.sylvester.tolist(),  # nan where the probe did not run
+        rep.flagged.tolist(),
+    )
     if args.out:
         _emit(doc, args.out)
+        lines = [",".join(SCAN_COLUMNS)]
+        lines += [f"{re!r},{im!r},{rd!r},{sv!r},{fl:d}" for re, im, rd, sv, fl in rows]
         csv_path = args.out[:-5] if args.out.endswith(".json") else args.out
         with open(csv_path + ".grid.csv", "w") as fh:
-            fh.write(rep.to_csv())
+            fh.write("\n".join(lines) + "\n")
     else:
-        summary["columns"] = columns
-        summary["rows"] = rows
+        summary["columns"] = SCAN_COLUMNS
+        summary["rows"] = [
+            [re, im, rd, None if math.isnan(sv) else sv, fl] for re, im, rd, sv, fl in rows
+        ]
         _emit(doc, None)
     return 0
 
@@ -324,8 +374,9 @@ def cmd_verify(args) -> int:
     for row in report.scan_rows:
         status = "PASS" if row.passed else "FAIL"
         print(f"{status}  {row.name:<34} worst={row.worst:.3e}  {row.detail}", file=sys.stderr)
-    doc = _wrap(_config(args, "verify"), report.to_dict())
-    _emit(doc, args.out)
+    result = _fields(report)
+    result["passed"] = report.passed
+    _emit(_wrap(_config(args, "verify"), result), args.out)
     return 0 if report.passed else 1
 
 

@@ -36,7 +36,6 @@ a solve overflows.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -64,7 +63,6 @@ from .operators import (
     multiplication_matrix,
     op_norm,
     quasi_diff_matrix,
-    quasi_mult_matrix,
     shifted_quasi_mult,
     sigma_shift_matrix,
 )
@@ -92,10 +90,6 @@ class EmptyGridError(ValueError):
 
 class UnresolvedClassError(ValueError):
     """No prediction is implemented for this symbol class on this space."""
-
-
-class BadAnnulusError(ValueError):
-    """Annulus bounds must satisfy 0 < inner <= outer."""
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +403,15 @@ class PredictedExt:
     """Shape of the predicted extended spectrum for an admissible symbol.
 
     kinds: discrete-cyclic (powers of `base`), unit-circle,
-    closed-punctured-disk (0 < |lambda| <= 1), annulus-bounded
-    (inner <= |lambda| <= outer).  `metadata` carries point-spectrum
-    side information that is *recorded, not asserted* -- those facts come
-    from a different space than the operator may act on, and their
-    transfer is open.
+    closed-punctured-disk (0 < |lambda| <= 1).  `metadata` carries
+    point-spectrum side information that is *recorded, not asserted* --
+    those facts come from a different space than the operator may act on,
+    and their transfer is open.
     """
 
     kind: str
     base: complex | None = None
-    inner: float | None = None
-    outer: float | None = None
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "metadata": dict(self.metadata)}
-        if self.base is not None:
-            out["base"] = [self.base.real, self.base.imag]
-        if self.inner is not None:
-            out["inner"] = self.inner
-        if self.outer is not None:
-            out["outer"] = self.outer
-        return out
 
 
 def _power_members(base: complex, lo: float, hi: float, pad: float) -> np.ndarray:
@@ -627,53 +608,6 @@ class ExtScanReport:
     def flagged_points(self) -> np.ndarray:
         return self.lam[self.flagged]
 
-    def to_dict(self) -> dict:
-        rows = [
-            [
-                float(z.real),
-                float(z.imag),
-                float(rd),
-                None if math.isnan(sv) else float(sv),
-                bool(fl),
-            ]
-            for z, rd, sv, fl in zip(self.lam, self.ratio_dist, self.sylvester, self.flagged)
-        ]
-        doc = {
-            "label": self.label,
-            "space": {"kind": self.space.kind, "alpha": self.space.alpha},
-            "order": self.order,
-            "grid": {
-                "shape": self.grid.shape,
-                "points": self.grid.points,
-                "rmin": self.grid.rmin,
-                "rmax": self.grid.rmax,
-                "step": self.step,
-                "count": int(self.lam.size),
-            },
-            "sylvester_threshold": self.sylvester_threshold,
-            "ratio_threshold": self.ratio_threshold,
-            "candidates": self.candidates,
-            "seed": self.seed,
-            "flagged_count": int(np.count_nonzero(self.flagged)),
-            "notes": list(self.notes),
-            "predicted": None if self.predicted is None else self.predicted.to_dict(),
-            "columns": ["re(lambda)", "im(lambda)", "ratio_distance", "sylvester_min_sv", "flagged"],
-            "rows": rows,
-        }
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    def to_csv(self) -> str:
-        lines = ["re(lambda),im(lambda),ratio_distance,sylvester_min_sv,flagged"]
-        for z, rd, sv, fl in zip(self.lam, self.ratio_dist, self.sylvester, self.flagged):
-            sv_s = "nan" if math.isnan(sv) else repr(float(sv))
-            lines.append(
-                f"{float(z.real)!r},{float(z.imag)!r},{float(rd)!r},{sv_s},{int(fl)}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def ext_scan(
     A: OperatorMatrix,
@@ -779,9 +713,6 @@ class CheckRow:
     worst: float
     detail: str = ""
 
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "worst": self.worst, "detail": self.detail}
-
 
 @dataclass
 class SuiteReport:
@@ -790,12 +721,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [r.to_dict() for r in self.rows]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _random_diagonalizable(rng: np.random.Generator, n: int, space: SpaceSpec) -> OperatorMatrix:
@@ -899,61 +824,6 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
     return SuiteReport(rows)
 
 
-def rich_spectrum_annulus_check(
-    A: OperatorMatrix,
-    inner: float,
-    outer: float,
-    grid: GridSpec | None = None,
-    eig_tol: float = 1e-6,
-    sylvester_threshold: float = 1e-6,
-    seed: int = 0,
-) -> SuiteReport:
-    """Check the hypotheses and the conclusion pattern of the annulus
-    localization argument on a truncation.
-
-    Hypothesis check: every eigenvalue modulus lies in
-    [inner (1 - eig_tol), outer (1 + eig_tol)].  Conclusion check: in a scan
-    of the implied bound annulus [inner/outer, outer/inner], any flagged
-    point farther than one grid step from the unit circle must owe its flag
-    to ratio adjacency alone, i.e. its Sylvester value stays above threshold.
-
-    For truncated hyperbolic composition operators both checks fail, and
-    that is the honest answer: finite sections do not inherit the spectral
-    richness of the full operator.
-    """
-    if not 0 < inner <= outer:
-        raise BadAnnulusError(f"need 0 < inner <= outer, got [{inner}, {outer}]")
-    mods = np.abs(np.linalg.eigvals(A.entries))
-    lo, hi = float(mods.min()), float(mods.max())
-    eig_ok = lo >= inner * (1 - eig_tol) and hi <= outer * (1 + eig_tol)
-
-    bound_in, bound_out = inner / outer, outer / inner
-    if grid is None:
-        grid = GridSpec("annulus", 800, max(bound_in * 0.9, 1e-3), bound_out * 1.1)
-    report = ext_scan(
-        A, grid, sylvester_threshold=sylvester_threshold, seed=seed
-    )
-    off = np.abs(np.abs(report.lam) - 1.0) > report.step
-    bad = report.flagged & off & (np.where(np.isnan(report.sylvester), np.inf, report.sylvester) <= sylvester_threshold)
-    off_ok = not bool(bad.any())
-
-    rows = [
-        CheckRow(
-            "eigenvalues-in-annulus",
-            eig_ok,
-            max(inner / lo if lo > 0 else math.inf, hi / outer),
-            f"moduli span [{lo:.3e}, {hi:.3e}] against [{inner:g}, {outer:g}]",
-        ),
-        CheckRow(
-            "off-circle-flags-not-sylvester-confirmed",
-            off_ok,
-            float(np.count_nonzero(bad)),
-            f"implied bound annulus [{bound_in:g}, {bound_out:g}]",
-        ),
-    ]
-    return SuiteReport(rows)
-
-
 # ---------------------------------------------------------------------------
 # witnesses by name, and the per-class verification driver
 
@@ -1029,22 +899,11 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
 class VerifyRow:
     check: str
     witness: str
-    lam: complex
+    lam: complex = field(metadata={"json": "lambda"})
     margin: int
     residual: float
     threshold: float
     passed: bool
-
-    def to_dict(self):
-        return {
-            "check": self.check,
-            "witness": self.witness,
-            "lambda": [self.lam.real, self.lam.imag],
-            "margin": self.margin,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -1052,29 +911,14 @@ class VerifyReport:
     symbol: str
     space: SpaceSpec
     order: int
-    kind: str
+    kind: str = field(metadata={"json": "class"})
     rows: list
-    scan_rows: list
+    scan_rows: list = field(metadata={"json": "scan_checks"})
     predicted: PredictedExt | None
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows) and all(r.passed for r in self.scan_rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "space": {"kind": self.space.kind, "alpha": self.space.alpha},
-            "order": self.order,
-            "class": self.kind,
-            "passed": self.passed,
-            "rows": [r.to_dict() for r in self.rows],
-            "scan_checks": [r.to_dict() for r in self.scan_rows],
-            "predicted": None if self.predicted is None else self.predicted.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DegenerateMapError(ValueError):
@@ -148,13 +148,20 @@ def fixed_points(f: LinearFractionalMap, tol: float = 1e-9):
             # translation z + b/d: infinity is the unique (double) fixed point
             return (INF,)
         return (b / (d - a), INF)
+    # the discriminant is the trace invariant tr^2 - 4 det; test it for a
+    # double root before the square root turns its roundoff eps into sqrt(eps)
     disc = (d - a) * (d - a) + 4 * b * c
-    sq = cmath.sqrt(disc)
-    # double root when the discriminant vanishes relative to coefficients
-    if abs(sq) <= tol * scale:
+    if abs(disc) <= 1e-12 * scale * scale:
         return ((a - d) / (2 * c),)
-    z1 = (a - d + sq) / (2 * c)
-    z2 = (a - d - sq) / (2 * c)
+    sq = cmath.sqrt(disc)
+    plus, minus = a - d + sq, a - d - sq
+    z1, z2 = plus / (2 * c), minus / (2 * c)
+    # a numerator that cancels loses its digits: take that root from the
+    # product of the roots, -b/c, instead
+    if abs(plus) < abs(minus):
+        z1 = -2 * b / minus
+    elif abs(minus) < abs(plus):
+        z2 = -2 * b / plus
     return (z1, z2)
 
 
@@ -225,14 +232,9 @@ CLASS_NAMES = (
 
 @dataclass(frozen=True)
 class Classification:
-    kind: str
+    kind: str = field(metadata={"json": "class"})
     fixed_points: tuple
     multiplier: complex | None  # derivative at the attracting fixed point
-
-    def to_dict(self) -> dict:
-        fps = [None if is_inf(p) else [p.real, p.imag] for p in self.fixed_points]
-        mult = None if self.multiplier is None else [self.multiplier.real, self.multiplier.imag]
-        return {"class": self.kind, "fixed_points": fps, "multiplier": mult}
 
 
 def classify(f: LinearFractionalMap, tol: float = 1e-9) -> Classification:

@@ -283,16 +283,6 @@ def shifted_quasi_mult(space: SpaceSpec, tau: complex, order: int) -> OperatorMa
 # serialization
 
 
-def operator_to_dict(A: OperatorMatrix) -> dict:
-    """Space, order, label and the entries, row-major, as [re, im] pairs."""
-    return {
-        "space": {"kind": A.space.kind, "alpha": A.space.alpha},
-        "order": A.order,
-        "entries": [[z.real, z.imag] for z in A.entries.ravel().tolist()],
-        "label": A.label,
-    }
-
-
 def operator_to_matrix_market(A: OperatorMatrix) -> str:
     """Dense MatrixMarket-style text: header, comment with space/label,
     size line, then row-major 'i j re im' lines (1-based indices)."""

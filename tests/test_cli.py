@@ -48,6 +48,17 @@ def test_classify_reports_fixed_points_and_multiplier():
     assert len(doc["fixed_points"]) == 2
 
 
+def test_classify_encodes_missing_points_as_null():
+    rc, out, _ = run(["classify", "--phi=1,0,0,1"])
+    assert rc == 0
+    doc = json.loads(out)["result"]
+    assert doc["class"] == "identity"
+    assert doc["fixed_points"] == [] and doc["multiplier"] is None
+    # the affine map 0.5 z + 0.25 fixes 0.5 and infinity
+    rc, out, _ = run(["classify", "--phi=0.5,0.25,0,1"])
+    assert json.loads(out)["result"]["fixed_points"] == [[0.5, 0.0], None]
+
+
 def test_bad_complex_literal_exits_two():
     rc, _, err = run(["classify", "--phi", "1,zebra,0,1"])
     assert rc == 2
@@ -79,6 +90,15 @@ def test_matrix_json_and_matrix_market(tmp_path):
     assert rc == 0
     assert out.startswith("%%MatrixMarket")
     assert "np.float" not in out
+
+
+def test_matrix_json_entries_are_flat_row_major_pairs():
+    rc, out, _ = run(["matrix", "--phi", "0.5i,0.1,0.2,1", "--n", "8", "--format", "json"])
+    assert rc == 0
+    C = composition_matrix(LinearFractionalMap(0.5j, 0.1, 0.2, 1), SpaceSpec("bergman"), 8)
+    entries = json.loads(out)["result"]["entries"]
+    assert len(entries) == 64 and all(len(pair) == 2 for pair in entries)
+    assert [complex(*pair) for pair in entries] == C.entries.ravel().tolist()
 
 
 def test_matrix_with_witness():
@@ -209,10 +229,37 @@ def test_extscan_embeds_rows_without_out():
 def test_extscan_prediction_gate():
     argv = ["extscan", "--phi", "1,0.5,0.5,1", "--space", "hardy", "--n", "16",
             "--grid", "circle", "--points", "32"]
-    rc, _, _ = run(argv)
+    rc, out, _ = run(argv)
     assert rc == 0  # scans run fine without a prediction
+    doc = json.loads(out)["result"]
+    assert doc["predicted"] is None
+    assert "prediction unresolved: no prediction on hardy space" in doc["notes"]
     rc, _, err = run(argv + ["--require-prediction"])
     assert rc == 1
+
+
+def test_extscan_prediction_has_a_base_only_when_discrete_cyclic():
+    grid = ["--n", "16", "--grid", "circle", "--points", "32"]
+    rc, out, _ = run(["extscan", "--phi", "1,0.5,0.5,1", "--space", "bergman"] + grid)
+    assert rc == 0
+    predicted = json.loads(out)["result"]["predicted"]
+    assert predicted["kind"] == "unit-circle" and "base" not in predicted
+    rc, out, _ = run(["extscan", "--phi", "i,0,0,1", "--space", "fock"] + grid)
+    predicted = json.loads(out)["result"]["predicted"]
+    assert predicted["kind"] == "discrete-cyclic" and predicted["base"] == [0.0, 1.0]
+
+
+def test_extscan_marks_skipped_probes(tmp_path):
+    # above order 128 the Sylvester probe is skipped at every point
+    argv = ["extscan", "--phi", "i,0,0,1", "--space", "fock", "--n", "160", "--points", "16"]
+    rc, out, _ = run(argv)
+    assert rc == 0
+    doc = json.loads(out)["result"]
+    assert [row[3] for row in doc["rows"]] == [None] * 16
+    rc, _, _ = run(argv + ["--out", str(tmp_path / "scan.json")])
+    assert rc == 0
+    lines = (tmp_path / "scan.grid.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["nan"] * 16
 
 
 def test_extscan_bad_grid_exits_two():

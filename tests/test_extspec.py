@@ -31,6 +31,7 @@ from compext import (
     direct_sum,
     ext_scan,
     format_complex,
+    format_lft,
     intertwining_residual,
     lemma_suite,
     make_grid,
@@ -38,11 +39,11 @@ from compext import (
     predicted_ext,
     ratio_distance,
     ratio_set,
-    rich_spectrum_annulus_check,
     standard_form,
     sylvester_min_sv,
     verify_theorem_suite,
 )
+from compext.cli import main
 from compext.extspec import _dedup_sorted, _power_members
 
 HARDY = SpaceSpec("hardy")
@@ -479,18 +480,27 @@ def test_scan_candidate_budget_limits_probing():
     np.testing.assert_array_equal(np.where(rep.flagged)[0], np.arange(0, 140, 20))
 
 
-def test_scan_report_serialization_round_trip():
+def test_scan_report_serialization_round_trip(capsys, tmp_path):
     w = np.exp(2j * np.pi / 3)
-    A = _op(np.diag(w ** np.arange(6)))
-    rep = ext_scan(A, GridSpec("circle", 24, rmax=1.0))
-    blob = json.loads(rep.to_json())
+    phi = LinearFractionalMap(w, 0, 0, 1)  # C_phi is diag(w^k) on hardy
+    rep = ext_scan(composition_matrix(phi, HARDY, 8), GridSpec("circle", 24, rmax=1.0))
+    argv = ["extscan", f"--phi={format_lft(phi)}", "--space", "hardy", "--n", "8", "--points", "24"]
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)["result"]
     assert blob["flagged_count"] == int(rep.flagged.sum())
     assert len(blob["rows"]) == 24
-    csv = rep.to_csv()
+    rows = np.array(blob["rows"], dtype=float)  # null sylvester values read as nan
+    np.testing.assert_array_equal(rows[:, 0] + 1j * rows[:, 1], rep.lam)
+    np.testing.assert_array_equal(rows[:, 2], rep.ratio_dist)
+    np.testing.assert_array_equal(rows[:, 3], rep.sylvester)
+    np.testing.assert_array_equal(rows[:, 4].astype(bool), rep.flagged)
+    assert main(argv + ["--out", str(tmp_path / "scan.json")]) == 0
+    csv = (tmp_path / "scan.grid.csv").read_text()
     lines = csv.splitlines()
-    assert lines[0].startswith("re(lambda)")
+    assert lines[0] == ",".join(blob["columns"])
     assert len(lines) == 25
     assert "np.float" not in csv
+    np.testing.assert_array_equal(np.array([line.split(",") for line in lines[1:]], dtype=float), rows)
     fp = rep.flagged_points()
     assert fp.size == int(rep.flagged.sum())
 
@@ -567,26 +577,6 @@ def test_direct_sum_flags_are_the_union():
     fs = ext_scan(direct_sum(A, B), grid).flagged
     # union is a subset of the sum's flags (cross ratios may add more)
     assert np.all(fs[fa | fb])
-
-
-def test_rich_spectrum_check_passes_on_a_clean_annulus():
-    mu = np.array([0.5, 0.75, 1.0, 1.5, 2.0]) * np.exp(
-        2j * np.pi * np.arange(5) / 5
-    )
-    A = _diagonalizable(mu, seed=2)
-    report = rich_spectrum_annulus_check(A, 0.5, 2.0, grid=GridSpec("annulus", 160, 0.2, 4.0))
-    assert report.passed
-
-
-def test_rich_spectrum_check_fails_on_hyperbolic_truncation():
-    # the truncated matrix has spurious huge eigenvalues, and the scan finds
-    # confirmed flags off the circle: both rows go red, honestly
-    C = composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 32)
-    report = rich_spectrum_annulus_check(
-        C, 0.3, 3.2, grid=GridSpec("annulus", 200, 0.2, 4.0)
-    )
-    assert not report.rows[0].passed
-    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +824,14 @@ def test_verify_classifies_once(monkeypatch):
     assert calls == [phi]
 
 
-def test_verify_report_serializes():
-    report = verify_theorem_suite(
-        LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, 16,
-        scan_points=56,
-    )
-    blob = json.loads(report.to_json())
+def test_verify_report_serializes(capsys):
+    phi = LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1)
+    report = verify_theorem_suite(phi, FOCK, 16, scan_points=56)
+    assert main(["verify", f"--phi={format_lft(phi)}", "--space", "fock", "--n", "16", "--points", "56"]) == 0
+    blob = json.loads(capsys.readouterr().out)["result"]
     assert blob["class"] == "fock-rotation"
     assert blob["passed"] is True
     assert len(blob["rows"]) == len(report.rows)
     assert len(blob["scan_checks"]) == len(report.scan_rows)
+    assert [r["lambda"] for r in blob["rows"]] == [[r.lam.real, r.lam.imag] for r in report.rows]
+    assert blob["predicted"]["base"] == [phi.a.real, phi.a.imag]

@@ -317,6 +317,28 @@ def test_class_is_invariant_under_conjugation_by_rotations(f, theta):
     assert classify(rotated).kind == classify(f).kind
 
 
+STANDARD_FORMS = [
+    standard_form("elliptic-automorphism", w=cmath.exp(2j)),
+    standard_form("parabolic-automorphism", a=2j),
+    standard_form("parabolic-non-automorphism", a=0.5 + 2j),
+    standard_form("hyperbolic-automorphism", r=0.5),
+    standard_form("hyperbolic-na-1", r=0.5),
+    standard_form("hyperbolic-na-2", r=0.5),
+    standard_form("hyperbolic-na-3", a=0.5, c=0.2),
+    standard_form("loxodromic", a=0.5j, c=0.2),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(STANDARD_FORMS), _angles, st.floats(0.0, 0.9), _angles)
+def test_class_and_multiplier_are_invariant_under_conjugation(f, theta, r, t):
+    psi = _disk_automorphism(theta, r * cmath.exp(1j * t))
+    conjugated = compose(inverse(psi), compose(f, psi))
+    cls, ref = classify(conjugated), classify(f)
+    assert cls.kind == ref.kind
+    assert cls.multiplier == pytest.approx(ref.multiplier, rel=1e-9)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_angles, _inside, st.floats(1e-6, 1.0))
 def test_automorphisms_and_inverses_are_self_maps_and_blowups_are_not(theta, p, grow):
@@ -386,9 +408,15 @@ def test_parse_format_lft_round_trip():
     assert h.a == 2 + 1j and h.b == -1 and h.c == 0.5j and h.d == 3
 
 
-def test_classification_to_dict_is_serializable():
+def test_classification_is_serializable(capsys):
     import json
 
-    cls = classify(standard_form("hyperbolic-automorphism", r=0.5))
-    blob = json.dumps(cls.to_dict())
-    assert "hyperbolic-automorphism" in blob
+    from compext.cli import main
+
+    f = standard_form("hyperbolic-automorphism", r=0.5)
+    cls = classify(f)
+    assert main(["classify", "--phi", format_lft(f)]) == 0
+    blob = json.loads(capsys.readouterr().out)["result"]
+    assert blob["class"] == "hyperbolic-automorphism"
+    assert blob["fixed_points"] == [[p.real, p.imag] for p in cls.fixed_points]
+    assert blob["multiplier"] == [cls.multiplier.real, cls.multiplier.imag]

@@ -7,16 +7,21 @@ Every request of the pools in bench/workloads.py (all three workloads unless
 --workload narrows them) is sent through compext.cli.main once per tree, each
 tree in its own subprocess with its src/ first on sys.path and BLAS pinned to
 one thread; the two trees run side by side.  The pools come from this
-checkout's bench/, so both trees answer the same requests.
+checkout's bench/, so both trees answer the same requests.  A short fixed list
+of off-pool requests (OFF_POOL) is sent on every run too, and reported
+separately: it reaches the output rules no pool request does.
 
 Outputs are compared after masking what legitimately changes from run to run:
 the JSON "timestamp" and the temporary directory that replaces the "{out}"
 placeholder of `extscan --out` (its JSON and .grid.csv files are compared
 too).  The report gives, per command, how many requests produced identical
-output (exit code, stdout, stderr and files) and, for the rest, each differing
-field with wildcard indices (extscan rows by column name), the number of
-requests in which it differs and the largest absolute difference of its
-numbers, followed by two of the differing requests.  Exit status: 0 when every output is identical, 1 otherwise.
+output (exit code, stdout, stderr and files, byte for byte) and, for the rest,
+each differing field with wildcard indices (extscan rows by column name), the
+number of requests in which it differs and the largest absolute difference of
+its numbers, followed by two of the differing requests.  Outputs that parse to
+the same values but differ in their bytes (1 against 1.0, say) are reported
+as "(same values, different bytes)".  Exit status: 0 when every output is
+identical, 1 otherwise.
 
 With --acceptance the pools are not sent; instead each tree runs its own
 tests/test_acceptance.py (pytest -s, the same environment) and the nine
@@ -42,6 +47,21 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT = "{out}"  # the placeholder bench/workloads.py puts in --out arguments
 MASK = "<masked>"
 EXAMPLES = 2  # differing requests listed per command
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+# the identity (null multiplier), an affine map (null fixed point), a
+# non-self-map, matrix JSON, an unresolved class, a prediction without a base,
+# and skipped probes in JSON rows and in the CSV
+OFF_POOL = [
+    ["classify", "--phi=1,0,0,1"],
+    ["classify", "--phi=0.5,0.25,0,1"],
+    ["classify", "--phi=2,0,0,1"],
+    ["matrix", "--phi=0.5i,0.1,0.2,1", "--n", "8", "--format", "json"],
+    ["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "16", "--points", "32"],
+    ["extscan", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16", "--points", "32"],
+    ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16"],
+    ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16", "--out", OUT],
+]
 
 
 def run_tree(src: str, requests: list, results: str) -> None:
@@ -105,6 +125,13 @@ def _normalize(rec: dict) -> dict:
     return {"rc": rec["rc"], "stdout": doc(rec["stdout"]), "stderr": rec["stderr"].splitlines(), "files": files}
 
 
+def _masked(rec: dict) -> list:
+    """stdout and the files as raw text, timestamps masked, for the byte
+    comparison (_diff compares the exit code and stderr already)."""
+    texts = [rec["stdout"]] + [rec["files"][name] for name in sorted(rec["files"])]
+    return [TIMESTAMP.sub(MASK, text) for text in texts]
+
+
 def _diff(a, b, path: str, found: dict) -> None:
     """Record in found[path] the largest |a - b| (None when not numeric)."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -139,6 +166,8 @@ def compare(requests: list, old: list, new: list) -> bool:
         entry["total"] += 1
         found = {}
         _diff(_normalize(ra), _normalize(rb), "", found)
+        if not found and _masked(ra) != _masked(rb):
+            found["(same values, different bytes)"] = None
         if not found:
             entry["same"] += 1
             continue
@@ -210,7 +239,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    requests = [list(req.argv) for w in (args.workload or workloads.WORKLOADS) for req in workloads.pool(w)]
+    pooled = [list(req.argv) for w in (args.workload or workloads.WORKLOADS) for req in workloads.pool(w)]
+    requests = pooled + OFF_POOL
     with tempfile.TemporaryDirectory() as tmp:
         req_file = os.path.join(tmp, "requests.json")
         Path(req_file).write_text(json.dumps(requests))
@@ -226,8 +256,12 @@ def main(argv=None) -> int:
             print("error: a tree's run failed", file=sys.stderr)
             return 2
         old, new = (json.loads(Path(o).read_text()) for o in outputs)
-    print(f"{len(requests)} requests, {args.old} vs {args.new}")
-    return 0 if compare(requests, old, new) else 1
+    n = len(pooled)
+    print(f"{n} requests, {args.old} vs {args.new}")
+    identical = compare(pooled, old[:n], new[:n])
+    print(f"{len(OFF_POOL)} off-pool requests")
+    identical &= compare(OFF_POOL, old[n:], new[n:])
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
