@@ -7,8 +7,10 @@ the same inputs, except for the timestamp field.  This module alone decides
 how results become JSON (_encode) and CSV (cmd_extscan).
 
 Exit codes: 0 success, 1 domain error (inadmissible symbol, wrong space,
-singular truncation, ...), 2 usage or parse error (including an empty or
-malformed grid), 3 unresolved symbol class.
+singular truncation, Fock norms out of float range, ...), 2 usage or parse
+error (including an empty or malformed grid, a negative --seed and a
+--candidates that is neither 'all' nor an integer >= 0), 3 unresolved
+symbol class.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .series import (
     PoleInsideDiskError,
     ZeroConstantTermError,
 )
-from .spaces import PointOutsideDomainError, SpaceSpec
+from .spaces import NormRangeError, PointOutsideDomainError, SpaceSpec
 
 DOMAIN_ERRORS = (
     DegenerateMapError,
@@ -77,6 +79,7 @@ DOMAIN_ERRORS = (
     CenterOutsideDiskError,
     DimensionMismatchError,
     PointOutsideDomainError,
+    NormRangeError,
     PoleInsideDiskError,
     NegativeParameterError,
     ZeroConstantTermError,
@@ -105,17 +108,23 @@ class RunConfig:
     out: str | None = None
 
 
-def _bounded_int(lo: int, hi: int, what: str):
+def _bounded_int(lo: int, hi: float, what: str):
     def conv(text: str) -> int:
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer")
         if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"{what} must lie in [{lo}, {hi}]")
+            span = f"lie in [{lo}, {hi}]" if hi < math.inf else f"be >= {lo}"
+            raise argparse.ArgumentTypeError(f"{what} must {span}")
         return v
 
     return conv
+
+
+def _candidates_type(text: str) -> int | str:
+    """'all' or an integer >= 0."""
+    return text if text == "all" else _bounded_int(0, math.inf, "--candidates")(text)
 
 
 def _phi_type(text: str) -> LinearFractionalMap:
@@ -141,7 +150,7 @@ def _add_common(p: argparse.ArgumentParser, need_phi: bool = True):
     p.add_argument("--alpha", type=float, default=1.0, help="fock weight parameter")
     p.add_argument("--n", type=_bounded_int(8, 256, "--n"), default=48,
                    help="truncation order, 8..256")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
@@ -152,24 +161,17 @@ def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--rmax", type=float, default=1.0)
 
 
-def _config(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        phi=format_lft(args.phi) if getattr(args, "phi", None) is not None else None,
-        space=getattr(args, "space", "bergman"),
-        alpha=getattr(args, "alpha", 1.0),
-        n=getattr(args, "n", 48),
-        seed=getattr(args, "seed", 0),
-        threshold=getattr(args, "threshold", 1e-6),
-        margin=getattr(args, "margin", 0),
-        grid=getattr(args, "grid", None),
-        points=getattr(args, "points", None),
-        rmin=getattr(args, "rmin", None),
-        rmax=getattr(args, "rmax", None),
-        witness=getattr(args, "witness", None),
-        lam=getattr(args, "lam_text", None),
-        out=getattr(args, "out", None),
-    )
+def _config(args) -> RunConfig:
+    """The run's configuration: each RunConfig field from the argument of its
+    name, at the field's default where the command has no such argument, the
+    symbol and lambda echoed as text."""
+    fields = dataclasses.fields(RunConfig)
+    config = RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields})
+    if config.phi is not None:
+        config.phi = format_lft(config.phi)
+    if config.lam is not None:
+        config.lam = format_complex(config.lam)
+    return config
 
 
 def _fields(obj) -> dict:
@@ -205,8 +207,8 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_encode) + "\n"
+def _write(text: str, out: str | None):
+    """Write text to the file out, or to stdout when out is not given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -214,12 +216,15 @@ def _emit(doc: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _wrap(config: RunConfig, result) -> dict:
-    return {
-        "config": asdict(config),  # unset options stay null, which _fields would drop
+def _respond(args, result):
+    """Write the command's JSON document (its configuration, a timestamp and
+    the result) to --out or stdout."""
+    doc = {
+        "config": asdict(_config(args)),  # unset options stay null, which _fields would drop
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
+    _write(json.dumps(doc, sort_keys=True, indent=2, default=_encode) + "\n", args.out)
 
 
 def _space(args) -> SpaceSpec:
@@ -230,7 +235,7 @@ def cmd_classify(args) -> int:
     result = _fields(classify(args.phi))
     result["self_map"] = is_self_map_of_disk(args.phi)
     result["fock_symbol"] = is_fock_symbol(args.phi)
-    _emit(_wrap(_config(args, "classify"), result), args.out)
+    _respond(args, result)
     return 0
 
 
@@ -241,14 +246,9 @@ def cmd_matrix(args) -> int:
     else:
         A = composition_matrix(args.phi, space, args.n)
     if args.format == "mm":
-        text = operator_to_matrix_market(A)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _emit(_wrap(_config(args, "matrix"), A), args.out)
+        _write(operator_to_matrix_market(A), args.out)
+    else:
+        _respond(args, A)
     return 0
 
 
@@ -271,7 +271,7 @@ def cmd_eigs(args) -> int:
         "reliable_count": np.count_nonzero(reliable),
         "ratio_set": ratio_info,
     }
-    _emit(_wrap(_config(args, "eigs"), result), args.out)
+    _respond(args, result)
     return 0
 
 
@@ -290,7 +290,7 @@ def cmd_extcheck(args) -> int:
         "threshold": args.threshold,
         "passed": bool(passed),
     }
-    _emit(_wrap(_config(args, "extcheck"), result), args.out)
+    _respond(args, result)
     return 0
 
 
@@ -310,32 +310,27 @@ def cmd_extscan(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     grid = GridSpec(shape=args.grid, points=args.points, rmin=args.rmin, rmax=args.rmax)
-    candidates = args.candidates
-    if candidates is not None and candidates != "all":
-        candidates = int(candidates)
     rep = ext_scan(
         A,
         grid,
         sylvester_threshold=args.threshold,
         ratio_threshold=args.ratio_threshold,
-        candidates=candidates,
+        candidates=args.candidates,
         seed=args.seed,
-        predicted=predicted,
     )
     summary = {
-        "label": rep.label,
-        "space": rep.space,
-        "order": rep.order,
-        "grid": _fields(rep.grid) | {"step": rep.step, "count": rep.lam.size},
-        "sylvester_threshold": rep.sylvester_threshold,
+        "label": A.label,
+        "space": A.space,
+        "order": A.order,
+        "grid": _fields(grid) | {"step": rep.step, "count": rep.lam.size},
+        "sylvester_threshold": args.threshold,
         "ratio_threshold": rep.ratio_threshold,
         "candidates": rep.candidates,
-        "seed": rep.seed,
+        "seed": args.seed,
         "flagged_count": np.count_nonzero(rep.flagged),
         "notes": rep.notes + ([f"prediction unresolved: {unresolved}"] if unresolved else []),
-        "predicted": rep.predicted,
+        "predicted": predicted,
     }
-    doc = _wrap(_config(args, "extscan"), summary)
     rows = zip(
         rep.lam.real.tolist(),
         rep.lam.imag.tolist(),
@@ -344,18 +339,16 @@ def cmd_extscan(args) -> int:
         rep.flagged.tolist(),
     )
     if args.out:
-        _emit(doc, args.out)
         lines = [",".join(SCAN_COLUMNS)]
         lines += [f"{re!r},{im!r},{rd!r},{sv!r},{fl:d}" for re, im, rd, sv, fl in rows]
         csv_path = args.out[:-5] if args.out.endswith(".json") else args.out
-        with open(csv_path + ".grid.csv", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", csv_path + ".grid.csv")
     else:
         summary["columns"] = SCAN_COLUMNS
         summary["rows"] = [
             [re, im, rd, None if math.isnan(sv) else sv, fl] for re, im, rd, sv, fl in rows
         ]
-        _emit(doc, None)
+    _respond(args, summary)
     return 0
 
 
@@ -376,7 +369,7 @@ def cmd_verify(args) -> int:
         print(f"{status}  {row.name:<34} worst={row.worst:.3e}  {row.detail}", file=sys.stderr)
     result = _fields(report)
     result["passed"] = report.passed
-    _emit(_wrap(_config(args, "verify"), result), args.out)
+    _respond(args, result)
     return 0 if report.passed else 1
 
 
@@ -420,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sylvester flag threshold")
     p.add_argument("--ratio-threshold", type=float, default=None,
                    help="ratio-distance flag threshold (default: just under one grid step)")
-    p.add_argument("--candidates", default=None,
-                   help="sylvester probe budget: an integer or 'all'")
+    p.add_argument("--candidates", type=_candidates_type, default=None,
+                   help="sylvester probe budget: an integer >= 0 or 'all'")
     p.add_argument("--require-prediction", action="store_true",
                    help="exit 1 when the symbol class has no resolved prediction")
     p.set_defaults(func=cmd_extscan)
@@ -437,9 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "lam", None) is not None:
-        # argparse converted the literal to complex; echo it back as text
-        args.lam_text = format_complex(args.lam)
     try:
         return args.func(args)
     except UnresolvedClassError as exc:

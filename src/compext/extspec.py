@@ -8,7 +8,7 @@ ratio set {mu_i / mu_j}.  Two numerical probes are provided:
   * ratio_distance  -- distance from a trial lambda to the ratio set of the
     truncation, with an eigenvalue reliability filter for the nonnormal
     truncations this package actually produces (see ratio_set);
-  * sylvester_min_sv -- smallest singular value of X -> A X - lambda X A,
+  * SylvesterProbe -- smallest singular value of X -> A X - lambda X A,
     normalized by ||A|| (1 + |lambda|).
 
 Both probes are scanned over grids by ext_scan, which settles each Sylvester
@@ -28,7 +28,7 @@ value by the first of three routes that applies (see SylvesterProbe):
     upper-bound estimate accurate to a small factor (a dense Kronecker SVD
     at small orders).
 
-The reported sylvester_min_sv is thus an upper bound on the true value, and
+The reported Sylvester value is thus an upper bound on the true value, and
 exact for normal truncations -- apart from the 0.0 the iteration returns when
 a solve overflows.
 """
@@ -39,6 +39,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -81,7 +82,7 @@ class SingularTruncationError(ValueError):
 
 
 class TooLargeError(ValueError):
-    """Sylvester probe capped at order 128 (the lifted problem is order N^2)."""
+    """Sylvester probe above order MAX_PROBE_ORDER (the lifted problem is order N^2)."""
 
 
 class EmptyGridError(ValueError):
@@ -90,6 +91,9 @@ class EmptyGridError(ValueError):
 
 class UnresolvedClassError(ValueError):
     """No prediction is implemented for this symbol class on this space."""
+
+
+MAX_PROBE_ORDER = 128  # the Sylvester probe's order cap
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +181,16 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(reps[keep])
 
 
-def ratio_set(
-    A: OperatorMatrix,
-    min_singular_value: float = 1e-12,
-    dedup_tol: float = 1e-9,
-    reliability_tol: float | None = None,
-) -> np.ndarray:
-    """The distinct eigenvalue ratios mu_i / mu_j of the truncation, to
-    dedup_tol (see _dedup_sorted), sorted by (re, im).  For a rotation
-    z -> w z these are the powers w^k, |k| < N: 2N - 1 values when those
-    powers are distinct to dedup_tol.
+def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.ndarray:
+    """The distinct eigenvalue ratios mu_i / mu_j of the truncation, to 1e-9
+    (see _dedup_sorted), sorted by (re, im).  For a rotation z -> w z these
+    are the powers w^k, |k| < N: 2N - 1 values when those powers are
+    distinct to 1e-9.
 
     Two modes:
 
-    * strict (reliability_tol=None): requires sigma_min(A) > min_singular_value
-      and uses every eigenvalue; raises SingularTruncationError otherwise.
+    * strict (reliability_tol=None): requires sigma_min(A) > 1e-12 and uses
+      every eigenvalue; raises SingularTruncationError otherwise.
       This is the right mode for honest small matrices.
 
     * filtered (reliability_tol=t): keeps eigenvalue mu_j only when its
@@ -203,9 +202,9 @@ def ratio_set(
     """
     if reliability_tol is None:
         smin = float(A.svdvals[-1])
-        if smin <= min_singular_value:
+        if smin <= 1e-12:
             raise SingularTruncationError(
-                f"sigma_min = {smin:.3e} <= {min_singular_value:.3e}; "
+                f"sigma_min = {smin:.3e} <= 1.000e-12; "
                 "eigenvalue ratios of this truncation are noise "
                 "(pass reliability_tol to filter instead)"
             )
@@ -219,7 +218,7 @@ def ratio_set(
                 "no eigenvalue of the truncation passes the reliability filter"
             )
     ratios = (mu[:, None] / mu[None, :]).ravel()
-    return _dedup_sorted(ratios, dedup_tol)
+    return _dedup_sorted(ratios, 1e-9)
 
 
 def ratio_distance(lam, ratios: np.ndarray) -> np.ndarray:
@@ -252,7 +251,7 @@ class SylvesterProbe:
                  diagonal one with entries mu_i - lambda mu_j, so sigma_min is
                  min |mu_i - lambda mu_j| -- O(n^2) per lambda and, sigma_min
                  being 1-Lipschitz, within about n eps of the truth.
-      dense      order <= dense_cutoff: SVD of the n^2 x n^2 Kronecker matrix.
+      dense      order <= 16: SVD of the n^2 x n^2 Kronecker matrix.
       iteration  inverse power iteration on the lifted normal equations, each
                  step two triangular Sylvester solves (ztrsyl).  The estimate
                  is an upper bound accurate to a small factor -- ample against
@@ -266,17 +265,17 @@ class SylvesterProbe:
     ext_scan applies that certificate before it builds a probe.
     """
 
-    def __init__(self, A: OperatorMatrix, seed: int = 0, dense_cutoff: int = 16):
+    def __init__(self, A: OperatorMatrix, seed: int = 0):
         n = A.order
-        if n > 128:
-            raise TooLargeError(f"order {n} > 128: the lifted problem has order {n * n}")
+        if n > MAX_PROBE_ORDER:
+            raise TooLargeError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
         self.n = n
         self.norm_a = float(A.svdvals[0])
         self.t, _ = scipy.linalg.schur(A.entries, output="complex")
         off = np.linalg.norm(np.triu(self.t, 1))
         normal = off <= n * np.finfo(float).eps * np.linalg.norm(self.t)
         self.mu = np.diag(self.t).copy() if normal else None
-        self.dense = not normal and n <= dense_cutoff
+        self.dense = not normal and n <= 16
         if self.dense:
             self.a = A.entries
             self.eye = np.eye(n)
@@ -327,11 +326,6 @@ class SylvesterProbe:
                 break
             prev = est
         return prev / scale
-
-
-def sylvester_min_sv(A: OperatorMatrix, lam: complex, seed: int = 0, iters: int = 8) -> float:
-    """One-shot form of SylvesterProbe (which is cheaper across many lambdas)."""
-    return SylvesterProbe(A, seed=seed).sigma_min(lam, iters=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +465,9 @@ def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
 # Recipes, one per resolved (space, class).  rows(phi, m, fixed_points,
 # order) yields the witness rows (check, witness text, lambda, margin,
 # threshold) that verify checks, each threshold calibrated to what its
-# identity achieves in floating point.
+# identity achieves in floating point.  scan(m, order, points) gives the
+# scan's grid (points, when not None, overriding its default point count),
+# its candidates for ext_scan and the check that reads the scan into rows.
 
 
 def _fock_rotation_rows(phi, w, fixed_points, order):
@@ -543,17 +539,89 @@ def _disk_metadata(r: complex) -> dict:
     return {"point_spectrum_disk_radius": r.real**-0.5, "point_spectrum_source": "hardy"}
 
 
+def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
+    """Scan check: every flagged point within one grid step of the target set."""
+    fl = report.flagged_points()
+    if fl.size == 0:
+        return CheckRow(name, False, math.inf, "no points flagged at all")
+    if targets.size == 0:
+        return CheckRow(name, False, math.inf, "empty target set")
+    worst = float(ratio_distance(fl, targets).max())
+    return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
+
+
+def _rotation_circle(w, order, points, targets):
+    """The circle |lambda| = 1, 504 points, probed as ext_scan's default
+    does; every flag within one step of targets(w, order)."""
+    near = targets(w, order)
+
+    def check(rep):
+        return [_scan_near_set(rep, near, "scan-flags-near-powers")]
+
+    return GridSpec("circle", points or 504, rmax=1.0), None, check
+
+
+def _power_annulus(m, order, points):
+    """The annulus |m|^1.5 .. 1.1/|m|, 600 points; every flag within one
+    step of a power of m."""
+    grid = GridSpec("annulus", points or 600, rmin=abs(m) ** 1.5, rmax=1.1 / abs(m))
+
+    def check(rep):
+        targets = _power_members(m, grid.rmin, grid.rmax, rep.step)
+        return [_scan_near_set(rep, targets, "scan-flags-near-powers")]
+
+    # sigma_min of these truncations is exponentially small (on fock the
+    # truncation is triangular with entries w^n), so probing every grid
+    # point would flag all of them; only the ratio-nearest points are
+    # worth confirming
+    return grid, 50, check
+
+
+def _unit_circle_annulus(m, order, points):
+    """The annulus 0.2 .. 5, 1500 points; every flag within one step of
+    |lambda| = 1."""
+
+    def check(rep):
+        fl = rep.flagged_points()
+        if fl.size == 0:
+            worst, detail = math.inf, "no points flagged at all"
+        else:
+            worst = float(np.abs(np.abs(fl) - 1.0).max())
+            detail = f"{fl.size} flagged points; worst distance from |lambda|=1"
+        return [CheckRow("scan-flags-on-unit-circle", worst <= rep.step, worst, detail)]
+
+    return GridSpec("annulus", points or 1500, rmin=0.2, rmax=5.0), 50, check
+
+
+def _closed_disk(r, order, points):
+    """The disk |lambda| <= 1, 600 points; every flag inside, and a flag
+    within one step of each of r and r^2."""
+
+    def check(rep):
+        fl = rep.flagged_points()
+        inside = fl.size > 0 and bool(np.all(np.abs(fl) <= 1.0 + rep.step))
+        worst = float(np.abs(fl).max()) if fl.size else math.inf
+        targets = np.array([r.real**1.0, r.real**2.0], dtype=complex)
+        miss = float(ratio_distance(targets, fl).max()) if fl.size else math.inf
+        return [
+            CheckRow("scan-flags-inside-closed-disk", inside, worst, f"{fl.size} flagged points"),
+            CheckRow("scan-flags-present-at-powers", miss <= rep.step, miss,
+                     f"{targets.size} targets" if fl.size else "no flags or no targets"),
+        ]
+
+    return GridSpec("disk", points or 600, rmax=1.0), 50, check
+
+
 @dataclass(frozen=True)
 class _Recipe:
     """How one resolved class is predicted and verified, given its multiplier
     m: the prediction has this kind, metadata(m) and, when discrete-cyclic,
-    base m; rows as above; circle_targets(m, order), set for the rotation
-    classes only, gives the targets of their circle scan."""
+    base m; rows and scan as above."""
 
     kind: str
     rows: Callable
+    scan: Callable
     metadata: Callable = lambda m: {}
-    circle_targets: Callable | None = None
 
     def predict(self, mult: complex) -> PredictedExt:
         base = mult if self.kind == "discrete-cyclic" else None
@@ -566,20 +634,23 @@ _RECIPES = {
     "fock-rotation": _Recipe(
         "discrete-cyclic",
         _fock_rotation_rows,
+        partial(_rotation_circle, targets=lambda w, order: _power_members(w, 1.0, 1.0, 1e-9)),
         _fock_metadata,
-        lambda w, order: _power_members(w, 1.0, 1.0, 1e-9),
     ),
-    "fock-affine-contraction": _Recipe("discrete-cyclic", _fock_affine_rows, _fock_metadata),
+    "fock-affine-contraction": _Recipe("discrete-cyclic", _fock_affine_rows, _power_annulus, _fock_metadata),
     "elliptic-automorphism": _Recipe(
         "discrete-cyclic",
         _elliptic_rows,
-        circle_targets=lambda w, order: np.unique(np.round(w ** np.arange(-(order - 1), order), 12)),
+        partial(
+            _rotation_circle,
+            targets=lambda w, order: np.unique(np.round(w ** np.arange(-(order - 1), order), 12)),
+        ),
     ),
-    "hyperbolic-automorphism": _Recipe("unit-circle", _cayley_rows, _annulus_metadata),
-    "hyperbolic-na-1": _Recipe("closed-punctured-disk", _binomial_rows, _disk_metadata),
-    "hyperbolic-na-3": _Recipe("discrete-cyclic", _sigma_rows, _sigma_metadata),
-    "loxodromic": _Recipe("discrete-cyclic", _sigma_rows, _sigma_metadata),
-    "parabolic-automorphism": _Recipe("unit-circle", _exponential_rows),
+    "hyperbolic-automorphism": _Recipe("unit-circle", _cayley_rows, _unit_circle_annulus, _annulus_metadata),
+    "hyperbolic-na-1": _Recipe("closed-punctured-disk", _binomial_rows, _closed_disk, _disk_metadata),
+    "hyperbolic-na-3": _Recipe("discrete-cyclic", _sigma_rows, _power_annulus, _sigma_metadata),
+    "loxodromic": _Recipe("discrete-cyclic", _sigma_rows, _power_annulus, _sigma_metadata),
+    "parabolic-automorphism": _Recipe("unit-circle", _exponential_rows, _unit_circle_annulus),
 }
 
 
@@ -589,21 +660,18 @@ _RECIPES = {
 
 @dataclass
 class ExtScanReport:
-    label: str
-    space: SpaceSpec
-    order: int
-    grid: GridSpec
+    """What one scan measured: the grid step and points, each point's ratio
+    distance, Sylvester value (nan where not probed) and flag, and the ratio
+    threshold and probe budget as resolved from their defaults."""
+
     step: float
     lam: np.ndarray
     ratio_dist: np.ndarray
-    sylvester: np.ndarray  # nan where not evaluated
+    sylvester: np.ndarray
     flagged: np.ndarray
-    sylvester_threshold: float
     ratio_threshold: float
     candidates: int | str
-    seed: int
     notes: list
-    predicted: PredictedExt | None = None
 
     def flagged_points(self) -> np.ndarray:
         return self.lam[self.flagged]
@@ -615,10 +683,7 @@ def ext_scan(
     sylvester_threshold: float = 1e-6,
     ratio_threshold: float | None = None,
     candidates: int | str | None = None,
-    reliability_tol: float = 1e-6,
     seed: int = 0,
-    sylvester_iters: int = 5,
-    predicted: PredictedExt | None = None,
 ) -> ExtScanReport:
     """Scan a grid for extended-eigenvalue candidates of a truncation.
 
@@ -629,10 +694,13 @@ def ext_scan(
 
     The Sylvester probe runs on the `candidates` grid points with the
     smallest ratio distance ("all" for every point; default: all points for
-    order <= 48, else 50).  Ratios use the strict mode of ratio_set when the
-    truncation allows it, falling back to the reliability filter (recorded
-    in notes) -- the fallback is the normal path for hyperbolic and
-    parabolic symbols, whose truncations are exponentially singular.
+    order <= 48, else 50; none above order MAX_PROBE_ORDER), each probe at
+    most 5 inverse-iteration steps.  Ratios use the strict mode of ratio_set
+    when the truncation allows it, falling back to the reliability filter at
+    1e-6 (recorded in notes) -- the fallback is the normal path for
+    hyperbolic and parabolic symbols, whose truncations are exponentially
+    singular.  The report holds what the scan measured; the caller keeps
+    what it passed in.
     """
     lam, step = make_grid(grid)
     if lam.size == 0:
@@ -646,10 +714,10 @@ def ext_scan(
         ratios = ratio_set(A)
     except SingularTruncationError:
         try:
-            ratios = ratio_set(A, reliability_tol=reliability_tol)
+            ratios = ratio_set(A, reliability_tol=1e-6)
             notes.append(
                 "ratio set from reliability-filtered eigenvalues "
-                f"(tol={reliability_tol:g}); strict mode found the truncation singular"
+                "(tol=1e-06); strict mode found the truncation singular"
             )
         except SingularTruncationError:
             ratios = np.array([], dtype=complex)
@@ -660,8 +728,8 @@ def ext_scan(
     if candidates is None:
         candidates = "all" if A.order <= 48 else 50
     sylv = np.full(lam.size, np.nan)
-    if A.order > 128:
-        notes.append("order > 128: sylvester probe skipped, flags are ratio-only")
+    if A.order > MAX_PROBE_ORDER:
+        notes.append(f"order > {MAX_PROBE_ORDER}: sylvester probe skipped, flags are ratio-only")
     else:
         if candidates == "all" or ratios.size == 0:
             chosen = np.arange(lam.size)
@@ -677,29 +745,13 @@ def ext_scan(
         else:
             probe = SylvesterProbe(A, seed=seed)
             for i in chosen:
-                sylv[i] = probe.sigma_min(lam[i], iters=sylvester_iters)
+                sylv[i] = probe.sigma_min(lam[i], iters=5)
 
     sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= sylvester_threshold
     ratio_flag = rd < rt
     flagged = sylv_flag | ratio_flag
 
-    return ExtScanReport(
-        label=A.label,
-        space=A.space,
-        order=A.order,
-        grid=grid,
-        step=step,
-        lam=lam,
-        ratio_dist=rd,
-        sylvester=sylv,
-        flagged=flagged,
-        sylvester_threshold=float(sylvester_threshold),
-        ratio_threshold=rt,
-        candidates=candidates,
-        seed=seed,
-        notes=notes,
-        predicted=predicted,
-    )
+    return ExtScanReport(step, lam, rd, sylv, flagged, rt, candidates, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +817,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
             return 0.0
         if xs.size == 0 or ys.size == 0:
             return math.inf
-        d1 = np.abs(xs[:, None] - ys[None, :]).min(axis=1).max()
-        d2 = np.abs(ys[:, None] - xs[None, :]).min(axis=1).max()
-        return float(max(d1, d2))
+        return float(max(ratio_distance(xs, ys).max(), ratio_distance(ys, xs).max()))
 
     rows = []
     worst_adj = worst_scale = worst_member = worst_sum = 0.0
@@ -807,7 +857,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
                 if sv > 1e-6:
                     sum_ok = False
         # nonsingularity of the probe at lambda = 0
-        worst_nonsing = min(worst_nonsing, sylvester_min_sv(M, 0.0, seed=seed))
+        worst_nonsing = min(worst_nonsing, probe.sigma_min(0.0))
 
     rows.append(CheckRow("adjoint-conjugate-reciprocal", worst_adj <= 1e-10, worst_adj))
     rows.append(CheckRow("scaling-invariance", worst_scale <= 1e-10, worst_scale))
@@ -921,26 +971,6 @@ class VerifyReport:
         return all(r.passed for r in self.rows) and all(r.passed for r in self.scan_rows)
 
 
-def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
-    """Scan check: every flagged point within one grid step of the target set."""
-    fl = report.flagged_points()
-    if fl.size == 0:
-        return CheckRow(name, False, math.inf, "no points flagged at all")
-    if targets.size == 0:
-        return CheckRow(name, False, math.inf, "empty target set")
-    worst = float(np.abs(fl[:, None] - targets[None, :]).min(axis=1).max())
-    return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
-
-
-def _scan_presence(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
-    """Scan check: each target value attracts at least one flagged point."""
-    fl = report.flagged_points()
-    if fl.size == 0 or targets.size == 0:
-        return CheckRow(name, False, math.inf, "no flags or no targets")
-    worst = float(np.abs(targets[:, None] - fl[None, :]).min(axis=1).max())
-    return CheckRow(name, worst <= report.step, worst, f"{targets.size} targets")
-
-
 def verify_theorem_suite(
     phi: LinearFractionalMap,
     space: SpaceSpec,
@@ -952,68 +982,26 @@ def verify_theorem_suite(
     symbol's class is known to satisfy, plus a scan-localization check
     against the predicted extended spectrum.
 
-    The class's recipe (_RECIPES) gives the prediction and the witness rows,
+    The class's recipe (_RECIPES) gives the prediction, the witness rows,
     each a residual of C X - lambda X C against a threshold calibrated to what
-    the identity achieves in floating point.  The scan and its check follow
-    the prediction's kind (scan_points overrides the default point count):
-
-      discrete-cyclic, rotation classes   circle |lambda| = 1, 504 points;
-                                          every flag near a power of the base
-      discrete-cyclic, otherwise          annulus |base|^1.5 .. 1.1/|base|,
-                                          600 points; every flag near a power
-      unit-circle                         annulus 0.2 .. 5, 1500 points; every
-                                          flag within one step of |lambda| = 1
-      closed-punctured-disk               disk |lambda| <= 1, 600 points; every
-                                          flag inside, and flags at r and r^2
-
-    Away from the rotation classes only the 50 ratio-nearest points are
-    probed.  The scan rows are strict localization statements and genuinely
-    fail for the hyperbolic and parabolic automorphism classes, where finite
-    sections cannot see the predicted unit circle.  Raises
-    UnresolvedClassError for classes/spaces with no resolved prediction.
+    the identity achieves in floating point, and the scan: one of
+    _rotation_circle, _power_annulus, _unit_circle_annulus and _closed_disk,
+    each giving its grid (scan_points overrides the default point count),
+    its probe budget and its check.  The witness rows run first, then one
+    ext_scan, and the recipe's check reads it into the scan rows.  These are
+    strict localization statements and genuinely fail for the hyperbolic and
+    parabolic automorphism classes, where finite sections cannot see the
+    predicted unit circle.  Raises UnresolvedClassError for classes/spaces
+    with no resolved prediction.
     """
     label, mult, fixed_points = _resolve(phi, space)
     recipe = _RECIPES[label]
-    predicted = recipe.predict(mult)
     C = composition_matrix(phi, space, order)
     rows = []
     for check, text, lam, margin, threshold in recipe.rows(phi, mult, fixed_points, order):
         X = build_witness(text, phi, space, order)
         res = intertwining_residual(C, X, lam, margin)
         rows.append(VerifyRow(check, text, complex(lam), margin, res, threshold, res <= threshold))
-
-    def scan(grid: GridSpec, candidates=None) -> ExtScanReport:
-        return ext_scan(A=C, grid=grid, candidates=candidates, seed=seed, predicted=predicted)
-
-    if recipe.circle_targets is not None:
-        rep = scan(GridSpec("circle", scan_points or 504, rmax=1.0))
-        scan_rows = [_scan_near_set(rep, recipe.circle_targets(mult, order), "scan-flags-near-powers")]
-    elif predicted.kind == "discrete-cyclic":
-        gs = GridSpec("annulus", scan_points or 600, rmin=abs(mult) ** 1.5, rmax=1.1 / abs(mult))
-        # sigma_min of these truncations is exponentially small (on fock the
-        # truncation is triangular with entries w^n), so probing every grid
-        # point would flag all of them; only the ratio-nearest points are
-        # worth confirming
-        rep = scan(gs, candidates=50)
-        targets = _power_members(mult, gs.rmin, gs.rmax, rep.step)
-        scan_rows = [_scan_near_set(rep, targets, "scan-flags-near-powers")]
-    elif predicted.kind == "unit-circle":
-        rep = scan(GridSpec("annulus", scan_points or 1500, rmin=0.2, rmax=5.0), candidates=50)
-        fl = rep.flagged_points()
-        if fl.size == 0:
-            worst, detail = math.inf, "no points flagged at all"
-        else:
-            worst = float(np.abs(np.abs(fl) - 1.0).max())
-            detail = f"{fl.size} flagged points; worst distance from |lambda|=1"
-        scan_rows = [CheckRow("scan-flags-on-unit-circle", worst <= rep.step, worst, detail)]
-    else:  # closed-punctured-disk
-        rep = scan(GridSpec("disk", scan_points or 600, rmax=1.0), candidates=50)
-        fl = rep.flagged_points()
-        inside = fl.size > 0 and bool(np.all(np.abs(fl) <= 1.0 + rep.step))
-        worst = float(np.abs(fl).max()) if fl.size else math.inf
-        targets = np.array([mult.real**1.0, mult.real**2.0], dtype=complex)
-        scan_rows = [
-            CheckRow("scan-flags-inside-closed-disk", inside, worst, f"{fl.size} flagged points"),
-            _scan_presence(rep, targets, "scan-flags-present-at-powers"),
-        ]
-    return VerifyReport(str(phi), space, order, label, rows, scan_rows, predicted)
+    grid, candidates, scan_check = recipe.scan(mult, order, scan_points)
+    scan_rows = scan_check(ext_scan(C, grid, candidates=candidates, seed=seed))
+    return VerifyReport(str(phi), space, order, label, rows, scan_rows, recipe.predict(mult))

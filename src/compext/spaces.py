@@ -26,6 +26,10 @@ class PointOutsideDomainError(ValueError):
     """Kernel requested at a point outside the space's domain."""
 
 
+class NormRangeError(ValueError):
+    """A monomial norm, or the ratio of two, leaves the float range."""
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     kind: str
@@ -51,8 +55,20 @@ def monomial_norm(space: SpaceSpec, n: int) -> float:
 
 
 def monomial_norms(space: SpaceSpec, order: int) -> np.ndarray:
-    """Vector (||z^0||, ..., ||z^{order-1}||)."""
-    return np.array([monomial_norm(space, n) for n in range(order)])
+    """Vector (||z^0||, ..., ||z^{order-1}||); raises NormRangeError when
+    one of them (a Fock norm, for alpha far from 1), or the ratio of the
+    largest to the smallest, which the operators divide by, leaves the
+    float range."""
+    try:
+        norms = np.array([monomial_norm(space, n) for n in range(order)])
+    except OverflowError:
+        norms = np.array([math.inf])
+    lo, hi = float(norms.min(initial=1.0)), float(norms.max(initial=1.0))
+    if not (lo > 0 and hi / lo < math.inf):
+        raise NormRangeError(
+            f"fock norms sqrt(n!/alpha^n) leave the float range at alpha = {space.alpha:g}, order {order}"
+        )
+    return norms
 
 
 def coeffs_to_coordinates(p: PowerSeries, space: SpaceSpec) -> np.ndarray:

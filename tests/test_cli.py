@@ -116,6 +116,21 @@ def test_matrix_rejects_non_self_map():
     assert "self-map" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, alpha",
+    [
+        (["matrix", "--alpha", "0.01"], "0.01"),  # n!/alpha^n overflows
+        (["extcheck", "--alpha", "1e6", "--witness", "identity", "--lam", "1"], "1e+06"),  # underflows to 0
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_fock_norms_out_of_float_range_are_a_domain_error(argv, alpha):
+    rc, out, err = run(argv + ["--phi", "0.5,0,0,1", "--space", "fock", "--n", "256"])
+    assert rc == 1 and out == ""
+    assert f"alpha = {alpha}, order 256" in err
+
+
 def test_order_bounds_are_enforced():
     rc, _, _ = run(["matrix", "--phi", "i,0,0,1", "--space", "fock", "--n", "4"])
     assert rc == 2
@@ -260,6 +275,24 @@ def test_extscan_marks_skipped_probes(tmp_path):
     assert rc == 0
     lines = (tmp_path / "scan.grid.csv").read_text().splitlines()
     assert [line.split(",")[3] for line in lines[1:]] == ["nan"] * 16
+
+
+def test_extscan_candidates_and_seed_are_checked_at_parse_time():
+    base = ["extscan", "--phi", "0.5,0,0,1", "--space", "bergman", "--n", "64", "--points", "16"]
+    for bad in (["--candidates", "-5"], ["--candidates", "some"], ["--candidates", "2.5"], ["--seed", "-1"]):
+        rc, out, err = run(base + bad)
+        assert rc == 2 and out == "", bad
+        assert bad[0] in err
+    rc, _, _ = run(["classify", "--phi", "0.5,0,0,1", "--seed", "-1"])
+    assert rc == 2
+    # the accepted forms: 'all', and any integer >= 0, which bounds the probed points
+    rotation = ["extscan", "--phi", "i,0,0,1", "--space", "fock", "--n", "12", "--points", "16"]
+    for budget, probed in (("all", 16), ("0", 0), ("3", 3)):
+        rc, out, _ = run(rotation + ["--candidates", budget, "--seed", "0"])
+        assert rc == 0
+        doc = json.loads(out)["result"]
+        assert doc["candidates"] == (budget if budget == "all" else int(budget))
+        assert sum(row[3] is not None for row in doc["rows"]) == probed
 
 
 def test_extscan_bad_grid_exits_two():

@@ -40,7 +40,6 @@ from compext import (
     ratio_distance,
     ratio_set,
     standard_form,
-    sylvester_min_sv,
     verify_theorem_suite,
 )
 from compext.cli import main
@@ -222,22 +221,22 @@ def test_rotation_ratio_set_has_two_n_minus_one_values(space):
 def test_sylvester_frozen_diagonal_values():
     A = _op(np.diag([1.0, 2.0]))
     # dense Kronecker SVD gives sigma_min 0, 1, 0, 0 at these probes
-    assert sylvester_min_sv(A, 2.0) == pytest.approx(0.0, abs=1e-12)
-    assert sylvester_min_sv(A, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert sylvester_min_sv(A, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert SylvesterProbe(A).sigma_min(2.0) == pytest.approx(0.0, abs=1e-12)
+    assert SylvesterProbe(A).sigma_min(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert SylvesterProbe(A).sigma_min(1.0) == pytest.approx(0.0, abs=1e-12)
     want = 1.0 / (op_norm(A) * (1 + 3.0))
-    assert sylvester_min_sv(A, 3.0) == pytest.approx(want, rel=1e-10)
+    assert SylvesterProbe(A).sigma_min(3.0) == pytest.approx(want, rel=1e-10)
 
 
 def test_sylvester_frozen_nonnormal_values():
     A4 = _op([[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 3, 1], [0, 0, 0, 4]])
     # ratios of {1,2,3,4} include 2, 1.5, 0.25, 3: all singular directions
     for lam in (2.0, 1.5, 0.25, 3.0):
-        assert sylvester_min_sv(A4, lam) < 1e-12
+        assert SylvesterProbe(A4).sigma_min(lam) < 1e-12
     # frozen dense value away from the ratio set
     lam = 1.0 + 1.0j
     want = 0.5144295475593064 / (op_norm(A4) * (1 + abs(lam)))
-    assert sylvester_min_sv(A4, lam) == pytest.approx(want, rel=1e-6)
+    assert SylvesterProbe(A4).sigma_min(lam) == pytest.approx(want, rel=1e-6)
 
 
 def test_probe_estimator_agrees_with_dense_kronecker():
@@ -354,7 +353,7 @@ def test_singular_certificate_bounds_dense_sigma_min(ztrsyl_calls):
     rep = ext_scan(C, GridSpec("annulus", 12, rmin=0.3, rmax=3.0), candidates="all")
     assert np.all(rep.sylvester == bound) and rep.flagged.all()
     for lam in rep.lam[::3]:
-        assert _dense_sigma_min(C.entries, lam) <= bound <= rep.sylvester_threshold
+        assert _dense_sigma_min(C.entries, lam) <= bound <= 1e-6  # the default threshold
     assert not ztrsyl_calls
 
 
@@ -381,8 +380,8 @@ def test_small_truncation_equivalence():
     ratios = np.array([a / b for a in mu for b in mu])
     on = ratios[5]
     off = 2.7 - 1.9j
-    assert sylvester_min_sv(A, on) < 1e-10
-    assert sylvester_min_sv(A, off) > 1e-4
+    assert SylvesterProbe(A).sigma_min(on) < 1e-10
+    assert SylvesterProbe(A).sigma_min(off) > 1e-4
     assert np.abs(ratios - off).min() > 0.1
 
 

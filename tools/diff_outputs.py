@@ -51,7 +51,9 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 # the identity (null multiplier), an affine map (null fixed point), a
 # non-self-map, matrix JSON, an unresolved class, a prediction without a base,
-# and skipped probes in JSON rows and in the CSV
+# skipped probes in JSON rows and in the CSV, and verify at its default scan
+# sizes, one request per scan kind (rotation circle, power annulus,
+# unit-circle annulus, closed disk)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -61,6 +63,10 @@ OFF_POOL = [
     ["extscan", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16", "--points", "32"],
     ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16"],
     ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16", "--out", OUT],
+    ["verify", "--phi=0.7071067811865476+0.7071067811865475i,0,0,1", "--space", "fock", "--n", "16"],
+    ["verify", "--phi=0.5,0.1,0,1", "--space", "bergman", "--n", "16"],
+    ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16"],
+    ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
 ]
 
 
