@@ -6,11 +6,14 @@ reproducible from their own output; output is byte-stable across runs with
 the same inputs, except for the timestamp field.  This module alone decides
 how results become JSON (_encode) and CSV (cmd_extscan).
 
-Exit codes: 0 success, 1 domain error (inadmissible symbol, wrong space,
-singular truncation, Fock norms out of float range, ...), 2 usage or parse
-error (including an empty or malformed grid, a negative --seed and a
---candidates that is neither 'all' nor an integer >= 0), 3 unresolved
-symbol class.
+Exit codes: 0 success; 1 any compext DomainError (inadmissible symbol,
+wrong space, singular truncation, Fock norms or matrix entries out of float
+range, ...), a failed verify, or an unresolved class under extscan
+--require-prediction; 2 any other ValueError, usage or parse error (an
+empty grid or one with a non-finite radius or radius ratio; checked at parse
+time: a degenerate --phi, a complex literal past the float range in --phi or
+--lam, a negative --seed and a --candidates that is neither 'all' nor an
+integer >= 0); 3 unresolved symbol class.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .extspec import (
-    EmptyGridError,
     GridSpec,
     SingularTruncationError,
-    TooLargeError,
     UnresolvedClassError,
     build_witness,
     ext_scan,
@@ -39,10 +40,8 @@ from .extspec import (
     verify_theorem_suite,
 )
 from .lft import (
-    DegenerateMapError,
-    IdentityMapError,
+    DomainError,
     LinearFractionalMap,
-    ParamOutOfRangeError,
     classify,
     format_complex,
     format_lft,
@@ -52,41 +51,8 @@ from .lft import (
     parse_complex,
     parse_lft,
 )
-from .operators import (
-    BadShiftError,
-    CenterOutsideDiskError,
-    DimensionMismatchError,
-    SymbolNotAdmissibleError,
-    WrongSpaceError,
-    composition_matrix,
-    operator_to_matrix_market,
-)
-from .series import (
-    NegativeParameterError,
-    OrderMismatchError,
-    PoleInsideDiskError,
-    ZeroConstantTermError,
-)
-from .spaces import NormRangeError, PointOutsideDomainError, SpaceSpec
-
-DOMAIN_ERRORS = (
-    DegenerateMapError,
-    IdentityMapError,
-    ParamOutOfRangeError,
-    SymbolNotAdmissibleError,
-    WrongSpaceError,
-    BadShiftError,
-    CenterOutsideDiskError,
-    DimensionMismatchError,
-    PointOutsideDomainError,
-    NormRangeError,
-    PoleInsideDiskError,
-    NegativeParameterError,
-    ZeroConstantTermError,
-    OrderMismatchError,
-    SingularTruncationError,
-    TooLargeError,
-)
+from .operators import composition_matrix, operator_to_matrix_market
+from .spaces import SpaceSpec
 
 
 @dataclass
@@ -130,8 +96,6 @@ def _candidates_type(text: str) -> int | str:
 def _phi_type(text: str) -> LinearFractionalMap:
     try:
         return parse_lft(text)
-    except DegenerateMapError:
-        raise
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -432,18 +396,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UnresolvedClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EmptyGridError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, UnresolvedClassError):
+            return 3
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

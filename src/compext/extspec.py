@@ -46,6 +46,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .lft import (
+    DomainError,
     LinearFractionalMap,
     classify,
     format_complex,
@@ -53,6 +54,7 @@ from .lft import (
     parse_complex,
 )
 from .operators import (
+    CenterOutsideDiskError,
     DimensionMismatchError,
     OperatorMatrix,
     _eig_with_reliability,  # noqa: F401 -- bench/tracing.py wraps the eig layer by this name
@@ -77,11 +79,11 @@ from .series import (
 from .spaces import SpaceSpec
 
 
-class SingularTruncationError(ValueError):
+class SingularTruncationError(DomainError):
     """Ratio set is meaningless: the truncation is numerically singular."""
 
 
-class TooLargeError(ValueError):
+class TooLargeError(DomainError):
     """Sylvester probe above order MAX_PROBE_ORDER (the lifted problem is order N^2)."""
 
 
@@ -347,8 +349,12 @@ class GridSpec:
             raise EmptyGridError(f"unknown grid shape {self.shape!r}")
         if self.points < 2:
             raise EmptyGridError("need at least 2 grid points")
+        if not (math.isfinite(self.rmin) and math.isfinite(self.rmax)):
+            raise EmptyGridError("rmin and rmax must be finite")
         if self.shape == "annulus" and not 0 < self.rmin <= self.rmax:
             raise EmptyGridError("annulus needs 0 < rmin <= rmax")
+        if self.shape == "annulus" and not math.isfinite(self.rmax / self.rmin):
+            raise EmptyGridError("annulus needs a finite rmax/rmin")
         if self.shape in ("circle", "disk") and not self.rmax > 0:
             raise EmptyGridError("need rmax > 0")
 
@@ -891,7 +897,7 @@ def _interior_fixed_point(fixed_points: tuple) -> complex:
             continue
         if abs(p) < 1.0 - 1e-9:
             return p
-    raise UnresolvedClassError("symbol has no fixed point inside the open disk")
+    raise CenterOutsideDiskError("symbol has no fixed point inside the open disk")
 
 
 def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: int) -> OperatorMatrix:

@@ -30,15 +30,21 @@ import re
 from dataclasses import dataclass, field
 
 
-class DegenerateMapError(ValueError):
+class DomainError(ValueError):
+    """An input outside the domain of the mathematics: a symbol, space,
+    parameter or truncation for which the requested object does not exist
+    or leaves the float range.  The command line exits 1 on any of them."""
+
+
+class DegenerateMapError(DomainError):
     """Coefficient matrix is (numerically) singular: the map is constant."""
 
 
-class IdentityMapError(ValueError):
+class IdentityMapError(DomainError):
     """Operation is undefined for the identity map (e.g. fixed points)."""
 
 
-class ParamOutOfRangeError(ValueError):
+class ParamOutOfRangeError(DomainError):
     """A standard-form parameter violates its constraint."""
 
 
@@ -216,20 +222,6 @@ def is_fock_symbol(f: LinearFractionalMap) -> bool:
     return abs(abs(w) - 1.0) <= 1e-12 and abs(beta) <= 1e-12
 
 
-CLASS_NAMES = (
-    "identity",
-    "elliptic-automorphism",
-    "parabolic-automorphism",
-    "parabolic-non-automorphism",
-    "hyperbolic-automorphism",
-    "hyperbolic-na-1",
-    "hyperbolic-na-2",
-    "hyperbolic-na-3",
-    "loxodromic",
-    "not-self-map",
-)
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str = field(metadata={"json": "class"})
@@ -373,7 +365,8 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'x+yi' (no spaces, i suffix): '2', '-0.5i', '1+2i', '1e-3-2.5e2i'."""
+    """Parse 'x+yi' (no spaces, i suffix): '2', '-0.5i', '1+2i', '1e-3-2.5e2i'.
+    A literal past the float range, such as '1e999', is rejected."""
     s = text.strip()
     if not s or " " in s:
         raise ValueError(f"bad complex literal {text!r}")
@@ -389,10 +382,13 @@ def parse_complex(text: str) -> complex:
             # pure imaginary: the "real" group holds the imaginary part
             re_part = 0.0
             im_part = float(real_s) if real_s is not None else 1.0
-        return complex(re_part, im_part)
-    if imag_s is not None:
+    elif imag_s is not None:
         raise ValueError(f"bad complex literal {text!r}")
-    return complex(float(real_s), 0.0)
+    else:
+        re_part, im_part = float(real_s), 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ValueError(f"complex literal {text!r} is out of float range")
+    return complex(re_part, im_part)
 
 
 def format_complex(z: complex) -> str:

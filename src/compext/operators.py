@@ -28,28 +28,29 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .lft import LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
+from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 from .series import PowerSeries, lft_taylor
-from .spaces import SpaceSpec, coeffs_to_coordinates, coordinates_to_series, monomial_norms
+from .spaces import NormRangeError, SpaceSpec, coeffs_to_coordinates, coordinates_to_series, monomial_norms
 
 
-class SymbolNotAdmissibleError(ValueError):
+class SymbolNotAdmissibleError(DomainError):
     """The symbol does not induce a bounded composition operator on the space."""
 
 
-class BadShiftError(ValueError):
+class BadShiftError(DomainError):
     """Shift index k out of range (need 1 <= k < order)."""
 
 
-class CenterOutsideDiskError(ValueError):
-    """sigma-shift center must lie in the open unit disk."""
+class CenterOutsideDiskError(DomainError):
+    """A sigma center (a sigma-shift's c, or the interior fixed point a
+    sigma-power witness needs) must lie in the open unit disk."""
 
 
-class WrongSpaceError(ValueError):
+class WrongSpaceError(DomainError):
     """Operator only defined on a particular space kind."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(DomainError):
     """Operands live on different spaces or have different orders."""
 
 
@@ -170,7 +171,9 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
 
     Admissibility: a self-map of the disk for hardy/bergman, an affine
     contraction (or rotation) for fock.  For phi(z) = w z the matrix is
-    exactly diagonal with entries w^j.
+    exactly diagonal with entries w^j.  Raises NormRangeError when an entry
+    leaves the float range (a Fock translation b whose powers b^j outgrow
+    the norm ratios ||z^j||, say).
     """
     if space.kind == "fock":
         if not is_fock_symbol(phi):
@@ -186,9 +189,15 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
     cur = np.zeros(order, dtype=np.complex128)
     cur[0] = 1.0
     entries[0, 0] = 1.0
-    for j in range(1, order):
-        cur = np.convolve(cur, t)[:order]
-        entries[:, j] = cur * nm / nm[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        for j in range(1, order):
+            cur = np.convolve(cur, t)[:order]
+            entries[:, j] = cur * nm / nm[j]
+    if not np.isfinite(entries).all():
+        raise NormRangeError(
+            f"entries of C_phi leave the float range on {space.kind} space "
+            f"at alpha = {space.alpha:g}, order {order}"
+        )
     return OperatorMatrix(space, order, entries, label=f"C[{phi}]")
 
 

@@ -17,22 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lft import LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
+from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 
 
-class OrderMismatchError(ValueError):
+class OrderMismatchError(DomainError):
     """Binary operation on series of different truncation orders."""
 
 
-class ZeroConstantTermError(ValueError):
+class ZeroConstantTermError(DomainError):
     """Reciprocal of a series whose constant term is (numerically) zero."""
 
 
-class PoleInsideDiskError(ValueError):
+class PoleInsideDiskError(DomainError):
     """Taylor expansion requested for a map whose pole meets the closed disk."""
 
 
-class NegativeParameterError(ValueError):
+class NegativeParameterError(DomainError):
     """Parameter must be nonnegative."""
 
 

@@ -17,17 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lft import DomainError
 from .series import OrderMismatchError, PowerSeries
 
 KINDS = ("hardy", "bergman", "fock")
 
 
-class PointOutsideDomainError(ValueError):
+class PointOutsideDomainError(DomainError):
     """Kernel requested at a point outside the space's domain."""
 
 
-class NormRangeError(ValueError):
-    """A monomial norm, or the ratio of two, leaves the float range."""
+class NormRangeError(DomainError):
+    """A monomial norm, the ratio of two, or an operator entry built from
+    them leaves the float range."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from compext import LinearFractionalMap, SpaceSpec, composition_matrix, operators
+import compext
+from compext import DomainError, LinearFractionalMap, SpaceSpec, composition_matrix, operators
 from compext.cli import main
 
 
@@ -65,8 +66,9 @@ def test_bad_complex_literal_exits_two():
 
 
 def test_degenerate_map_exits_two():
-    rc, _, _ = run(["classify", "--phi", "1,2,2,4"])
+    rc, _, err = run(["classify", "--phi", "1,2,2,4"])
     assert rc == 2
+    assert "argument --phi: ad - bc = 0j is negligible" in err
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +337,74 @@ def test_verify_unresolved_exits_three():
         ["verify", "--phi", "1,0.5,0.5,1", "--space", "hardy", "--n", "16"]
     )
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# failures: exit 1 for a DomainError, 3 for an unresolved class, 2 otherwise
+
+
+def test_every_exported_error_but_two_is_a_domain_error():
+    errors = {name: obj for name, obj in vars(compext).items() if name.endswith("Error")}
+    assert len(errors) == 19
+    plain = {name for name, cls in errors.items() if not issubclass(cls, DomainError)}
+    assert plain == {"EmptyGridError", "UnresolvedClassError"}
+    assert all(issubclass(cls, ValueError) for cls in errors.values())
+
+
+_P = "--phi=0.5,0,0,1"
+_EXT = ["extcheck", _P, "--n", "8", "--lam", "1", "--witness"]
+_FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "256"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        pytest.param(["matrix", "--phi=2,0,0,1"], 1,
+                     "error: phi is not a self-map of the unit disk", id="not-self-map"),
+        pytest.param(_EXT + ["qdiff:1"], 1,
+                     "error: quasi_diff_matrix only acts on a fock space", id="wrong-space"),
+        pytest.param(_EXT + ["shift:9"], 1,
+                     "error: need 1 <= k < order, got k=9, order=8", id="bad-shift"),
+        pytest.param(_EXT + ["sigma-shift:2,1"], 1, "error: |c| = 2.0 must be < 1", id="center-outside"),
+        pytest.param(_EXT + ["identity", "--margin", "8"], 1,
+                     "error: margin must lie in [0, 7]", id="margin"),
+        pytest.param(_EXT + ["mult:exponential,-1"], 1,
+                     "error: t must be >= 0 for a bounded function on the disk", id="negative-parameter"),
+        pytest.param(["matrix", _P, "--space", "fock", "--alpha", "0.01", "--n", "256"], 1,
+                     "error: fock norms sqrt(n!/alpha^n) leave the float range at alpha = 0.01, order 256",
+                     id="fock-norms"),
+        pytest.param(["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8", "--points", "16",
+                      "--require-prediction"], 1, "error: no prediction on hardy space", id="require-prediction"),
+        pytest.param(_EXT + ["bogus:1"], 2, "error: unknown witness 'bogus:1'", id="unknown-witness"),
+        pytest.param(["extscan", _P, "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1",
+                      "--points", "16"], 2, "error: annulus needs 0 < rmin <= rmax", id="empty-annulus"),
+        pytest.param(["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"], 3,
+                     "error: no prediction on hardy space", id="unresolved"),
+        # Fock entries b^j / ||z^j|| past the float range, with every norm in range
+        pytest.param(["matrix"] + _FOCK_7000, 1,
+                     "error: entries of C_phi leave the float range on fock space at alpha = 7000, order 256",
+                     id="fock-entries-matrix"),
+        pytest.param(["extcheck"] + _FOCK_7000 + ["--witness", "identity", "--lam", "1"], 1,
+                     "error: entries of C_phi leave the float range on fock space at alpha = 7000, order 256",
+                     id="fock-entries-extcheck"),
+        pytest.param(["extscan", _P, "--n", "16", "--points", "16", "--rmax", "inf"], 2,
+                     "error: rmin and rmax must be finite", id="infinite-rmax"),
+        pytest.param(["extscan", _P, "--n", "16", "--points", "16", "--grid", "annulus",
+                      "--rmin", "1e-300", "--rmax", "1e300"], 2,
+                     "error: annulus needs a finite rmax/rmin", id="infinite-radius-ratio"),
+        pytest.param(["extcheck", _P, "--n", "8", "--witness", "identity", "--lam=1e999"], 2,
+                     "compext extcheck: error: argument --lam: complex literal '1e999' is out of float range",
+                     id="infinite-lambda"),
+        pytest.param(_EXT + ["mult:binomial,1e999"], 2,
+                     "error: complex literal '1e999' is out of float range", id="infinite-witness-parameter"),
+        # the class resolves (hyperbolic automorphism); only the witness needs an interior fixed point
+        pytest.param(["extcheck", "--phi=1,0.5,0.5,1", "--n", "8", "--witness", "mult:sigma-power,1",
+                      "--lam", "1"], 1, "error: symbol has no fixed point inside the open disk",
+                     id="sigma-power-without-interior-fixed-point"),
+    ],
+)
+def test_failure_exit_code_and_message(argv, code, line):
+    rc, out, err = run(argv)
+    assert (rc, out) == (code, "")
+    assert err.splitlines()[-1] == line

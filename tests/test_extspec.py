@@ -424,6 +424,11 @@ def test_grid_validation():
         GridSpec("annulus", 100, rmin=0.0, rmax=1.0)
     with pytest.raises(EmptyGridError):
         GridSpec("nonagon", 100, rmax=1.0)
+    for rmin, rmax in ((0.2, math.inf), (0.2, math.nan), (math.inf, math.inf)):
+        with pytest.raises(EmptyGridError, match="must be finite"):
+            GridSpec("circle", 100, rmin=rmin, rmax=rmax)
+    with pytest.raises(EmptyGridError, match="finite rmax/rmin"):
+        GridSpec("annulus", 100, rmin=1e-300, rmax=1e300)
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_parse_complex_examples(text, val):
 
 
 def test_parse_complex_rejects_garbage():
-    for bad in ("", "1+2", "i5", "1 + 2i", "abc"):
+    for bad in ("", "1+2", "i5", "1 + 2i", "abc", "1e999", "-1e999i", "1+1e999i"):
         with pytest.raises(ValueError):
             parse_complex(bad)
 

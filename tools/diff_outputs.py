@@ -53,7 +53,9 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # non-self-map, matrix JSON, an unresolved class, a prediction without a base,
 # skipped probes in JSON rows and in the CSV, and verify at its default scan
 # sizes, one request per scan kind (rotation circle, power annulus,
-# unit-circle annulus, closed disk)
+# unit-circle annulus, closed disk); then one request per failure path:
+# seven domain errors and an unmet --require-prediction (exit 1), a bad
+# witness and an empty grid (exit 2) and an unresolved class (exit 3)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -67,6 +69,17 @@ OFF_POOL = [
     ["verify", "--phi=0.5,0.1,0,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
+    ["matrix", "--phi=2,0,0,1"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qdiff:1"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:9"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:2,1"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "identity", "--margin", "8"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "mult:exponential,-1"],
+    ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--alpha", "0.01", "--n", "256"],
+    ["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8", "--points", "16", "--require-prediction"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
+    ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
+    ["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"],
 ]
 
 
