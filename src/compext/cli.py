@@ -12,8 +12,9 @@ range, ...), a failed verify, or an unresolved class under extscan
 --require-prediction; 2 any other ValueError, usage or parse error (an
 empty grid or one with a non-finite radius or radius ratio; checked at parse
 time: a degenerate --phi, a complex literal past the float range in --phi or
---lam, a negative --seed and a --candidates that is neither 'all' nor an
-integer >= 0); 3 unresolved symbol class.
+--lam, a non-finite --alpha or --threshold, a negative --seed and a
+--candidates that is neither 'all' nor an integer >= 0); 3 unresolved symbol
+class.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .extspec import (
+    RELIABILITY_TOL,
+    SYLVESTER_THRESHOLD,
     GridSpec,
     SingularTruncationError,
     UnresolvedClassError,
@@ -88,6 +91,16 @@ def _bounded_int(lo: int, hi: float, what: str):
     return conv
 
 
+def _finite_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return v
+
+
 def _candidates_type(text: str) -> int | str:
     """'all' or an integer >= 0."""
     return text if text == "all" else _bounded_int(0, math.inf, "--candidates")(text)
@@ -111,7 +124,7 @@ def _add_common(p: argparse.ArgumentParser, need_phi: bool = True):
     p.add_argument("--phi", type=_phi_type, required=need_phi,
                    help="symbol as 'a,b,c,d' with complex entries in x+yi form")
     p.add_argument("--space", choices=("hardy", "bergman", "fock"), default="bergman")
-    p.add_argument("--alpha", type=float, default=1.0, help="fock weight parameter")
+    p.add_argument("--alpha", type=_finite_float, default=1.0, help="fock weight parameter")
     p.add_argument("--n", type=_bounded_int(8, 256, "--n"), default=48,
                    help="truncation order, 8..256")
     p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
@@ -222,9 +235,9 @@ def cmd_eigs(args) -> int:
     w, err = A.eig_reliability
     order = np.lexsort((w.imag, w.real))
     w, err = w[order], err[order]
-    reliable = err <= args.reliability_tol * np.abs(w)
+    reliable = err <= RELIABILITY_TOL * np.abs(w)
     try:
-        ratios = ratio_set(A, reliability_tol=args.reliability_tol)
+        ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
         ratio_info = {"count": ratios.size, "sample": ratios[:64]}
     except SingularTruncationError as exc:
         ratio_info = {"count": 0, "sample": [], "note": str(exc)}
@@ -274,20 +287,13 @@ def cmd_extscan(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     grid = GridSpec(shape=args.grid, points=args.points, rmin=args.rmin, rmax=args.rmax)
-    rep = ext_scan(
-        A,
-        grid,
-        sylvester_threshold=args.threshold,
-        ratio_threshold=args.ratio_threshold,
-        candidates=args.candidates,
-        seed=args.seed,
-    )
+    rep = ext_scan(A, grid, candidates=args.candidates, seed=args.seed)
     summary = {
         "label": A.label,
         "space": A.space,
         "order": A.order,
         "grid": _fields(grid) | {"step": rep.step, "count": rep.lam.size},
-        "sylvester_threshold": args.threshold,
+        "sylvester_threshold": SYLVESTER_THRESHOLD,
         "ratio_threshold": rep.ratio_threshold,
         "candidates": rep.candidates,
         "seed": args.seed,
@@ -357,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="truncation eigenvalues with reliability estimates")
     _add_common(p)
-    p.add_argument("--reliability-tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("extcheck", help="residual of A X - lambda X A for one witness")
@@ -367,16 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "qmult-shifted:tau,m | mult:family,param")
     p.add_argument("--lam", required=True, type=_complex_type, help="trial lambda, x+yi")
     p.add_argument("--margin", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1e-8)
+    p.add_argument("--threshold", type=_finite_float, default=1e-8)
     p.set_defaults(func=cmd_extcheck)
 
     p = sub.add_parser("extscan", help="scan a grid for extended-eigenvalue candidates")
     _add_common(p)
     _add_grid(p)
-    p.add_argument("--threshold", type=float, default=1e-6,
-                   help="sylvester flag threshold")
-    p.add_argument("--ratio-threshold", type=float, default=None,
-                   help="ratio-distance flag threshold (default: just under one grid step)")
     p.add_argument("--candidates", type=_candidates_type, default=None,
                    help="sylvester probe budget: an integer >= 0 or 'all'")
     p.add_argument("--require-prediction", action="store_true",

@@ -14,7 +14,7 @@ ratio set {mu_i / mu_j}.  Two numerical probes are provided:
 Both probes are scanned over grids by ext_scan, which settles each Sylvester
 value by the first of three routes that applies (see SylvesterProbe):
 
-  * certificate -- sigma_min(A)/||A|| <= the flag threshold.  X = v u^H from
+  * certificate -- sigma_min(A)/||A|| <= SYLVESTER_THRESHOLD.  X = v u^H from
     A's smallest right and left singular vectors gives sigma_min(Sylv) <=
     (1+|lambda|) sigma_min(A), so every lambda flags and the reported value
     is that certified upper bound.  Truncations of the hyperbolic and
@@ -96,6 +96,8 @@ class UnresolvedClassError(ValueError):
 
 
 MAX_PROBE_ORDER = 128  # the Sylvester probe's order cap
+SYLVESTER_THRESHOLD = 1e-6  # a normalized Sylvester sigma_min at or below this flags
+RELIABILITY_TOL = 1e-6  # the eigenvalue error estimate, relative to |mu|, a scan trusts
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,7 @@ class SylvesterProbe:
                  they test.
 
     One closed form needs no probe at all: when sigma_min(A)/||A|| is at or
-    below the flag threshold, X = v u^H built from A's smallest right and
+    below SYLVESTER_THRESHOLD, X = v u^H built from A's smallest right and
     left singular vectors gives ||A X - lambda X A|| <= sigma_min(A)(1+|lambda|),
     so every lambda flags with the certified bound sigma_min(A)/||A||.
     ext_scan applies that certificate before it builds a probe.
@@ -667,8 +669,10 @@ _RECIPES = {
 @dataclass
 class ExtScanReport:
     """What one scan measured: the grid step and points, each point's ratio
-    distance, Sylvester value (nan where not probed) and flag, and the ratio
-    threshold and probe budget as resolved from their defaults."""
+    distance, Sylvester value (nan where not probed) and flag, the ratio
+    threshold (0.999 of the step) and the probe budget as resolved from its
+    default.  A point flags when its Sylvester value is at most
+    SYLVESTER_THRESHOLD or its ratio distance is below the ratio threshold."""
 
     step: float
     lam: np.ndarray
@@ -684,26 +688,21 @@ class ExtScanReport:
 
 
 def ext_scan(
-    A: OperatorMatrix,
-    grid: GridSpec,
-    sylvester_threshold: float = 1e-6,
-    ratio_threshold: float | None = None,
-    candidates: int | str | None = None,
-    seed: int = 0,
+    A: OperatorMatrix, grid: GridSpec, candidates: int | str | None = None, seed: int = 0
 ) -> ExtScanReport:
     """Scan a grid for extended-eigenvalue candidates of a truncation.
 
     Flag rule: a grid point flags when its normalized Sylvester sigma_min is
-    at most sylvester_threshold, or its distance to the eigenvalue ratio set
-    is below ratio_threshold (default: 0.999 of the grid step, so that grid
-    points adjacent to a ratio do not flag by adjacency alone).
+    at most SYLVESTER_THRESHOLD, or its distance to the eigenvalue ratio set
+    is below 0.999 of the grid step, so that grid points adjacent to a ratio
+    do not flag by adjacency alone.
 
     The Sylvester probe runs on the `candidates` grid points with the
     smallest ratio distance ("all" for every point; default: all points for
     order <= 48, else 50; none above order MAX_PROBE_ORDER), each probe at
     most 5 inverse-iteration steps.  Ratios use the strict mode of ratio_set
     when the truncation allows it, falling back to the reliability filter at
-    1e-6 (recorded in notes) -- the fallback is the normal path for
+    RELIABILITY_TOL (recorded in notes) -- the fallback is the normal path for
     hyperbolic and parabolic symbols, whose truncations are exponentially
     singular.  The report holds what the scan measured; the caller keeps
     what it passed in.
@@ -714,16 +713,16 @@ def ext_scan(
     if np.any(lam == 0):
         raise EmptyGridError("grid must exclude 0")
     notes = []
-    rt = 0.999 * step if ratio_threshold is None else float(ratio_threshold)
+    rt = 0.999 * step
 
     try:
         ratios = ratio_set(A)
     except SingularTruncationError:
         try:
-            ratios = ratio_set(A, reliability_tol=1e-6)
+            ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
             notes.append(
                 "ratio set from reliability-filtered eigenvalues "
-                "(tol=1e-06); strict mode found the truncation singular"
+                f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"
             )
         except SingularTruncationError:
             ratios = np.array([], dtype=complex)
@@ -745,7 +744,7 @@ def ext_scan(
             k = min(int(candidates), lam.size)
             chosen = np.sort(np.argsort(rd, kind="stable")[:k])
         smin, smax = A.svdvals[-1], A.svdvals[0]
-        if smin <= sylvester_threshold * smax:
+        if smin <= SYLVESTER_THRESHOLD * smax:
             # rank-one certificate (see SylvesterProbe): every lambda flags
             sylv[chosen] = smin / smax if smax > 0 else 0.0
         else:
@@ -753,7 +752,7 @@ def ext_scan(
             for i in chosen:
                 sylv[i] = probe.sigma_min(lam[i], iters=5)
 
-    sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= sylvester_threshold
+    sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= SYLVESTER_THRESHOLD
     ratio_flag = rd < rt
     flagged = sylv_flag | ratio_flag
 
@@ -807,7 +806,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
       scaling      ratios of alpha A equal ratios of A
       membership   every flagged grid point lies near the ratio set
       direct-sum   ratios of the blocks flag in a scan of the block sum
-      nonsingular  sylvester probe at 0 stays above threshold
+      nonsingular  sylvester probe at 0 stays above SYLVESTER_THRESHOLD
 
     Distances compare against 1e-10 except where noted.
     """
@@ -846,7 +845,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
         for lam in grid_pts:
             sv = probe.sigma_min(lam)
             rdist = float(np.abs(r - lam).min())
-            flag = sv <= 1e-6 or rdist <= 1e-9
+            flag = sv <= SYLVESTER_THRESHOLD or rdist <= 1e-9
             if flag:
                 worst_member = max(worst_member, rdist)
                 if rdist > 1e-8:
@@ -860,7 +859,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
             for lam in union:
                 sv = probe_s.sigma_min(lam)
                 worst_sum = max(worst_sum, sv)
-                if sv > 1e-6:
+                if sv > SYLVESTER_THRESHOLD:
                     sum_ok = False
         # nonsingularity of the probe at lambda = 0
         worst_nonsing = min(worst_nonsing, probe.sigma_min(0.0))
@@ -872,7 +871,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
     rows.append(
         CheckRow(
             "sylvester-probe-nonsingular-at-0",
-            worst_nonsing > 1e-6,
+            worst_nonsing > SYLVESTER_THRESHOLD,
             worst_nonsing,
             "normalized sigma_min at lambda=0",
         )
@@ -918,7 +917,7 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
     """
     text = text.strip()
     name, _, args = text.partition(":")
-    if name == "identity":
+    if text == "identity":
         return OperatorMatrix(space, order, np.eye(order), label="I")
     if name == "shift":
         return basis_shift_matrix(int(args), space, order)

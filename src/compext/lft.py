@@ -45,7 +45,8 @@ class IdentityMapError(DomainError):
 
 
 class ParamOutOfRangeError(DomainError):
-    """A standard-form parameter violates its constraint."""
+    """A parameter violates its constraint: a standard-form parameter, a
+    monomial degree outside [0, order), or a non-finite exponential-family t."""
 
 
 class Infinity:
@@ -93,9 +94,6 @@ class LinearFractionalMap:
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
-    def __call__(self, z):
-        return apply(self, z)
-
     def __str__(self) -> str:
         return format_lft(self)
 
@@ -128,29 +126,34 @@ def inverse(f: LinearFractionalMap) -> LinearFractionalMap:
     return LinearFractionalMap(a=f.d, b=-f.b, c=-f.c, d=f.a)
 
 
-def _is_identity(f: LinearFractionalMap, tol: float) -> bool:
+# the relative tolerance of the identity test, the affine and translation
+# tests in fixed_points, and the unimodular and on-circle tests in classify
+CLASSIFY_TOL = 1e-9
+
+
+def _is_identity(f: LinearFractionalMap) -> bool:
     scale = max(abs(f.a), abs(f.b), abs(f.c), abs(f.d))
     return (
-        abs(f.b) <= tol * scale
-        and abs(f.c) <= tol * scale
-        and abs(f.a - f.d) <= tol * scale
+        abs(f.b) <= CLASSIFY_TOL * scale
+        and abs(f.c) <= CLASSIFY_TOL * scale
+        and abs(f.a - f.d) <= CLASSIFY_TOL * scale
     )
 
 
-def fixed_points(f: LinearFractionalMap, tol: float = 1e-9):
+def fixed_points(f: LinearFractionalMap):
     """Fixed points on the sphere, as a tuple of one or two points.
 
     Solves c z^2 + (d - a) z - b = 0.  When c = 0 the map is affine and
     infinity is always fixed; a double root is reported once.  Raises
     IdentityMapError for the identity, which fixes everything.
     """
-    if _is_identity(f, tol):
+    if _is_identity(f):
         raise IdentityMapError("every point is fixed")
     a, b, c, d = f.a, f.b, f.c, f.d
     scale = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(c) <= tol * scale:
+    if abs(c) <= CLASSIFY_TOL * scale:
         # affine: fixes infinity, plus b/(d-a) if a != d
-        if abs(a - d) <= tol * scale:
+        if abs(a - d) <= CLASSIFY_TOL * scale:
             # translation z + b/d: infinity is the unique (double) fixed point
             return (INF,)
         return (b / (d - a), INF)
@@ -229,18 +232,19 @@ class Classification:
     multiplier: complex | None  # derivative at the attracting fixed point
 
 
-def classify(f: LinearFractionalMap, tol: float = 1e-9) -> Classification:
+def classify(f: LinearFractionalMap) -> Classification:
     """Sort a linear fractional map into its dynamical class on the disk.
 
     Tolerances are relative: a multiplier counts as unimodular when
-    ||phi'| - 1| <= tol, a fixed point as on the circle when ||p| - 1| <= tol.
+    ||phi'| - 1| <= CLASSIFY_TOL, a fixed point as on the circle when
+    ||p| - 1| <= CLASSIFY_TOL.
     """
-    if _is_identity(f, tol):
+    if _is_identity(f):
         return Classification("identity", (), None)
     if not is_self_map_of_disk(f):
         return Classification("not-self-map", (), None)
 
-    fps = fixed_points(f, tol)
+    fps = fixed_points(f)
     if len(fps) == 1:
         # parabolic: the unique fixed point of a self-map lies on the circle
         kind = (
@@ -256,7 +260,7 @@ def classify(f: LinearFractionalMap, tol: float = 1e-9) -> Classification:
         return math.inf if is_inf(p) else abs(p)
 
     mults = [multiplier(f, p) for p in fps]
-    if abs(abs(mults[0]) - abs(mults[1])) <= tol:
+    if abs(abs(mults[0]) - abs(mults[1])) <= CLASSIFY_TOL:
         # elliptic-style tie: attracting point is the one of smaller modulus
         order = sorted(range(2), key=lambda i: _absval(fps[i]))
     else:
@@ -264,12 +268,12 @@ def classify(f: LinearFractionalMap, tol: float = 1e-9) -> Classification:
     p_att, p_rep = fps[order[0]], fps[order[1]]
     lam = mults[order[0]]
 
-    if abs(abs(lam) - 1.0) <= tol:
+    if abs(abs(lam) - 1.0) <= CLASSIFY_TOL:
         # elliptic rotation about an interior fixed point
         return Classification("elliptic-automorphism", (p_att, p_rep), lam)
 
-    att_on_circle = (not is_inf(p_att)) and abs(_absval(p_att) - 1.0) <= tol
-    rep_on_circle = (not is_inf(p_rep)) and abs(_absval(p_rep) - 1.0) <= tol
+    att_on_circle = (not is_inf(p_att)) and abs(_absval(p_att) - 1.0) <= CLASSIFY_TOL
+    rep_on_circle = (not is_inf(p_rep)) and abs(_absval(p_rep) - 1.0) <= CLASSIFY_TOL
 
     if att_on_circle:
         if is_automorphism_of_disk(f):
@@ -281,7 +285,7 @@ def classify(f: LinearFractionalMap, tol: float = 1e-9) -> Classification:
     # attracting point strictly inside the disk
     if rep_on_circle:
         return Classification("hyperbolic-na-2", (p_att, p_rep), lam)
-    if abs(lam.imag) <= tol * abs(lam) and lam.real > 0:
+    if abs(lam.imag) <= CLASSIFY_TOL * abs(lam) and lam.real > 0:
         return Classification("hyperbolic-na-3", (p_att, p_rep), lam)
     return Classification("loxodromic", (p_att, p_rep), lam)
 

@@ -13,11 +13,12 @@ throughout, e.g. r**w means exp(w log r) with real log r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
+from .lft import DomainError, LinearFractionalMap, ParamOutOfRangeError, is_fock_symbol, is_self_map_of_disk
 
 
 class OrderMismatchError(DomainError):
@@ -56,19 +57,6 @@ class PowerSeries:
         tail = ", ..." if self.order > 4 else ""
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            return mul(self, other)
-        return scalar_mul(other, self)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __call__(self, z: complex) -> complex:
         """Evaluate the truncated polynomial at z (Horner)."""
         acc = 0j
@@ -93,11 +81,6 @@ def add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     return PowerSeries(p.coeffs + q.coeffs)
 
 
-def sub(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    _check_orders(p, q)
-    return PowerSeries(p.coeffs - q.coeffs)
-
-
 def scalar_mul(s: complex, p: PowerSeries) -> PowerSeries:
     return PowerSeries(complex(s) * p.coeffs)
 
@@ -111,14 +94,11 @@ def derivative(p: PowerSeries) -> PowerSeries:
 
 
 def monomial(k: int, order: int) -> PowerSeries:
+    """z^k truncated to order; raises ParamOutOfRangeError unless 0 <= k < order."""
+    if not 0 <= k < order:
+        raise ParamOutOfRangeError(f"need 0 <= k < order, got k={k}, order={order}")
     c = np.zeros(order, dtype=np.complex128)
     c[k] = 1.0
-    return PowerSeries(c)
-
-
-def constant(value: complex, order: int) -> PowerSeries:
-    c = np.zeros(order, dtype=np.complex128)
-    c[0] = value
     return PowerSeries(c)
 
 
@@ -192,8 +172,10 @@ def cayley_power(w: complex, order: int) -> PowerSeries:
 
 
 def parabolic_eigenfunction(t: float, order: int) -> PowerSeries:
-    """exp(-t (1 + z)/(1 - z)) for t >= 0; constant term exp(-t)."""
+    """exp(-t (1 + z)/(1 - z)) for finite t >= 0; constant term exp(-t)."""
     t = float(t)
+    if not math.isfinite(t):
+        raise ParamOutOfRangeError(f"t must be finite, got {t!r}")
     if t < 0:
         raise NegativeParameterError("t must be >= 0 for a bounded function on the disk")
     # -t (1 + z)/(1 - z) = -t - 2 t (z + z^2 + ...)

@@ -2,8 +2,8 @@
 
 Everything is expressed through the monomial norms: a function
 f = sum p_k z^k has coordinates x_k = p_k * ||z^k|| against the orthonormal
-basis e_k = z^k / ||z^k||, and all inner products reduce to weighted
-l^2 sums of coefficients.
+basis e_k = z^k / ||z^k||, so that the space's norm is the l^2 norm of the
+coordinates.
 
     hardy:    ||z^n|| = 1
     bergman:  ||z^n|| = 1/sqrt(n+1)          (normalized area measure)
@@ -18,13 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lft import DomainError
-from .series import OrderMismatchError, PowerSeries
+from .series import PowerSeries
 
 KINDS = ("hardy", "bergman", "fock")
-
-
-class PointOutsideDomainError(DomainError):
-    """Kernel requested at a point outside the space's domain."""
 
 
 class NormRangeError(DomainError):
@@ -81,30 +77,3 @@ def coeffs_to_coordinates(p: PowerSeries, space: SpaceSpec) -> np.ndarray:
 def coordinates_to_series(x: np.ndarray, space: SpaceSpec) -> PowerSeries:
     x = np.asarray(x, dtype=np.complex128)
     return PowerSeries(x / monomial_norms(space, x.size))
-
-
-def inner_product(p: PowerSeries, q: PowerSeries, space: SpaceSpec) -> complex:
-    """<p, q> = sum_k p_k conj(q_k) ||z^k||^2."""
-    if p.order != q.order:
-        raise OrderMismatchError(f"orders {p.order} and {q.order} differ")
-    w = monomial_norms(space, p.order) ** 2
-    return complex(np.sum(p.coeffs * np.conj(q.coeffs) * w))
-
-
-def norm(p: PowerSeries, space: SpaceSpec) -> float:
-    return math.sqrt(max(inner_product(p, p, space).real, 0.0))
-
-
-def reproducing_kernel_coeffs(space: SpaceSpec, w: complex, order: int) -> PowerSeries:
-    """Taylor coefficients of K_w, the kernel at w: coefficient k is
-    conj(w)^k / ||z^k||^2, so that <p, K_w> = p(w) for polynomials p.
-
-    Hardy and Bergman kernels live on the open disk (|w| < 1); the Fock
-    kernel is entire.
-    """
-    w = complex(w)
-    if space.kind in ("hardy", "bergman") and abs(w) >= 1.0:
-        raise PointOutsideDomainError(f"|w| = {abs(w)} is outside the open unit disk")
-    k = np.arange(order)
-    powers = np.conj(w) ** k
-    return PowerSeries(powers / monomial_norms(space, order) ** 2)

@@ -133,7 +133,7 @@ def test_c1_elliptic_fock():
     clauses.append(("shift residuals <= 1e-12", worst_shift <= 1e-12, worst_shift))
     clauses.append(("qdiff residuals <= 1e-12", worst_diff <= 1e-12, worst_diff))
 
-    rep = ext_scan(C, GridSpec("circle", 504, rmax=1.0), sylvester_threshold=1e-6)
+    rep = ext_scan(C, GridSpec("circle", 504, rmax=1.0))
     roots = W7 ** np.arange(7)
     fl = rep.flagged_points()
     d_to_roots = np.abs(fl[:, None] - roots[None, :]).min(axis=1)

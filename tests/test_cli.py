@@ -345,7 +345,7 @@ def test_verify_unresolved_exits_three():
 
 def test_every_exported_error_but_two_is_a_domain_error():
     errors = {name: obj for name, obj in vars(compext).items() if name.endswith("Error")}
-    assert len(errors) == 19
+    assert len(errors) == 18
     plain = {name for name, cls in errors.items() if not issubclass(cls, DomainError)}
     assert plain == {"EmptyGridError", "UnresolvedClassError"}
     assert all(issubclass(cls, ValueError) for cls in errors.values())
@@ -353,6 +353,7 @@ def test_every_exported_error_but_two_is_a_domain_error():
 
 _P = "--phi=0.5,0,0,1"
 _EXT = ["extcheck", _P, "--n", "8", "--lam", "1", "--witness"]
+_EXT_48 = ["extcheck", _P, "--n", "48", "--lam", "1", "--witness"]
 _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "256"]
 
 
@@ -377,6 +378,25 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
         pytest.param(["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8", "--points", "16",
                       "--require-prediction"], 1, "error: no prediction on hardy space", id="require-prediction"),
         pytest.param(_EXT + ["bogus:1"], 2, "error: unknown witness 'bogus:1'", id="unknown-witness"),
+        pytest.param(_EXT + ["identity:junk"], 2, "error: unknown witness 'identity:junk'",
+                     id="identity-with-parameter"),
+        # a witness parameter outside its range is a domain error, as shift:9 is
+        pytest.param(_EXT_48 + ["mult:monomial,100"], 1, "error: need 0 <= k < order, got k=100, order=48",
+                     id="monomial-degree-past-order"),
+        pytest.param(_EXT_48 + ["mult:monomial,-1"], 1, "error: need 0 <= k < order, got k=-1, order=48",
+                     id="negative-monomial-degree"),
+        pytest.param(_EXT_48 + ["mult:exponential,nan"], 1, "error: t must be finite, got nan",
+                     id="nan-exponential-parameter"),
+        pytest.param(_EXT_48 + ["mult:exponential,inf"], 1, "error: t must be finite, got inf",
+                     id="infinite-exponential-parameter"),
+        # float options are checked for finiteness at parse time
+        pytest.param(["classify", _P, "--alpha", "nan"], 2,
+                     "compext classify: error: argument --alpha: 'nan' is not a finite number", id="nan-alpha"),
+        pytest.param(["classify", _P, "--alpha", "inf"], 2,
+                     "compext classify: error: argument --alpha: 'inf' is not a finite number", id="infinite-alpha"),
+        pytest.param(_EXT + ["identity", "--threshold", "nan"], 2,
+                     "compext extcheck: error: argument --threshold: 'nan' is not a finite number",
+                     id="nan-threshold"),
         pytest.param(["extscan", _P, "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1",
                       "--points", "16"], 2, "error: annulus needs 0 < rmin <= rmax", id="empty-annulus"),
         pytest.param(["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"], 3,

@@ -51,9 +51,12 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
 # the identity (null multiplier), an affine map (null fixed point), a
 # non-self-map, matrix JSON, an unresolved class, a prediction without a base,
-# skipped probes in JSON rows and in the CSV, and verify at its default scan
+# skipped probes in JSON rows and in the CSV, verify at its default scan
 # sizes, one request per scan kind (rotation circle, power annulus,
-# unit-circle annulus, closed disk); then one request per failure path:
+# unit-circle annulus, closed disk), the one scan known to settle its
+# Sylvester values by inverse iteration (ztrsyl solves; every other request
+# settles them by the certificate, exact or dense route) and two witness
+# labels, in Matrix Market and in JSON; then one request per failure path:
 # seven domain errors and an unmet --require-prediction (exit 1), a bad
 # witness and an empty grid (exit 2) and an unresolved class (exit 3)
 OFF_POOL = [
@@ -69,6 +72,9 @@ OFF_POOL = [
     ["verify", "--phi=0.5,0.1,0,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
+    ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
+    ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:0.5,2", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "mult:binomial,1+1i", "--format", "json"],
     ["matrix", "--phi=2,0,0,1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qdiff:1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:9"],
