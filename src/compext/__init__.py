@@ -34,26 +34,20 @@ from .series import (
     NegativeParameterError,
     OrderMismatchError,
     PoleInsideDiskError,
-    PowerSeries,
     ZeroConstantTermError,
-    add,
     binomial_power,
     cayley_power,
     compose_series,
-    derivative,
     exp_series,
     lft_taylor,
     monomial,
     mul,
     parabolic_eigenfunction,
     reciprocal,
-    scalar_mul,
 )
 from .spaces import (
     NormRangeError,
     SpaceSpec,
-    coeffs_to_coordinates,
-    coordinates_to_series,
     monomial_norm,
     monomial_norms,
 )
@@ -65,7 +59,6 @@ from .operators import (
     SymbolNotAdmissibleError,
     WrongSpaceError,
     adjoint,
-    apply_to_series,
     basis_shift_matrix,
     composition_matrix,
     direct_sum,

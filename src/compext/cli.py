@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .extspec import (
+    GRID_SHAPES,
     RELIABILITY_TOL,
     SYLVESTER_THRESHOLD,
     GridSpec,
@@ -132,10 +133,11 @@ def _add_common(p: argparse.ArgumentParser, need_phi: bool = True):
 
 
 def _add_grid(p: argparse.ArgumentParser):
-    p.add_argument("--grid", choices=("circle", "annulus", "disk"), default="circle")
-    p.add_argument("--points", type=_bounded_int(16, 4096, "--points"), default=360)
-    p.add_argument("--rmin", type=float, default=0.2)
-    p.add_argument("--rmax", type=float, default=1.0)
+    default = GridSpec()
+    p.add_argument("--grid", choices=GRID_SHAPES, default=default.shape)
+    p.add_argument("--points", type=_bounded_int(16, 4096, "--points"), default=default.points)
+    p.add_argument("--rmin", type=float, default=default.rmin)
+    p.add_argument("--rmax", type=float, default=default.rmax)
 
 
 def _config(args) -> RunConfig:

@@ -70,13 +70,12 @@ from .operators import (
     sigma_shift_matrix,
 )
 from .series import (
-    PowerSeries,
     binomial_power,
     cayley_power,
     monomial,
     parabolic_eigenfunction,
 )
-from .spaces import SpaceSpec
+from .spaces import NormRangeError, SpaceSpec
 
 
 class SingularTruncationError(DomainError):
@@ -883,11 +882,11 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
 # witnesses by name, and the per-class verification driver
 
 
-def _sigma_power_series(c: complex, k: int, order: int) -> PowerSeries:
+def _sigma_power_series(c: complex, k: int, order: int) -> np.ndarray:
     coeffs = np.zeros(order, dtype=np.complex128)
     for m in range(min(k, order - 1) + 1):
         coeffs[m] = math.comb(k, m) * (-c) ** (k - m)
-    return PowerSeries(coeffs)
+    return coeffs
 
 
 def _interior_fixed_point(fixed_points: tuple) -> complex:
@@ -897,6 +896,25 @@ def _interior_fixed_point(fixed_points: tuple) -> complex:
         if abs(p) < 1.0 - 1e-9:
             return p
     raise CenterOutsideDiskError("symbol has no fixed point inside the open disk")
+
+
+def _witness_args(text: str, form: str, args: str, *types) -> list:
+    """Convert the comma-separated parameters `args` of witness `text` by
+    `types`.  A wrong count, an empty parameter or a bad integer or real is a
+    ValueError naming `form`; a bad complex literal keeps its own message."""
+    parts = args.split(",")
+    bad = ValueError(f"bad witness {text!r}: expected {form}")
+    if len(parts) != len(types) or not all(parts):
+        raise bad
+    values = []
+    for conv, part in zip(types, parts):
+        try:
+            values.append(conv(part))
+        except ValueError:
+            if conv is parse_complex:
+                raise
+            raise bad from None
+    return values
 
 
 def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: int) -> OperatorMatrix:
@@ -914,40 +932,50 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
         mult:cayley,w             M_{((1+z)/(1-z))^w}
         mult:exponential,t        M_{exp(-t (1+z)/(1-z))}
         mult:sigma-power,k        M_{(z-c)^k}, c = phi's interior fixed point
+
+    Raises NormRangeError when an entry of the witness leaves the float range.
     """
     text = text.strip()
     name, _, args = text.partition(":")
-    if text == "identity":
-        return OperatorMatrix(space, order, np.eye(order), label="I")
-    if name == "shift":
-        return basis_shift_matrix(int(args), space, order)
-    if name == "sigma-shift":
-        c_s, k_s = args.split(",")
-        return sigma_shift_matrix(parse_complex(c_s), int(k_s), space, order)
-    if name == "qdiff":
-        return matrix_power(quasi_diff_matrix(space, order), int(args)).relabel(
-            f"D^{int(args)}"
-        )
-    if name == "qmult-shifted":
-        tau_s, m_s = args.split(",")
-        base = shifted_quasi_mult(space, parse_complex(tau_s), order)
-        return matrix_power(base, int(m_s)).relabel(f"(X-{tau_s})^{m_s}")
-    if name == "mult":
-        family, _, param = args.partition(",")
-        if family == "monomial":
-            b = monomial(int(param), order)
-        elif family == "binomial":
-            b = binomial_power(parse_complex(param), order)
-        elif family == "cayley":
-            b = cayley_power(parse_complex(param), order)
-        elif family == "exponential":
-            b = parabolic_eigenfunction(float(param), order)
-        elif family == "sigma-power":
-            b = _sigma_power_series(_interior_fixed_point(classify(phi).fixed_points), int(param), order)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        if text == "identity":
+            X = OperatorMatrix(space, order, np.eye(order), label="I")
+        elif name == "shift":
+            X = basis_shift_matrix(*_witness_args(text, "shift:k", args, int), space, order)
+        elif name == "sigma-shift":
+            c, k = _witness_args(text, "sigma-shift:c,k", args, parse_complex, int)
+            X = sigma_shift_matrix(c, k, space, order)
+        elif name == "qdiff":
+            (m,) = _witness_args(text, "qdiff:m", args, int)
+            X = matrix_power(quasi_diff_matrix(space, order), m).relabel(f"D^{m}")
+        elif name == "qmult-shifted":
+            tau, m = _witness_args(text, "qmult-shifted:tau,m", args, parse_complex, int)
+            tau_s, m_s = args.split(",")
+            X = matrix_power(shifted_quasi_mult(space, tau, order), m).relabel(f"(X-{tau_s})^{m_s}")
+        elif name == "mult":
+            family, _, param = args.partition(",")
+            if family == "monomial":
+                b = monomial(*_witness_args(text, "mult:monomial,k", param, int), order)
+            elif family == "binomial":
+                b = binomial_power(*_witness_args(text, "mult:binomial,w", param, parse_complex), order)
+            elif family == "cayley":
+                b = cayley_power(*_witness_args(text, "mult:cayley,w", param, parse_complex), order)
+            elif family == "exponential":
+                b = parabolic_eigenfunction(*_witness_args(text, "mult:exponential,t", param, float), order)
+            elif family == "sigma-power":
+                (k,) = _witness_args(text, "mult:sigma-power,k", param, int)
+                b = _sigma_power_series(_interior_fixed_point(classify(phi).fixed_points), k, order)
+            else:
+                raise ValueError(f"unknown multiplication family {family!r}")
+            X = multiplication_matrix(b, space, order).relabel(f"M[{family},{param}]")
         else:
-            raise ValueError(f"unknown multiplication family {family!r}")
-        return multiplication_matrix(b, space, order).relabel(f"M[{family},{param}]")
-    raise ValueError(f"unknown witness {text!r}")
+            raise ValueError(f"unknown witness {text!r}")
+    if not np.isfinite(X.entries).all():
+        raise NormRangeError(
+            f"entries of witness {text!r} leave the float range on {space.kind} space "
+            f"at alpha = {space.alpha:g}, order {order}"
+        )
+    return X
 
 
 @dataclass

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
-from .series import PowerSeries, lft_taylor
-from .spaces import NormRangeError, SpaceSpec, coeffs_to_coordinates, coordinates_to_series, monomial_norms
+from .series import lft_taylor
+from .spaces import NormRangeError, SpaceSpec, monomial_norms
 
 
 class SymbolNotAdmissibleError(DomainError):
@@ -155,13 +155,6 @@ def op_norm(A: OperatorMatrix) -> float:
     return float(A.svdvals[0])
 
 
-def apply_to_series(A: OperatorMatrix, p: PowerSeries) -> PowerSeries:
-    if p.order != A.order:
-        raise DimensionMismatchError(f"series order {p.order} != matrix order {A.order}")
-    x = coeffs_to_coordinates(p, A.space)
-    return coordinates_to_series(A.entries @ x, A.space)
-
-
 # ---------------------------------------------------------------------------
 # factories
 
@@ -183,7 +176,7 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
     else:
         if not is_self_map_of_disk(phi):
             raise SymbolNotAdmissibleError("phi is not a self-map of the unit disk")
-    t = lft_taylor(phi, order).coeffs
+    t = lft_taylor(phi, order)
     nm = monomial_norms(space, order)
     entries = np.zeros((order, order), dtype=np.complex128)
     cur = np.zeros(order, dtype=np.complex128)
@@ -201,19 +194,18 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
     return OperatorMatrix(space, order, entries, label=f"C[{phi}]")
 
 
-def multiplication_matrix(b: PowerSeries, space: SpaceSpec, order: int) -> OperatorMatrix:
-    """Truncation of M_b for a polynomial symbol b (given as a series whose
-    coefficients beyond its order are treated as zero).
+def multiplication_matrix(b: np.ndarray, space: SpaceSpec, order: int) -> OperatorMatrix:
+    """Truncation of M_b for a polynomial symbol b, given as its coefficient
+    array (coefficients past its end are treated as zero).
 
     Lower triangular: entry (i, j) = b_{i-j} ||z^i|| / ||z^j|| for i >= j.
     """
     nm = monomial_norms(space, order)
-    bc = b.coeffs
     entries = np.zeros((order, order), dtype=np.complex128)
     for j in range(order):
-        top = min(order, j + bc.size)
+        top = min(order, j + b.size)
         i = np.arange(j, top)
-        entries[i, j] = bc[: top - j] * nm[i] / nm[j]
+        entries[i, j] = b[: top - j] * nm[i] / nm[j]
     return OperatorMatrix(space, order, entries, label="M[poly]")
 
 

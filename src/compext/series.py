@@ -1,9 +1,9 @@
 """Truncated power series with complex coefficients.
 
-A PowerSeries of order N carries coefficients (c_0, ..., c_{N-1}); all
-arithmetic truncates back to the shorter operand's order is NOT done --
-operands must agree (OrderMismatchError), except scalar operations.  The
-special constructors at the bottom build the eigenfunction families used
+A truncated series of order N is a 1-d complex128 array of its coefficients
+(c_0, ..., c_{N-1}).  Cauchy products need operands of one order
+(OrderMismatchError); sums and scalar multiples are plain array arithmetic.
+The special constructors at the bottom build the eigenfunction families used
 by the operator-level tests: binomial powers (1 - z)^w, Cayley powers
 ((1 + z)/(1 - z))^w, and the exponential family exp(-t (1 + z)/(1 - z)).
 
@@ -14,7 +14,6 @@ throughout, e.g. r**w means exp(w log r) with real log r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,97 +36,48 @@ class NegativeParameterError(DomainError):
     """Parameter must be nonnegative."""
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-d array")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return int(self.coeffs.size)
-
-    def __repr__(self):
-        head = ", ".join(f"{c:.6g}" for c in self.coeffs[:4])
-        tail = ", ..." if self.order > 4 else ""
-        return f"PowerSeries([{head}{tail}], order={self.order})"
-
-    def __call__(self, z: complex) -> complex:
-        """Evaluate the truncated polynomial at z (Horner)."""
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
-
-def _check_orders(p: PowerSeries, q: PowerSeries):
-    if p.order != q.order:
-        raise OrderMismatchError(f"orders {p.order} and {q.order} differ")
-
-
-def mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
+def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cauchy product, truncated to the common order."""
-    _check_orders(p, q)
-    return PowerSeries(np.convolve(p.coeffs, q.coeffs)[: p.order])
+    if p.size != q.size:
+        raise OrderMismatchError(f"orders {p.size} and {q.size} differ")
+    return np.convolve(p, q)[: p.size]
 
 
-def add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    _check_orders(p, q)
-    return PowerSeries(p.coeffs + q.coeffs)
-
-
-def scalar_mul(s: complex, p: PowerSeries) -> PowerSeries:
-    return PowerSeries(complex(s) * p.coeffs)
-
-
-def derivative(p: PowerSeries) -> PowerSeries:
-    """Termwise derivative, order drops by one (order-1 input gives order-1 zero)."""
-    if p.order == 1:
-        return PowerSeries(np.zeros(1))
-    n = np.arange(1, p.order)
-    return PowerSeries(n * p.coeffs[1:])
-
-
-def monomial(k: int, order: int) -> PowerSeries:
+def monomial(k: int, order: int) -> np.ndarray:
     """z^k truncated to order; raises ParamOutOfRangeError unless 0 <= k < order."""
     if not 0 <= k < order:
         raise ParamOutOfRangeError(f"need 0 <= k < order, got k={k}, order={order}")
     c = np.zeros(order, dtype=np.complex128)
     c[k] = 1.0
-    return PowerSeries(c)
+    return c
 
 
-def reciprocal(p: PowerSeries) -> PowerSeries:
+def reciprocal(p: np.ndarray) -> np.ndarray:
     """1/p as a truncated series; requires |p_0| > 1e-14."""
-    p0 = p.coeffs[0]
+    p0 = p[0]
     if abs(p0) <= 1e-14:
         raise ZeroConstantTermError(f"constant term {p0!r} too small to invert")
-    n = p.order
+    n = p.size
     q = np.zeros(n, dtype=np.complex128)
     q[0] = 1.0 / p0
     for k in range(1, n):
-        q[k] = -np.dot(p.coeffs[1 : k + 1], q[k - 1 :: -1]) / p0
-    return PowerSeries(q)
+        q[k] = -np.dot(p[1 : k + 1], q[k - 1 :: -1]) / p0
+    return q
 
 
-def exp_series(p: PowerSeries) -> PowerSeries:
+def exp_series(p: np.ndarray) -> np.ndarray:
     """exp(p), by the first-order recurrence f' = p' f with f(0) = exp(p_0)."""
-    n = p.order
+    n = p.size
     f = np.zeros(n, dtype=np.complex128)
-    f[0] = np.exp(p.coeffs[0])
+    f[0] = np.exp(p[0])
     # (k+1) f_{k+1} = sum_{j=0..k} (j+1) p_{j+1} f_{k-j}
-    dp = np.arange(1, n) * p.coeffs[1:]  # coefficients of p', index j -> (j+1) p_{j+1}
+    dp = np.arange(1, n) * p[1:]  # coefficients of p', index j -> (j+1) p_{j+1}
     for k in range(n - 1):
         f[k + 1] = np.dot(dp[: k + 1], f[k::-1]) / (k + 1)
-    return PowerSeries(f)
+    return f
 
 
-def lft_taylor(f: LinearFractionalMap, order: int) -> PowerSeries:
+def lft_taylor(f: LinearFractionalMap, order: int) -> np.ndarray:
     """Taylor coefficients of (a z + b)/(c z + d) about 0.
 
     Requires the pole -d/c strictly outside the closed unit disk (or c = 0),
@@ -144,20 +94,20 @@ def lft_taylor(f: LinearFractionalMap, order: int) -> PowerSeries:
     den[0] = d
     if order > 1:
         den[1] = c
-    return mul(PowerSeries(num), reciprocal(PowerSeries(den)))
+    return mul(num, reciprocal(den))
 
 
-def binomial_power(w: complex, order: int) -> PowerSeries:
+def binomial_power(w: complex, order: int) -> np.ndarray:
     """(1 - z)^w on the principal branch: c_0 = 1, c_{n+1} = c_n (n - w)/(n + 1)."""
     w = complex(w)
     c = np.zeros(order, dtype=np.complex128)
     c[0] = 1.0
     for n in range(order - 1):
         c[n + 1] = c[n] * (n - w) / (n + 1)
-    return PowerSeries(c)
+    return c
 
 
-def cayley_power(w: complex, order: int) -> PowerSeries:
+def cayley_power(w: complex, order: int) -> np.ndarray:
     """((1 + z)/(1 - z))^w: c_0 = 1 and (n+1) c_{n+1} = 2 w c_n + (n-1) c_{n-1}.
 
     The recurrence comes from (1 - z^2) f' = 2 w f.
@@ -168,10 +118,10 @@ def cayley_power(w: complex, order: int) -> PowerSeries:
     for n in range(order - 1):
         prev = c[n - 1] if n >= 1 else 0.0
         c[n + 1] = (2 * w * c[n] + (n - 1) * prev) / (n + 1)
-    return PowerSeries(c)
+    return c
 
 
-def parabolic_eigenfunction(t: float, order: int) -> PowerSeries:
+def parabolic_eigenfunction(t: float, order: int) -> np.ndarray:
     """exp(-t (1 + z)/(1 - z)) for finite t >= 0; constant term exp(-t)."""
     t = float(t)
     if not math.isfinite(t):
@@ -181,10 +131,10 @@ def parabolic_eigenfunction(t: float, order: int) -> PowerSeries:
     # -t (1 + z)/(1 - z) = -t - 2 t (z + z^2 + ...)
     p = np.full(order, -2.0 * t, dtype=np.complex128)
     p[0] = -t
-    return exp_series(PowerSeries(p))
+    return exp_series(p)
 
 
-def compose_series(g: PowerSeries, f: LinearFractionalMap, order: int) -> PowerSeries:
+def compose_series(g: np.ndarray, f: LinearFractionalMap, order: int) -> np.ndarray:
     """Coefficients of g(f(z)) through z^{order-1}, by Horner over g's coefficients.
 
     `f` must be a self-map of the disk or an admissible Fock symbol, and `g`
@@ -195,17 +145,17 @@ def compose_series(g: PowerSeries, f: LinearFractionalMap, order: int) -> PowerS
     on the leading half.  When f(0) = 0 the leading `order` coefficients are
     exact given g's first `order` coefficients.
     """
-    if g.order < order:
+    if g.size < order:
         raise OrderMismatchError(
-            f"generator has order {g.order}, need at least {order}"
+            f"generator has order {g.size}, need at least {order}"
         )
     if not (is_self_map_of_disk(f) or is_fock_symbol(f)):
         raise PoleInsideDiskError("symbol is neither a disk self-map nor a Fock symbol")
     t = lft_taylor(f, order)
     acc = np.zeros(order, dtype=np.complex128)
-    acc[0] = g.coeffs[g.order - 1]
-    for k in range(g.order - 2, -1, -1):
-        acc = np.convolve(acc, t.coeffs)[:order]
-        acc[0] += g.coeffs[k]
-    return PowerSeries(acc)
+    acc[0] = g[g.size - 1]
+    for k in range(g.size - 2, -1, -1):
+        acc = np.convolve(acc, t)[:order]
+        acc[0] += g[k]
+    return acc
 

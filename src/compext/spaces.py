@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lft import DomainError
-from .series import PowerSeries
 
 KINDS = ("hardy", "bergman", "fock")
 
@@ -68,12 +67,3 @@ def monomial_norms(space: SpaceSpec, order: int) -> np.ndarray:
         )
     return norms
 
-
-def coeffs_to_coordinates(p: PowerSeries, space: SpaceSpec) -> np.ndarray:
-    """Coordinates against the orthonormal basis: x_k = p_k ||z^k||."""
-    return p.coeffs * monomial_norms(space, p.order)
-
-
-def coordinates_to_series(x: np.ndarray, space: SpaceSpec) -> PowerSeries:
-    x = np.asarray(x, dtype=np.complex128)
-    return PowerSeries(x / monomial_norms(space, x.size))

@@ -418,6 +418,24 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
                      id="infinite-lambda"),
         pytest.param(_EXT + ["mult:binomial,1e999"], 2,
                      "error: complex literal '1e999' is out of float range", id="infinite-witness-parameter"),
+        # witness entries past the float range, from a finite parameter
+        pytest.param(["matrix", _P, "--n", "64", "--witness", "mult:binomial,1e300", "--format", "mm"], 1,
+                     "error: entries of witness 'mult:binomial,1e300' leave the float range on bergman space "
+                     "at alpha = 1, order 64", id="witness-entries-matrix"),
+        pytest.param(_EXT_48 + ["mult:binomial,1e300"], 1,
+                     "error: entries of witness 'mult:binomial,1e300' leave the float range on bergman space "
+                     "at alpha = 1, order 48", id="witness-entries-extcheck"),
+        pytest.param(["matrix", _P, "--space", "fock", "--n", "8", "--witness", "qmult-shifted:5,1000",
+                      "--format", "json"], 1,
+                     "error: entries of witness 'qmult-shifted:5,1000' leave the float range on fock space "
+                     "at alpha = 1, order 8", id="witness-entries-fock-json"),
+        # a malformed parameter list names the witness and its form
+        pytest.param(_EXT + ["sigma-shift:0.2"], 2, "error: bad witness 'sigma-shift:0.2': expected sigma-shift:c,k",
+                     id="sigma-shift-one-parameter"),
+        pytest.param(_EXT + ["qmult-shifted:0.5"], 2,
+                     "error: bad witness 'qmult-shifted:0.5': expected qmult-shifted:tau,m",
+                     id="qmult-shifted-one-parameter"),
+        pytest.param(_EXT + ["shift:"], 2, "error: bad witness 'shift:': expected shift:k", id="shift-no-parameter"),
         # the class resolves (hyperbolic automorphism); only the witness needs an interior fixed point
         pytest.param(["extcheck", "--phi=1,0.5,0.5,1", "--n", "8", "--witness", "mult:sigma-power,1",
                       "--lam", "1"], 1, "error: symbol has no fixed point inside the open disk",

@@ -15,17 +15,15 @@ from compext import (
     CenterOutsideDiskError,
     DimensionMismatchError,
     LinearFractionalMap,
-    PowerSeries,
+    OperatorMatrix,
     SpaceSpec,
     SymbolNotAdmissibleError,
     WrongSpaceError,
     adjoint,
-    apply_to_series,
     basis_shift_matrix,
-    coeffs_to_coordinates,
+    binomial_power,
     compose,
     composition_matrix,
-    coordinates_to_series,
     direct_sum,
     intertwining_residual,
     matmul,
@@ -131,7 +129,7 @@ def test_fock_accepts_affine_contraction():
 
 
 def test_multiplication_by_z_subdiagonal():
-    z = PowerSeries(np.array([0, 1, 0, 0, 0, 0], dtype=complex))
+    z = np.array([0, 1, 0, 0, 0, 0], dtype=complex)
     sub = np.diag(multiplication_matrix(z, BERGMAN, 6).entries, -1)
     want = [math.sqrt((j + 1) / (j + 2)) for j in range(5)]
     np.testing.assert_allclose(sub, want, rtol=1e-14)
@@ -141,18 +139,19 @@ def test_multiplication_by_z_subdiagonal():
 
 def test_multiplication_is_lower_triangular_and_acts_correctly():
     rng = np.random.default_rng(10)
-    b = PowerSeries(rng.standard_normal(7) + 1j * rng.standard_normal(7))
-    p = PowerSeries(rng.standard_normal(7) + 1j * rng.standard_normal(7))
+    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    p = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     for sp in (HARDY, BERGMAN, FOCK):
         M = multiplication_matrix(b, sp, 7)
         assert np.allclose(np.triu(M.entries, 1), 0)
-        got = coordinates_to_series(M.entries @ coeffs_to_coordinates(p, sp), sp)
-        want = P.polymul(b.coeffs, p.coeffs)[:7]
-        np.testing.assert_allclose(got.coeffs, want, atol=1e-12)
+        nm = monomial_norms(sp, 7)
+        got = M.entries @ (p * nm) / nm
+        want = P.polymul(b, p)[:7]
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_multiplication_by_constant_is_scalar():
-    b = PowerSeries(np.array([2.5 - 1j, 0, 0, 0], dtype=complex))
+    b = np.array([2.5 - 1j, 0, 0, 0], dtype=complex)
     M = multiplication_matrix(b, HARDY, 4)
     np.testing.assert_allclose(M.entries, (2.5 - 1j) * np.eye(4), atol=0)
 
@@ -164,12 +163,11 @@ def test_multiplication_by_constant_is_scalar():
 def test_basis_shift_is_backward():
     X = basis_shift_matrix(2, HARDY, 6)
     np.testing.assert_allclose(X.entries, np.eye(6, k=2), atol=0)
-    # z^m goes to z^(m-2), low powers die
-    p = PowerSeries(np.eye(6, dtype=complex)[4])  # z^4
-    q = apply_to_series(X, p)
-    np.testing.assert_allclose(q.coeffs, np.eye(6, dtype=complex)[2], atol=0)
-    lowp = PowerSeries(np.eye(6, dtype=complex)[1])
-    np.testing.assert_allclose(apply_to_series(X, lowp).coeffs, np.zeros(6), atol=0)
+    # z^m goes to z^(m-2), low powers die (hardy coordinates are coefficients)
+    z4 = np.eye(6, dtype=complex)[4]
+    np.testing.assert_allclose(X.entries @ z4, np.eye(6, dtype=complex)[2], atol=0)
+    z1 = np.eye(6, dtype=complex)[1]
+    np.testing.assert_allclose(X.entries @ z1, np.zeros(6), atol=0)
 
 
 def test_basis_shift_range_checks():
@@ -212,8 +210,8 @@ def test_sigma_shift_steps_down_the_sigma_powers():
     S = sigma_shift_matrix(c, 1, BERGMAN, order)
     p = np.zeros(order, dtype=complex)
     p[:4] = P.polypow([-c, 1.0], 3)
-    x = coeffs_to_coordinates(PowerSeries(p), BERGMAN)
-    q = coordinates_to_series(S.entries @ x, BERGMAN).coeffs
+    nm = monomial_norms(BERGMAN, order)
+    q = S.entries @ (p * nm) / nm
     want = np.zeros(order, dtype=complex)
     want[:3] = P.polypow([-c, 1.0], 2)
     np.testing.assert_allclose(q, want, atol=1e-12)
@@ -327,11 +325,27 @@ def test_direct_sum_requires_matching_space():
 
 def test_op_norm_is_largest_singular_value():
     rng = np.random.default_rng(12)
-    from compext import OperatorMatrix
-
     M = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     A = OperatorMatrix(HARDY, 7, M, "random")
     assert op_norm(A) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0])
+
+
+def test_operator_matrix_owns_its_entries():
+    # series and builder arrays stay writable; the matrix copies and freezes
+    # its entries, so neither they nor the cached spectra can change later
+    rng = np.random.default_rng(13)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    want = M.copy()
+    A = OperatorMatrix(HARDY, 6, M, "random")
+    M[:] = 0
+    np.testing.assert_array_equal(A.entries, want)
+    np.testing.assert_array_equal(A.svdvals, np.linalg.svd(want, compute_uv=False))
+    with pytest.raises(ValueError):
+        A.entries[0, 0] = 1.0
+    b = binomial_power(0.5, 6)
+    B = multiplication_matrix(b, BERGMAN, 6)
+    b[:] = 0
+    assert np.count_nonzero(np.tril(B.entries)) == 21
 
 
 def test_matmul_requires_matching_shapes():
@@ -339,12 +353,6 @@ def test_matmul_requires_matching_shapes():
     B = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 6)
     with pytest.raises(DimensionMismatchError):
         matmul(A, B)
-
-
-def test_apply_to_series_length_check():
-    A = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 4)
-    with pytest.raises(DimensionMismatchError):
-        apply_to_series(A, PowerSeries(np.ones(6, dtype=complex)))
 
 
 # ---------------------------------------------------------------------------

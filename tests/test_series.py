@@ -15,26 +15,22 @@ from compext import (
     NegativeParameterError,
     OrderMismatchError,
     PoleInsideDiskError,
-    PowerSeries,
     ZeroConstantTermError,
-    add,
     binomial_power,
     cayley_power,
     compose_series,
-    derivative,
     exp_series,
     lft_taylor,
     monomial,
     mul,
     parabolic_eigenfunction,
     reciprocal,
-    scalar_mul,
     standard_form,
 )
 
 
 def _ps(*coeffs):
-    return PowerSeries(np.asarray(coeffs, dtype=complex))
+    return np.asarray(coeffs, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -46,34 +42,15 @@ def test_mul_matches_polymul():
     for _ in range(20):
         p = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         q = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        got = mul(PowerSeries(p), PowerSeries(q)).coeffs
+        got = mul(p, q)
         want = P.polymul(p, q)[:8]
         np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_add_sub_scalar_mul():
-    p, q = _ps(1, 2, 3), _ps(0, 1, -1)
-    np.testing.assert_allclose(add(p, q).coeffs, [1, 3, 2])
-    np.testing.assert_allclose(scalar_mul(2j, p).coeffs, [2j, 4j, 6j])
-
-
-def test_evaluation_is_horner():
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    p = PowerSeries(c)
-    for z in (0.3, -0.2 + 0.4j, 0.9j):
-        assert p(z) == pytest.approx(P.polyval(z, c))
-
-
-def test_derivative_drops_order():
-    p = _ps(5, 1, 2, 3)  # 5 + z + 2z^2 + 3z^3
-    d = derivative(p)
-    assert d.order == p.order - 1
-    np.testing.assert_allclose(d.coeffs, [1, 4, 9])
+    with pytest.raises(OrderMismatchError):
+        mul(_ps(1, 2), _ps(1, 2, 3))
 
 
 def test_monomial_and_constant():
-    np.testing.assert_allclose(monomial(2, 5).coeffs, [0, 0, 1, 0, 0])
+    np.testing.assert_allclose(monomial(2, 5), [0, 0, 1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +60,7 @@ def test_monomial_and_constant():
 def test_reciprocal_geometric_series():
     # 1/(1 - z/2) = sum (z/2)^n
     p = _ps(1, -0.5, 0, 0, 0, 0)
-    np.testing.assert_allclose(reciprocal(p).coeffs, 0.5 ** np.arange(6), atol=1e-14)
+    np.testing.assert_allclose(reciprocal(p), 0.5 ** np.arange(6), atol=1e-14)
 
 
 def test_reciprocal_is_a_ring_inverse():
@@ -91,8 +68,7 @@ def test_reciprocal_is_a_ring_inverse():
     for _ in range(10):
         c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         c[0] = 1.0 + abs(c[0])  # keep the constant term well away from zero
-        p = PowerSeries(c)
-        prod = mul(p, reciprocal(p)).coeffs
+        prod = mul(c, reciprocal(c))
         want = np.zeros(12)
         want[0] = 1.0
         np.testing.assert_allclose(prod, want, atol=1e-10)
@@ -105,17 +81,17 @@ def test_reciprocal_zero_constant_term():
 
 def test_exp_of_linear_is_exponential():
     a = 0.7 + 0.2j
-    got = exp_series(_ps(0, a, 0, 0, 0, 0, 0, 0)).coeffs
+    got = exp_series(_ps(0, a, 0, 0, 0, 0, 0, 0))
     want = [a**n / math.factorial(n) for n in range(8)]
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_exp_is_multiplicative():
     rng = np.random.default_rng(4)
-    p = PowerSeries(np.concatenate([[0], rng.standard_normal(9) * 0.3]))
-    q = PowerSeries(np.concatenate([[0], rng.standard_normal(9) * 0.3]))
-    lhs = exp_series(add(p, q)).coeffs
-    rhs = mul(exp_series(p), exp_series(q)).coeffs
+    p = np.asarray(np.concatenate([[0], rng.standard_normal(9) * 0.3]), dtype=complex)
+    q = np.asarray(np.concatenate([[0], rng.standard_normal(9) * 0.3]), dtype=complex)
+    lhs = exp_series(p + q)
+    rhs = mul(exp_series(p), exp_series(q))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -126,14 +102,14 @@ def test_exp_is_multiplicative():
 def test_lft_taylor_closed_form():
     # (z + 0.5)/(1 + 0.5 z): c0 = 1/2 and c_n = 0.75 (-1/2)^(n-1) for n >= 1
     f = standard_form("hyperbolic-automorphism", r=0.5)
-    got = lft_taylor(f, 8).coeffs
+    got = lft_taylor(f, 8)
     want = [0.5] + [0.75 * (-0.5) ** (n - 1) for n in range(1, 8)]
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 def test_lft_taylor_affine_is_exact():
     f = LinearFractionalMap(0.5, 1.0, 0, 1)
-    got = lft_taylor(f, 5).coeffs
+    got = lft_taylor(f, 5)
     np.testing.assert_allclose(got, [1.0, 0.5, 0, 0, 0], atol=0)
 
 
@@ -147,7 +123,7 @@ def test_lft_taylor_matches_evaluation():
     p = lft_taylor(f, 40)
     for z in (0.2, -0.3 + 0.1j, 0.5j):
         want = (f.a * z + f.b) / (f.c * z + f.d)
-        assert p(z) == pytest.approx(want, abs=1e-12)
+        assert P.polyval(z, p) == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +131,28 @@ def test_lft_taylor_matches_evaluation():
 
 
 def test_binomial_power_integer_cases():
-    np.testing.assert_allclose(binomial_power(1.0, 4).coeffs, [1, -1, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(binomial_power(2.0, 4).coeffs, [1, -2, 1, 0], atol=1e-14)
+    np.testing.assert_allclose(binomial_power(1.0, 4), [1, -1, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(binomial_power(2.0, 4), [1, -2, 1, 0], atol=1e-14)
 
 
 def test_binomial_power_half_frozen():
     # (1 - z)^(1/2) via exp(0.5 log(1-z)) with numpy.polynomial arithmetic
     want = [1.0, -0.5, -0.125, -0.0625, -0.0390625, -0.02734375,
             -0.0205078125, -0.01611328125]
-    np.testing.assert_allclose(binomial_power(0.5, 8).coeffs, want, atol=1e-14)
+    np.testing.assert_allclose(binomial_power(0.5, 8), want, atol=1e-14)
 
 
 def test_binomial_power_complex_exponent_multiplies():
     # (1-z)^u (1-z)^v = (1-z)^(u+v)
     u, v = 1 + 1j, 0.5 - 2j
-    lhs = mul(binomial_power(u, 12), binomial_power(v, 12)).coeffs
-    rhs = binomial_power(u + v, 12).coeffs
+    lhs = mul(binomial_power(u, 12), binomial_power(v, 12))
+    rhs = binomial_power(u + v, 12)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_cayley_power_one_is_the_cayley_transform():
     # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
-    got = cayley_power(1.0, 6).coeffs
+    got = cayley_power(1.0, 6)
     np.testing.assert_allclose(got, [1, 2, 2, 2, 2, 2], atol=1e-13)
 
 
@@ -184,16 +160,16 @@ def test_cayley_power_satisfies_its_ode():
     # f = ((1+z)/(1-z))^w satisfies (1 - z^2) f' = 2 w f
     w = 0.7 - 1.3j
     f = cayley_power(w, 20)
-    fp = derivative(f)
+    fp = np.append(P.polyder(f), 0.0)
     one_minus_z2 = _ps(*([1, 0, -1] + [0] * 17))
-    lhs = mul(one_minus_z2, PowerSeries(np.append(fp.coeffs, 0.0))).coeffs
-    rhs = scalar_mul(2 * w, PowerSeries(f.coeffs[:19])).coeffs
+    lhs = mul(one_minus_z2, fp)
+    rhs = 2 * w * f[:19]
     np.testing.assert_allclose(lhs[:18], rhs[:18], atol=1e-10)
 
 
 def test_cayley_power_negative_exponent_is_reciprocal():
     w = 0.4 + 0.9j
-    prod = mul(cayley_power(w, 16), cayley_power(-w, 16)).coeffs
+    prod = mul(cayley_power(w, 16), cayley_power(-w, 16))
     want = np.zeros(16)
     want[0] = 1.0
     np.testing.assert_allclose(prod, want, atol=1e-11)
@@ -205,19 +181,19 @@ def test_parabolic_eigenfunction_frozen_contour_values():
     want = [0.36787944117144233, -0.7357588823428847, 0.0,
             0.24525296078096148, 0.24525296078096148, 0.1471517764685768,
             0.03270039477079356, -0.05839356209070412]
-    got = parabolic_eigenfunction(1.0, 8).coeffs
+    got = parabolic_eigenfunction(1.0, 8)
     np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 def test_parabolic_eigenfunction_t_zero_is_one():
-    got = parabolic_eigenfunction(0.0, 5).coeffs
+    got = parabolic_eigenfunction(0.0, 5)
     np.testing.assert_allclose(got, [1, 0, 0, 0, 0], atol=0)
 
 
 def test_parabolic_eigenfunction_adds_in_t():
     lhs = mul(parabolic_eigenfunction(1.0, 14), parabolic_eigenfunction(2.0, 14))
     rhs = parabolic_eigenfunction(3.0, 14)
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-9)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 def test_parabolic_eigenfunction_rejects_negative_t():
@@ -233,8 +209,8 @@ def test_compose_with_rotation_scales_coefficients():
     g = _ps(*np.arange(1.0, 9.0))
     w = np.exp(0.4j)
     rot = LinearFractionalMap(w, 0, 0, 1)
-    got = compose_series(g, rot, 8).coeffs
-    want = g.coeffs * w ** np.arange(8)
+    got = compose_series(g, rot, 8)
+    want = g * w ** np.arange(8)
     np.testing.assert_allclose(got, want, atol=1e-13)
 
 
@@ -244,7 +220,7 @@ def test_compose_matches_pointwise_evaluation():
     h = compose_series(g, f, 24)
     for z in (0.1, 0.2 - 0.1j):
         w = f.a * z + f.b
-        assert h(z) == pytest.approx(g(w), abs=1e-10)
+        assert P.polyval(z, h) == pytest.approx(P.polyval(w, g), abs=1e-10)
 
 
 def test_compose_order_shortfall_rejected():
@@ -264,14 +240,4 @@ def test_compose_accepts_fock_symbol():
     # affine expansion-free symbol is fine even though it is not a disk self-map
     g = _ps(*np.ones(8))
     out = compose_series(g, LinearFractionalMap(0.5, 1.0, 0, 1), 8)
-    assert out.order == 8
-
-
-# ---------------------------------------------------------------------------
-# immutability
-
-
-def test_power_series_is_immutable():
-    p = monomial(1, 4)
-    with pytest.raises((ValueError, AttributeError)):
-        p.coeffs[0] = 5.0
+    assert out.shape == (8,)

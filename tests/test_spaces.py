@@ -1,14 +1,11 @@
-"""Tests for the three norm models: monomial norms, coordinates, SpaceSpec."""
+"""Tests for the three norm models: monomial norms and SpaceSpec."""
 import math
 
 import numpy as np
 import pytest
 
 from compext import (
-    PowerSeries,
     SpaceSpec,
-    coeffs_to_coordinates,
-    coordinates_to_series,
     monomial_norm,
     monomial_norms,
 )
@@ -42,14 +39,6 @@ def test_monomial_norms_vector():
         v = monomial_norms(sp, 9)
         assert v.shape == (9,)
         np.testing.assert_allclose(v, [monomial_norm(sp, n) for n in range(9)])
-
-
-def test_coordinates_round_trip():
-    rng = np.random.default_rng(6)
-    p = PowerSeries(rng.standard_normal(10) + 1j * rng.standard_normal(10))
-    for sp in (HARDY, BERGMAN, FOCK):
-        q = coordinates_to_series(coeffs_to_coordinates(p, sp), sp)
-        np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-14)
 
 
 def test_space_spec_validation_and_json():

@@ -56,9 +56,12 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # unit-circle annulus, closed disk), the one scan known to settle its
 # Sylvester values by inverse iteration (ztrsyl solves; every other request
 # settles them by the certificate, exact or dense route) and two witness
-# labels, in Matrix Market and in JSON; then one request per failure path:
-# seven domain errors and an unmet --require-prediction (exit 1), a bad
-# witness and an empty grid (exit 2) and an unresolved class (exit 3)
+# labels, in Matrix Market and in JSON; the entries of six more witness
+# kinds in Matrix Market (the pools compare witnesses only through one
+# extcheck residual each); then one request per failure path: ten domain
+# errors (three of them witness entries past the float range) and an unmet
+# --require-prediction (exit 1), an unknown witness, three malformed witness
+# parameter lists and an empty grid (exit 2) and an unresolved class (exit 3)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -75,6 +78,12 @@ OFF_POOL = [
     ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:0.5,2", "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "mult:binomial,1+1i", "--format", "json"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:monomial,3", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:cayley,1i", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:exponential,1.0", "--format", "mm"],
+    ["matrix", "--phi=0.5,0.1,0,1", "--n", "16", "--witness", "mult:sigma-power,2", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "sigma-shift:0.2,2", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--space", "fock", "--witness", "qdiff:2", "--format", "mm"],
     ["matrix", "--phi=2,0,0,1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qdiff:1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:9"],
@@ -83,7 +92,13 @@ OFF_POOL = [
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "mult:exponential,-1"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--alpha", "0.01", "--n", "256"],
     ["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8", "--points", "16", "--require-prediction"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "64", "--witness", "mult:binomial,1e300", "--format", "mm"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "64", "--lam", "1", "--witness", "mult:binomial,1e300"],
+    ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:5,1000", "--format", "json"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:0.2"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"],
 ]
