@@ -79,7 +79,6 @@ from .extspec import (
     GridSpec,
     PredictedExt,
     SingularTruncationError,
-    SuiteReport,
     SylvesterProbe,
     TooLargeError,
     UnresolvedClassError,
@@ -88,7 +87,6 @@ from .extspec import (
     build_witness,
     ext_scan,
     intertwining_residual,
-    lemma_suite,
     make_grid,
     predicted_ext,
     ratio_distance,

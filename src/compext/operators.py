@@ -90,9 +90,6 @@ class OperatorMatrix:
     def relabel(self, label: str) -> "OperatorMatrix":
         return replace(self, label=label)
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return matmul(self, other)
-
 
 def _eig_with_reliability(A: OperatorMatrix):
     """Eigenvalues plus a forward-error estimate for each one.

@@ -24,7 +24,6 @@ from compext import (
     ext_scan,
     format_complex,
     intertwining_residual,
-    lemma_suite,
     matrix_power,
     multiplication_matrix,
     op_norm,
@@ -34,6 +33,7 @@ from compext import (
     standard_form,
     ratio_set,
 )
+from lemmas import lemma_suite
 
 BERGMAN = SpaceSpec("bergman")
 FOCK = SpaceSpec("fock")

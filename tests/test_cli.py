@@ -440,6 +440,10 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
         pytest.param(["extcheck", "--phi=1,0.5,0.5,1", "--n", "8", "--witness", "mult:sigma-power,1",
                       "--lam", "1"], 1, "error: symbol has no fixed point inside the open disk",
                      id="sigma-power-without-interior-fixed-point"),
+        # C(100000, m) passes the float range for m near 255; the terms underflow to 0, as at n = 8
+        pytest.param(["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness",
+                      "mult:sigma-power,100000"], 1, "error: zero operator has no meaningful residual",
+                     id="sigma-power-binomial-past-float-range"),
     ],
 )
 def test_failure_exit_code_and_message(argv, code, line):

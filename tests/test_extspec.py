@@ -33,7 +33,6 @@ from compext import (
     format_complex,
     format_lft,
     intertwining_residual,
-    lemma_suite,
     make_grid,
     op_norm,
     predicted_ext,
@@ -44,6 +43,7 @@ from compext import (
 )
 from compext.cli import main
 from compext.extspec import _dedup_sorted, _power_members
+from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
 BERGMAN = SpaceSpec("bergman")

@@ -106,7 +106,7 @@ def test_composition_homomorphism_on_leading_block():
     f2 = standard_form("loxodromic", a=0.4j, c=0.2)
     n = 32
     lhs = composition_matrix(compose(f1, f2), HARDY, n).entries
-    rhs = (composition_matrix(f2, HARDY, n) @ composition_matrix(f1, HARDY, n)).entries
+    rhs = composition_matrix(f2, HARDY, n).entries @ composition_matrix(f1, HARDY, n).entries
     half = n // 2
     assert np.abs((lhs - rhs)[:half, :half]).max() < 1e-8
 

@@ -58,8 +58,9 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # settles them by the certificate, exact or dense route) and two witness
 # labels, in Matrix Market and in JSON; the entries of six more witness
 # kinds in Matrix Market (the pools compare witnesses only through one
-# extcheck residual each); then one request per failure path: ten domain
-# errors (three of them witness entries past the float range) and an unmet
+# extcheck residual each); then one request per failure path: eleven domain
+# errors (three of them witness entries past the float range, one a sigma-power
+# witness whose binomial coefficients pass it) and an unmet
 # --require-prediction (exit 1), an unknown witness, three malformed witness
 # parameter lists and an empty grid (exit 2) and an unresolved class (exit 3)
 OFF_POOL = [
@@ -95,6 +96,7 @@ OFF_POOL = [
     ["matrix", "--phi=0.5,0,0,1", "--n", "64", "--witness", "mult:binomial,1e300", "--format", "mm"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "64", "--lam", "1", "--witness", "mult:binomial,1e300"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:5,1000", "--format", "json"],
+    ["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness", "mult:sigma-power,100000"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:0.2"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
