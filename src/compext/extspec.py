@@ -37,17 +37,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .lft import (
     DomainError,
     LinearFractionalMap,
+    ParamOutOfRangeError,
     classify,
     format_complex,
     is_fock_symbol,
@@ -241,6 +241,18 @@ def ratio_distance(lam, ratios: np.ndarray) -> np.ndarray:
 # Sylvester probe
 
 
+def __getattr__(name: str):
+    """`lapack` (scipy.linalg.lapack) is imported on first access and kept as
+    a module global, which tests and tracers may rebind; importing scipy.linalg
+    with the package would more than double the cost of `import compext`."""
+    if name == "lapack":
+        from scipy.linalg import lapack
+
+        globals()["lapack"] = lapack
+        return lapack
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class SylvesterProbe:
     """Normalized sigma_min of X -> A X - lambda X A, reusable across lambdas.
 
@@ -272,6 +284,8 @@ class SylvesterProbe:
             raise TooLargeError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
         self.n = n
         self.norm_a = float(A.svdvals[0])
+        import scipy.linalg  # loaded on first use, as in _eig_with_reliability
+
         self.t, _ = scipy.linalg.schur(A.entries, output="complex")
         off = np.linalg.norm(np.triu(self.t, 1))
         normal = off <= n * np.finfo(float).eps * np.linalg.norm(self.t)
@@ -287,9 +301,10 @@ class SylvesterProbe:
     def _solve(self, lam: complex, c: np.ndarray, adjoint_eq: bool) -> np.ndarray | None:
         # trsyl solves op(A) X + isgn X op(B) = scale C for triangular A, B;
         # with B = -lam T, tranb="C" already conjugates lam, giving the
-        # adjoint equation T^H Y - conj(lam) Y T^H = C
+        # adjoint equation T^H Y - conj(lam) Y T^H = C.  lapack is looked up on
+        # the module, where __getattr__ loads it and a rebinding replaces it
         tr = "C" if adjoint_eq else "N"
-        x, scale, info = lapack.ztrsyl(self.t, -lam * self.t, c, trana=tr, tranb=tr, isgn=1)
+        x, scale, info = sys.modules[__name__].lapack.ztrsyl(self.t, -lam * self.t, c, trana=tr, tranb=tr, isgn=1)
         if info < 0 or not np.all(np.isfinite(x)) or scale == 0:
             return None
         return x / scale
@@ -763,7 +778,10 @@ def ext_scan(
 def _sigma_power_series(c: complex, k: int, order: int) -> np.ndarray:
     """Coefficients of (z - c)^k below degree `order`: C(k, m) (-c)^(k - m) at
     z^m.  A term whose C(k, m) passes the float range is formed from
-    logarithms instead, where it under- or overflows as a float does."""
+    logarithms instead, where it under- or overflows as a float does.  A
+    negative k is refused: (z - c)^k then has its pole inside the disk."""
+    if k < 0:
+        raise ParamOutOfRangeError(f"need k >= 0, got k={k}")
     coeffs = np.zeros(order, dtype=np.complex128)
     for m in range(min(k, order - 1) + 1):
         binom = math.comb(k, m)

@@ -46,7 +46,8 @@ class IdentityMapError(DomainError):
 
 class ParamOutOfRangeError(DomainError):
     """A parameter violates its constraint: a standard-form parameter, a
-    monomial degree outside [0, order), or a non-finite exponential-family t."""
+    monomial degree outside [0, order), a negative matrix or sigma power, or a
+    non-finite exponential-family t."""
 
 
 class Infinity:

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
+from .lft import DomainError, LinearFractionalMap, ParamOutOfRangeError, is_fock_symbol, is_self_map_of_disk
 from .series import lft_taylor
 from .spaces import NormRangeError, SpaceSpec, monomial_norms
 
@@ -99,7 +98,11 @@ def _eig_with_reliability(A: OperatorMatrix):
     the standard first-order perturbation bound; for severely nonnormal
     truncations the unreliable eigenvalues show err far above |mu|.
     Read it through OperatorMatrix.eig_reliability, which computes it once.
+    scipy.linalg is imported here, not with the package: most commands never
+    need it, and it costs more than the rest of the import together.
     """
+    import scipy.linalg
+
     w, vl, vr = scipy.linalg.eig(A.entries, left=True, right=True)
     overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
@@ -129,7 +132,7 @@ def adjoint(A: OperatorMatrix) -> OperatorMatrix:
 
 def matrix_power(A: OperatorMatrix, k: int) -> OperatorMatrix:
     if k < 0:
-        raise ValueError("negative powers not supported")
+        raise ParamOutOfRangeError(f"need a nonnegative power, got {k}")
     label = f"({A.label})^{k}" if A.label else ""
     return OperatorMatrix(A.space, A.order, np.linalg.matrix_power(A.entries, k), label)
 
@@ -289,8 +292,7 @@ def operator_to_matrix_market(A: OperatorMatrix) -> str:
         f"% space={A.space.kind} alpha={A.space.alpha} label={A.label}",
         f"{A.order} {A.order} {A.order * A.order}",
     ]
-    for i in range(A.order):
-        for j in range(A.order):
-            z = A.entries[i, j]
-            lines.append(f"{i + 1} {j + 1} {float(z.real)!r} {float(z.imag)!r}")
+    real, imag = A.entries.real.tolist(), A.entries.imag.tolist()  # rows of Python floats
+    for i, (re_row, im_row) in enumerate(zip(real, imag), start=1):
+        lines.extend(f"{i} {j} {x!r} {y!r}" for j, (x, y) in enumerate(zip(re_row, im_row), start=1))
     return "\n".join(lines) + "\n"

@@ -354,6 +354,7 @@ def test_every_exported_error_but_two_is_a_domain_error():
 _P = "--phi=0.5,0,0,1"
 _EXT = ["extcheck", _P, "--n", "8", "--lam", "1", "--witness"]
 _EXT_48 = ["extcheck", _P, "--n", "48", "--lam", "1", "--witness"]
+_EXT_FOCK = ["extcheck", "--phi=0.5,0.1,0,1", "--space", "fock", "--n", "8", "--lam", "1", "--witness"]
 _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "256"]
 
 
@@ -444,6 +445,13 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
         pytest.param(["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness",
                       "mult:sigma-power,100000"], 1, "error: zero operator has no meaningful residual",
                      id="sigma-power-binomial-past-float-range"),
+        # a negative power is a parameter out of range, as mult:monomial,-1 is
+        pytest.param(_EXT_FOCK + ["qdiff:-1"], 1, "error: need a nonnegative power, got -1",
+                     id="negative-qdiff-power"),
+        pytest.param(_EXT_FOCK + ["qmult-shifted:0.5,-1"], 1, "error: need a nonnegative power, got -1",
+                     id="negative-qmult-shifted-power"),
+        pytest.param(["matrix", "--phi=0.5,0.1,0,1", "--n", "8", "--witness", "mult:sigma-power,-1", "--format", "mm"],
+                     1, "error: need k >= 0, got k=-1", id="negative-sigma-power"),
     ],
 )
 def test_failure_exit_code_and_message(argv, code, line):
