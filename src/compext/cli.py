@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -45,7 +46,6 @@ from .extspec import (
 )
 from .lft import (
     DomainError,
-    LinearFractionalMap,
     classify,
     format_complex,
     format_lft,
@@ -107,22 +107,20 @@ def _candidates_type(text: str) -> int | str:
     return text if text == "all" else _bounded_int(0, math.inf, "--candidates")(text)
 
 
-def _phi_type(text: str) -> LinearFractionalMap:
-    try:
-        return parse_lft(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _parsed(parse: Callable[[str], object]):
+    """An argparse type that reports parse's ValueError as a usage error."""
 
+    def conv(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-def _complex_type(text: str) -> complex:
-    try:
-        return parse_complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    return conv
 
 
 def _add_common(p: argparse.ArgumentParser, need_phi: bool = True):
-    p.add_argument("--phi", type=_phi_type, required=need_phi,
+    p.add_argument("--phi", type=_parsed(parse_lft), required=need_phi,
                    help="symbol as 'a,b,c,d' with complex entries in x+yi form")
     p.add_argument("--space", choices=("hardy", "bergman", "fock"), default="bergman")
     p.add_argument("--alpha", type=_finite_float, default=1.0, help="fock weight parameter")
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True,
                    help="identity | shift:k | sigma-shift:c,k | qdiff:m | "
                         "qmult-shifted:tau,m | mult:family,param")
-    p.add_argument("--lam", required=True, type=_complex_type, help="trial lambda, x+yi")
+    p.add_argument("--lam", required=True, type=_parsed(parse_complex), help="trial lambda, x+yi")
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--threshold", type=_finite_float, default=1e-8)
     p.set_defaults(func=cmd_extcheck)

@@ -40,7 +40,6 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -117,14 +116,22 @@ def intertwining_residual(
     order/2, say) keeps the same share of that coupling at every order.
     There, hold the kept block fixed (margin = order - block) and grow the
     order to see an exact witness converge.
+
+    Raises NormRangeError when an entry of the kept block leaves the float
+    range.
     """
     if A.order != X.order or A.space != X.space:
         raise DimensionMismatchError("witness and operator must match in space and order")
     if not 0 <= margin < A.order:
         raise DimensionMismatchError(f"margin must lie in [0, {A.order - 1}]")
     keep = A.order - margin
-    R = A.entries @ X.entries - complex(lam) * (X.entries @ A.entries)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        R = A.entries @ X.entries - complex(lam) * (X.entries @ A.entries)
     block = R[:keep, :keep]
+    if not np.isfinite(block).all():
+        raise NormRangeError(
+            f"entries of A X - lambda X A leave the float range at lambda = {format_complex(lam)}"
+        )
     denom = op_norm(A) * op_norm(X)
     if denom == 0:
         raise DimensionMismatchError("zero operator has no meaningful residual")
@@ -429,7 +436,7 @@ class PredictedExt:
 
 
 def _power_members(base: complex, lo: float, hi: float, pad: float) -> np.ndarray:
-    """All powers base^j whose modulus lies in [lo - pad, hi + pad]."""
+    """All powers base^j, |j| <= 64, whose modulus lies in [lo - pad, hi + pad]."""
     out = []
     for j in range(-64, 65):
         try:
@@ -570,10 +577,11 @@ def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> Che
     return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
 
 
-def _rotation_circle(w, order, points, targets):
+def _rotation_circle(w, order, points):
     """The circle |lambda| = 1, 504 points, probed as ext_scan's default
-    does; every flag within one step of targets(w, order)."""
-    near = targets(w, order)
+    does; every flag within one step of w^k, |k| < order, the ratio set of
+    the section, which is diagonal with entries w^j, on fock as on bergman."""
+    near = np.unique(np.round(w ** np.arange(-(order - 1), order), 12))
 
     def check(rep):
         return [_scan_near_set(rep, near, "scan-flags-near-powers")]
@@ -649,23 +657,9 @@ class _Recipe:
 
 
 _RECIPES = {
-    # the two rotations target the powers of w in different forms: every
-    # w^j, |j| <= 64, on fock, and w^k, |k| < order, rounded, on bergman
-    "fock-rotation": _Recipe(
-        "discrete-cyclic",
-        _fock_rotation_rows,
-        partial(_rotation_circle, targets=lambda w, order: _power_members(w, 1.0, 1.0, 1e-9)),
-        _fock_metadata,
-    ),
+    "fock-rotation": _Recipe("discrete-cyclic", _fock_rotation_rows, _rotation_circle, _fock_metadata),
     "fock-affine-contraction": _Recipe("discrete-cyclic", _fock_affine_rows, _power_annulus, _fock_metadata),
-    "elliptic-automorphism": _Recipe(
-        "discrete-cyclic",
-        _elliptic_rows,
-        partial(
-            _rotation_circle,
-            targets=lambda w, order: np.unique(np.round(w ** np.arange(-(order - 1), order), 12)),
-        ),
-    ),
+    "elliptic-automorphism": _Recipe("discrete-cyclic", _elliptic_rows, _rotation_circle),
     "hyperbolic-automorphism": _Recipe("unit-circle", _cayley_rows, _unit_circle_annulus, _annulus_metadata),
     "hyperbolic-na-1": _Recipe("closed-punctured-disk", _binomial_rows, _closed_disk, _disk_metadata),
     "hyperbolic-na-3": _Recipe("discrete-cyclic", _sigma_rows, _power_annulus, _sigma_metadata),

@@ -430,6 +430,10 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
                       "--format", "json"], 1,
                      "error: entries of witness 'qmult-shifted:5,1000' leave the float range on fock space "
                      "at alpha = 1, order 8", id="witness-entries-fock-json"),
+        # finite witness and lambda whose product lam * (X A) passes the float range
+        pytest.param(["extcheck", "--phi=1i,0,0,1", "--n", "9", "--witness", "mult:cayley,100i", "--lam=1e300"], 1,
+                     "error: entries of A X - lambda X A leave the float range at lambda = 1e+300",
+                     id="residual-past-float-range"),
         # a malformed parameter list names the witness and its form
         pytest.param(_EXT + ["sigma-shift:0.2"], 2, "error: bad witness 'sigma-shift:0.2': expected sigma-shift:c,k",
                      id="sigma-shift-one-parameter"),

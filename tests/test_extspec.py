@@ -42,7 +42,7 @@ from compext import (
     verify_theorem_suite,
 )
 from compext.cli import main
-from compext.extspec import _dedup_sorted, _power_members
+from compext.extspec import _dedup_sorted, _power_members, _rotation_circle
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -654,6 +654,25 @@ def test_verify_fock_rotation_passes():
     assert report.kind == "fock-rotation"
     assert report.passed
     assert all(r.passed for r in report.rows)
+
+
+# irrational rotations: the order-N section is diagonal with entries w^j, so
+# its ratio set is {w^k : |k| < N}, on fock as on bergman
+IRRATIONAL_U = (0.1234567, 0.3183099)
+
+
+@pytest.mark.parametrize("u,order", [(IRRATIONAL_U[0], 128), (IRRATIONAL_U[1], 128), (IRRATIONAL_U[1], 256)])
+def test_verify_irrational_fock_rotation_scan_passes(u, order):
+    report = verify_theorem_suite(LinearFractionalMap(cmath.exp(2j * math.pi * u), 0, 0, 1), FOCK, order)
+    assert [(r.name, r.passed) for r in report.scan_rows] == [("scan-flags-near-powers", True)]
+
+
+def test_rotation_scan_rejects_another_rotations_powers():
+    w, other = (cmath.exp(2j * math.pi * u) for u in IRRATIONAL_U)
+    grid, candidates, check = _rotation_circle(w, 128, None)
+    report = ext_scan(composition_matrix(LinearFractionalMap(w, 0, 0, 1), FOCK, 128), grid, candidates=candidates)
+    assert check(report)[0].passed
+    assert not _rotation_circle(other, 128, None)[2](report)[0].passed
 
 
 def test_verify_fock_affine_passes():

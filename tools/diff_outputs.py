@@ -53,16 +53,19 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # non-self-map, matrix JSON, an unresolved class, a prediction without a base,
 # skipped probes in JSON rows and in the CSV, verify at its default scan
 # sizes, one request per scan kind (rotation circle, power annulus,
-# unit-circle annulus, closed disk), the one scan known to settle its
-# Sylvester values by inverse iteration (ztrsyl solves; every other request
-# settles them by the certificate, exact or dense route) and two witness
-# labels, in Matrix Market and in JSON; the entries of six more witness
-# kinds in Matrix Market (the pools compare witnesses only through one
-# extcheck residual each); then one request per failure path: eleven domain
-# errors (three of them witness entries past the float range, one a sigma-power
-# witness whose binomial coefficients pass it) and an unmet
-# --require-prediction (exit 1), an unknown witness, three malformed witness
-# parameter lists and an empty grid (exit 2) and an unresolved class (exit 3)
+# unit-circle annulus, closed disk), an irrational Fock rotation (w = e^{2i}
+# at N = 128, whose scan flags lie near w^k, |k| < N, only), the one scan
+# known to settle its Sylvester values by inverse iteration (ztrsyl solves;
+# every other request settles them by the certificate, exact or dense route)
+# and two witness labels, in Matrix Market and in JSON; the entries of six
+# more witness kinds in Matrix Market (the pools compare witnesses only
+# through one extcheck residual each); then one request per failure path:
+# twelve domain errors (three of them witness entries past the float range,
+# one a sigma-power witness whose binomial coefficients pass it, one the
+# residual A X - lambda X A past it from a finite witness and lambda) and an
+# unmet --require-prediction (exit 1), an unknown witness, three malformed
+# witness parameter lists and an empty grid (exit 2) and an unresolved class
+# (exit 3)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -76,6 +79,7 @@ OFF_POOL = [
     ["verify", "--phi=0.5,0.1,0,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
+    ["verify", "--phi=-0.41614691548307164+0.9092973907000532i,0,0,1", "--space", "fock", "--n", "128"],
     ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:0.5,2", "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "mult:binomial,1+1i", "--format", "json"],
@@ -97,6 +101,7 @@ OFF_POOL = [
     ["extcheck", "--phi=0.5,0,0,1", "--n", "64", "--lam", "1", "--witness", "mult:binomial,1e300"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:5,1000", "--format", "json"],
     ["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness", "mult:sigma-power,100000"],
+    ["extcheck", "--phi=1i,0,0,1", "--space", "bergman", "--n", "9", "--witness", "mult:cayley,100i", "--lam=1e300"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:0.2"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
