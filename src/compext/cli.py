@@ -4,17 +4,19 @@ Subcommands: classify, matrix, eigs, extcheck, extscan, verify.  Every
 command echoes its resolved configuration in the JSON it emits, so runs are
 reproducible from their own output; output is byte-stable across runs with
 the same inputs, except for the timestamp field.  This module alone decides
-how results become JSON (_encode) and CSV (cmd_extscan).
+how results become JSON and CSV: json.dumps writes each document, with
+_encode for the types it does not know, and the column writer (_Block,
+_csv) writes the arrays: extscan rows, eigs arrays and matrix entries.
 
 Exit codes: 0 success; 1 any compext DomainError (inadmissible symbol,
 wrong space, singular truncation, Fock norms or matrix entries out of float
 range, ...), a failed verify, or an unresolved class under extscan
 --require-prediction; 2 any other ValueError, usage or parse error (an
-empty grid or one with a non-finite radius or radius ratio; checked at parse
-time: a degenerate --phi, a complex literal past the float range in --phi or
---lam, a non-finite --alpha or --threshold, a negative --seed and a
---candidates that is neither 'all' nor an integer >= 0); 3 unresolved symbol
-class.
+empty grid or one with a non-finite radius, radius ratio, point or step;
+checked at parse time: a degenerate --phi, a complex literal past the float
+range in --phi or --lam, a non-finite --alpha or --threshold, a negative
+--seed and a --candidates that is neither 'all' nor an integer >= 0); 3
+unresolved symbol class.
 """
 
 from __future__ import annotations
@@ -166,15 +168,10 @@ def _fields(obj) -> dict:
 
 def _encode(obj):
     """json.dumps hook for what the standard encoder does not know: a complex
-    number as [re, im], INF as null, an ndarray as its flat row-major list, a
-    numpy scalar as its Python value and a dataclass as _fields(obj)."""
+    number as [re, im], INF as null, a numpy scalar as its Python value and a
+    dataclass as _fields(obj)."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        flat = obj.ravel()
-        if np.iscomplexobj(flat):  # all pairs at once, not one hook call per entry
-            return np.stack([flat.real, flat.imag], axis=-1).tolist()
-        return flat.tolist()
     if isinstance(obj, np.generic):
         return obj.item()
     if is_inf(obj):
@@ -182,6 +179,98 @@ def _encode(obj):
     if dataclasses.is_dataclass(obj):
         return _fields(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# How a column's words read in the text: str(list) writes floats with
+# float.__repr__, as json and the CSV f-string do, non-finite ones as nan, inf
+# and -inf, and flags as True and False.  "-inf" comes first, so that a column
+# that writes inf as null does not leave its sign behind.
+_JSON = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN", "True": "true", "False": "false"}
+_NAN_NULL = _JSON | {"nan": "null"}
+_NON_FINITE_NULL = _JSON | {"-inf": "null", "inf": "null", "nan": "null"}
+_CSV = {"True": "1", "False": "0"}
+
+
+def _tokens(column: np.ndarray, spelling: dict) -> list:
+    """The entries of a float or bool column as text, from one str(list)
+    pass, with each word in spelling replaced by its spelling."""
+    text = str(column.tolist())[1:-1]
+    for word, spelled in spelling.items():
+        if word in text:
+            text = text.replace(word, spelled)
+    return text.split(", ")
+
+
+def _join(columns: list, head: str, cell_sep: str, row_sep: str, tail: str) -> str:
+    """Nonempty token columns of one length as text, row by row: head, the
+    rows separated by row_sep, the cells of a row by cell_sep, then tail."""
+    k, n = len(columns), len(columns[0])
+    seps = ([row_sep] + [cell_sep] * (k - 1)) * n  # the text before each cell
+    seps[0] = head
+    text = [""] * (2 * k * n)
+    text[::2] = seps
+    for j, column in enumerate(columns):  # the cells, row-major
+        text[2 * j + 1 :: 2 * k] = column
+    return "".join(text) + tail
+
+
+class _Block:
+    """Float or bool columns of one length, each with its JSON spelling, that
+    _dumps writes as one array: one column as a flat list, several as rows
+    of one entry per column."""
+
+    def __init__(self, *columns: tuple):
+        self.columns = columns
+
+    def json(self, indent: str) -> str:
+        """The array as json.dumps(indent=2) writes it on a line at indent."""
+        if not self.columns[0][0].size:
+            return "[]"
+        columns = [_tokens(column, spelling) for column, spelling in self.columns]
+        inner = indent + "  "
+        if len(columns) == 1:
+            return _join(columns, f"[\n{inner}", "", f",\n{inner}", f"\n{indent}]")
+        row, cell = f"{inner}[\n{inner}  ", f",\n{inner}  "
+        return _join(columns, f"[\n{row}", cell, f"\n{inner}],\n{row}", f"\n{inner}]\n{indent}]")
+
+
+def _complex_block(a: np.ndarray) -> _Block:
+    """A complex array as its flat row-major list of [re, im] pairs."""
+    flat = a.ravel()
+    return _Block((flat.real, _JSON), (flat.imag, _JSON))
+
+
+def _csv(header: tuple, columns: tuple) -> str:
+    """Float and bool columns of one length as CSV: the header, then one line
+    per row, flags as 1 and 0 and non-finite floats as nan, inf and -inf."""
+    tokens = [_tokens(column, _CSV) for column in columns]
+    return _join(tokens, ",".join(header) + "\n", ",", "\n", "\n")
+
+
+_SENTINEL = "\0"  # what json.dumps writes for a block, as the string "\u0000"
+
+
+def _dumps(doc) -> str:
+    """doc as json.dumps(sort_keys=True, indent=2) writes it, with each
+    _Block in it written by the column writer.  The blocks are met in the
+    order the text holds them; a document without one is not searched."""
+    blocks = []
+
+    def encode(obj):
+        if isinstance(obj, _Block):
+            blocks.append(obj)
+            return _SENTINEL
+        return _encode(obj)
+
+    text = json.dumps(doc, sort_keys=True, indent=2, default=encode)
+    if not blocks:
+        return text
+    pieces = text.split(json.dumps(_SENTINEL))
+    out = [pieces[0]]
+    for block, piece in zip(blocks, pieces[1:], strict=True):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out += [block.json(line[: len(line) - len(line.lstrip(" "))]), piece]
+    return "".join(out)
 
 
 def _write(text: str, out: str | None):
@@ -201,7 +290,7 @@ def _respond(args, result):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
-    _write(json.dumps(doc, sort_keys=True, indent=2, default=_encode) + "\n", args.out)
+    _write(_dumps(doc) + "\n", args.out)
 
 
 def _space(args) -> SpaceSpec:
@@ -225,7 +314,7 @@ def cmd_matrix(args) -> int:
     if args.format == "mm":
         _write(operator_to_matrix_market(A), args.out)
     else:
-        _respond(args, A)
+        _respond(args, _fields(A) | {"entries": _complex_block(A.entries)})
     return 0
 
 
@@ -238,13 +327,13 @@ def cmd_eigs(args) -> int:
     reliable = err <= RELIABILITY_TOL * np.abs(w)
     try:
         ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
-        ratio_info = {"count": ratios.size, "sample": ratios[:64]}
+        ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
     except SingularTruncationError as exc:
         ratio_info = {"count": 0, "sample": [], "note": str(exc)}
     result = {
-        "eigenvalues": w,
-        "error_estimates": [float(e) if np.isfinite(e) else None for e in err],
-        "reliable": reliable,
+        "eigenvalues": _complex_block(w),
+        "error_estimates": _Block((err, _NON_FINITE_NULL)),
+        "reliable": _Block((reliable, _JSON)),
         "reliable_count": np.count_nonzero(reliable),
         "ratio_set": ratio_info,
     }
@@ -301,23 +390,15 @@ def cmd_extscan(args) -> int:
         "notes": rep.notes + ([f"prediction unresolved: {unresolved}"] if unresolved else []),
         "predicted": predicted,
     }
-    rows = zip(
-        rep.lam.real.tolist(),
-        rep.lam.imag.tolist(),
-        rep.ratio_dist.tolist(),
-        rep.sylvester.tolist(),  # nan where the probe did not run
-        rep.flagged.tolist(),
-    )
+    columns = (rep.lam.real, rep.lam.imag, rep.ratio_dist, rep.sylvester, rep.flagged)
     if args.out:
-        lines = [",".join(SCAN_COLUMNS)]
-        lines += [f"{re!r},{im!r},{rd!r},{sv!r},{fl:d}" for re, im, rd, sv, fl in rows]
         csv_path = args.out[:-5] if args.out.endswith(".json") else args.out
-        _write("\n".join(lines) + "\n", csv_path + ".grid.csv")
+        _write(_csv(SCAN_COLUMNS, columns), csv_path + ".grid.csv")
     else:
         summary["columns"] = SCAN_COLUMNS
-        summary["rows"] = [
-            [re, im, rd, None if math.isnan(sv) else sv, fl] for re, im, rd, sv, fl in rows
-        ]
+        # the Sylvester value is nan where the probe did not run: null in JSON, nan in CSV
+        spellings = (_JSON, _JSON, _JSON, _NAN_NULL, _JSON)
+        summary["rows"] = _Block(*zip(columns, spellings))
     _respond(args, summary)
     return 0
 

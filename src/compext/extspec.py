@@ -383,6 +383,8 @@ class GridSpec:
 def make_grid(spec: GridSpec):
     """Return (points, step): a grid that never contains 0, and the largest
     nearest-neighbor spacing, which scan thresholds are measured against.
+    A grid whose points or step leave the float range (a radius near the
+    float maximum) is an EmptyGridError.
 
     circle   -- spec.points equally spaced on |z| = rmax
     annulus  -- log-spaced rings between rmin and rmax, ring count balancing
@@ -390,28 +392,30 @@ def make_grid(spec: GridSpec):
     disk     -- equally spaced rings rmax/n_r, 2 rmax/n_r, ..., rmax
     """
     n = spec.points
-    if spec.shape == "circle":
-        angles = 2 * np.pi * np.arange(n) / n
-        pts = spec.rmax * np.exp(1j * angles)
-        step = 2 * spec.rmax * math.sin(math.pi / n)
-        return pts, float(step)
-    if spec.shape == "annulus":
-        span = math.log(spec.rmax / spec.rmin) if spec.rmax > spec.rmin else 0.0
-        n_r = max(1, round(math.sqrt(n * span / (2 * math.pi)))) if span > 0 else 1
-        n_t = max(2, math.ceil(n / n_r))
-        radii = np.geomspace(spec.rmin, spec.rmax, n_r)
-        angles = 2 * np.pi * np.arange(n_t) / n_t
-        pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        radial_gap = float(np.diff(radii).max()) if n_r > 1 else 0.0
-        chord = 2 * spec.rmax * math.sin(math.pi / n_t)
-        return pts, float(max(radial_gap, chord))
-    # disk
-    n_r = max(1, round(math.sqrt(n / 4)))
-    n_t = max(2, math.ceil(n / n_r))
-    radii = spec.rmax * np.arange(1, n_r + 1) / n_r
-    angles = 2 * np.pi * np.arange(n_t) / n_t
-    pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    step = max(spec.rmax / n_r, 2 * spec.rmax * math.sin(math.pi / n_t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.shape == "circle":
+            angles = 2 * np.pi * np.arange(n) / n
+            pts = spec.rmax * np.exp(1j * angles)
+            step = 2 * spec.rmax * math.sin(math.pi / n)
+        elif spec.shape == "annulus":
+            span = math.log(spec.rmax / spec.rmin) if spec.rmax > spec.rmin else 0.0
+            n_r = max(1, round(math.sqrt(n * span / (2 * math.pi)))) if span > 0 else 1
+            n_t = max(2, math.ceil(n / n_r))
+            radii = np.geomspace(spec.rmin, spec.rmax, n_r)
+            angles = 2 * np.pi * np.arange(n_t) / n_t
+            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+            radial_gap = float(np.diff(radii).max()) if n_r > 1 else 0.0
+            chord = 2 * spec.rmax * math.sin(math.pi / n_t)
+            step = max(radial_gap, chord)
+        else:  # disk
+            n_r = max(1, round(math.sqrt(n / 4)))
+            n_t = max(2, math.ceil(n / n_r))
+            radii = spec.rmax * np.arange(1, n_r + 1) / n_r
+            angles = 2 * np.pi * np.arange(n_t) / n_t
+            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+            step = max(spec.rmax / n_r, 2 * spec.rmax * math.sin(math.pi / n_t))
+    if not (math.isfinite(step) and np.isfinite(pts).all()):
+        raise EmptyGridError(f"{spec.shape} grid leaves the float range at rmax = {spec.rmax:g}")
     return pts, float(step)
 
 

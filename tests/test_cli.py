@@ -2,13 +2,29 @@
 import contextlib
 import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compext
-from compext import DomainError, LinearFractionalMap, SpaceSpec, composition_matrix, operators
+from compext import (
+    DomainError,
+    ExtScanReport,
+    LinearFractionalMap,
+    SpaceSpec,
+    build_witness,
+    cli,
+    composition_matrix,
+    operators,
+    ratio_set,
+)
 from compext.cli import main
+from compext.extspec import RELIABILITY_TOL
 
 
 def run(argv):
@@ -340,6 +356,140 @@ def test_verify_unresolved_exits_three():
 
 
 # ---------------------------------------------------------------------------
+# the column writer: byte for byte what json.dumps and the CSV f-string wrote
+
+
+def _reference_encode(obj):
+    """The JSON hook as it was when every array went through json.dumps: an
+    ndarray as its flat row-major list, complex entries as [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        flat = obj.ravel()
+        if np.iscomplexobj(flat):
+            return np.stack([flat.real, flat.imag], axis=-1).tolist()
+        return flat.tolist()
+    return cli._encode(obj)
+
+
+def _reference_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, default=_reference_encode)
+
+
+def _reference_rows(rep):
+    """A scan's JSON rows and CSV text by the route before the column writer."""
+    rows = list(zip(rep.lam.real.tolist(), rep.lam.imag.tolist(), rep.ratio_dist.tolist(),
+                    rep.sylvester.tolist(), rep.flagged.tolist()))
+    lines = [",".join(cli.SCAN_COLUMNS)] + [f"{re!r},{im!r},{rd!r},{sv!r},{fl:d}" for re, im, rd, sv, fl in rows]
+    json_rows = [[re, im, rd, None if math.isnan(sv) else sv, fl] for re, im, rd, sv, fl in rows]
+    return json_rows, "\n".join(lines) + "\n"
+
+
+def _report(re, im, rd, sv, flagged):
+    lam = np.empty(len(re), dtype=complex)
+    lam.real, lam.imag = re, im
+    return ExtScanReport(0.5, lam, np.array(rd, dtype=float), np.array(sv, dtype=float),
+                         np.array(flagged, dtype=bool), 0.4995, 0,
+                         ["no reliable eigenvalues; ratio distances are +inf"])
+
+
+def _assert_scan_output_matches_reference(rep):
+    """extscan's stdout JSON and --out CSV for rep, against the reference route;
+    the rest of the document is compared through a parse and re-dump."""
+    json_rows, csv_text = _reference_rows(rep)
+    argv = ["extscan", _P, "--n", "8", "--points", "16"]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "ext_scan", lambda *args, **kwargs: rep)
+        rc, out, _ = run(argv)
+        assert rc == 0
+        doc = json.loads(out)
+        doc["result"]["rows"] = json_rows
+        assert out == _reference_dumps(doc) + "\n"
+        rc, out, _ = run(argv + ["--out", f"{tmp}/scan.json"])
+        assert (rc, out) == (0, "")
+        assert Path(f"{tmp}/scan.grid.csv").read_text() == csv_text
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        # unprobed nan and +inf ratio distances, as when no eigenvalue is reliable
+        _report([1e-07, -0.0, 5e-324, 1e300, -1e300], [0.0, -0.0, -5e-324, 1e-07, 2.5],
+                [_INF, _INF, 0.0, 1e300, 5e-324], [_NAN, 1e-07, -0.0, _NAN, 1e300],
+                [False, True, True, False, True]),
+        _report([0.5, -0.5, 1.5], [1.0, 2.0, -3.0], [0.1, 0.2, 0.3], [_NAN] * 3, [True] * 3),
+        _report([0.5, -0.5, 1.5], [1.0, 2.0, -3.0], [_INF, -_INF, _NAN], [0.0, -_INF, _INF], [False] * 3),
+        _report([0.25], [-0.75], [_INF], [_NAN], [True]),
+    ],
+    ids=["special-values", "all-flagged", "none-flagged", "one-row"],
+)
+def test_scan_rows_match_the_reference_route(rep):
+    _assert_scan_output_matches_reference(rep)
+
+
+_columns = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(), min_size=n, max_size=n)] * 4, st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_columns)
+def test_scan_rows_match_the_reference_route_on_any_float64_columns(columns):
+    _assert_scan_output_matches_reference(_report(*columns))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), max_size=10), st.lists(st.floats(), max_size=10))
+def test_column_writer_matches_json_dumps_at_any_depth(xs, ys):
+    x = np.array(xs, dtype=float)
+    z = np.array(xs[: len(ys)], dtype=complex)
+    z.imag = ys[: len(z)]
+    doc = {
+        "a": {"flat": cli._Block((x, cli._JSON)), "nulls": cli._Block((x, cli._NON_FINITE_NULL))},
+        "b": [1, {"pairs": cli._complex_block(z)}],
+        "flags": cli._Block((x > 0, cli._JSON)),
+    }
+    reference = {
+        "a": {"flat": x, "nulls": [v if math.isfinite(v) else None for v in xs]},
+        "b": [1, {"pairs": z}],
+        "flags": x > 0,
+    }
+    assert cli._dumps(doc) == _reference_dumps(reference)
+
+
+@pytest.mark.parametrize("phi, space", [("0.5,1,0,1", "fock"), ("1,0.5,0.5,1", "bergman")])
+def test_eigs_json_matches_the_reference_route(phi, space):
+    rc, out, _ = run(["eigs", "--phi", phi, "--space", space, "--n", "8"])
+    assert rc == 0
+    A = composition_matrix(LinearFractionalMap(*map(float, phi.split(","))), SpaceSpec(space), 8)
+    w, err = A.eig_reliability
+    order = np.lexsort((w.imag, w.real))
+    w, err = w[order], err[order]
+    reliable = err <= RELIABILITY_TOL * np.abs(w)
+    ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+    doc = json.loads(out)
+    doc["result"] = {
+        "eigenvalues": w,
+        "error_estimates": [float(e) if np.isfinite(e) else None for e in err],
+        "reliable": reliable,
+        "reliable_count": np.count_nonzero(reliable),
+        "ratio_set": {"count": ratios.size, "sample": ratios[:64]},
+    }
+    assert out == _reference_dumps(doc) + "\n"
+
+
+@pytest.mark.parametrize("witness", [None, "mult:binomial,1+1i"])
+def test_matrix_json_matches_the_reference_route(witness):
+    phi, space = LinearFractionalMap(0.5j, 0.1, 0.2, 1), SpaceSpec("bergman")
+    argv = ["matrix", "--phi=0.5i,0.1,0.2,1", "--n", "8", "--format", "json"]
+    rc, out, _ = run(argv + (["--witness", witness] if witness else []))
+    assert rc == 0
+    doc = json.loads(out)
+    doc["result"] = build_witness(witness, phi, space, 8) if witness else composition_matrix(phi, space, 8)
+    assert out == _reference_dumps(doc) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # failures: exit 1 for a DomainError, 3 for an unresolved class, 2 otherwise
 
 
@@ -414,6 +564,13 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
         pytest.param(["extscan", _P, "--n", "16", "--points", "16", "--grid", "annulus",
                       "--rmin", "1e-300", "--rmax", "1e300"], 2,
                      "error: annulus needs a finite rmax/rmin", id="infinite-radius-ratio"),
+        # finite radii whose grid points or step overflow: rmax * k before the division by n_r,
+        # 2 * rmax before the sine
+        pytest.param(["extscan", _P, "--n", "8", "--grid", "disk", "--rmax", "1e308", "--points", "16"], 2,
+                     "error: disk grid leaves the float range at rmax = 1e+308", id="disk-grid-past-float-range"),
+        pytest.param(["extscan", _P, "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"], 2,
+                     "error: circle grid leaves the float range at rmax = 1e+308",
+                     id="circle-step-past-float-range"),
         pytest.param(["extcheck", _P, "--n", "8", "--witness", "identity", "--lam=1e999"], 2,
                      "compext extcheck: error: argument --lam: complex literal '1e999' is out of float range",
                      id="infinite-lambda"),

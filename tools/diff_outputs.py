@@ -64,8 +64,11 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # one a sigma-power witness whose binomial coefficients pass it, one the
 # residual A X - lambda X A past it from a finite witness and lambda) and an
 # unmet --require-prediction (exit 1), an unknown witness, three malformed
-# witness parameter lists and an empty grid (exit 2) and an unresolved class
-# (exit 3)
+# witness parameter lists, an empty grid and two grids past the float range
+# (a disk whose radii rmax * k overflow, a circle whose step 2 * rmax does;
+# both exited 0 with Infinity and NaN in the JSON before make_grid checked
+# them) (exit 2) and an unresolved class (exit 3); last, the order-256 matrix
+# JSON, 3.9 MB of entries in the column writer
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -107,7 +110,10 @@ OFF_POOL = [
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
+    ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "1e308", "--points", "16"],
+    ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"],
+    ["matrix", "--phi=1,0.5,0.5,1", "--n", "256", "--format", "json"],
 ]
 
 
