@@ -229,18 +229,92 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
     return _dedup_sorted(ratios, 1e-9)
 
 
-def ratio_distance(lam, ratios: np.ndarray) -> np.ndarray:
-    """Distance from each trial point to the nearest ratio: exactly
-    np.abs(lam[:, None] - ratios[None, :]).min(axis=1), computed in blocks of
-    about 2**16 differences, so that the temporaries stay near 1 MB."""
+_BLOCK = 2**16  # differences per abs temporary in ratio_distance (1 MiB complex)
+_TILE = 32  # grid points measured together
+_STRIP = 512  # grid points per strip of neighbouring real parts
+_EPS = float(np.finfo(float).eps)
+_TINY = 5e-324  # the smallest subnormal
+
+
+def _nearest(lam: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """np.abs(lam[:, None] - ratios[None, :]).min(axis=1) for a nonempty ratio
+    set, in blocks of at most _BLOCK differences."""
+    if lam.size * ratios.size <= _BLOCK:
+        return np.abs(lam[:, None] - ratios[None, :]).min(axis=1)
+    out = np.full(lam.size, np.inf)
+    rows = max(1, _BLOCK // ratios.size)
+    cols = _BLOCK // rows
+    for i in range(0, lam.size, rows):
+        part = out[i : i + rows]
+        for j in range(0, ratios.size, cols):
+            np.minimum(part, np.abs(lam[i : i + rows, None] - ratios[None, j : j + cols]).min(axis=1), out=part)
+    return out
+
+
+def ratio_distance(lam, ratios) -> np.ndarray:
+    """Distance from each trial point to the nearest ratio: bit for bit
+    np.abs(lam[:, None] - ratios[None, :]).min(axis=1), and +inf for an empty
+    ratio set.
+
+    Only the ratios that can be nearest are measured.  The points are sorted
+    by real part into strips of _STRIP, each strip by imaginary part, and
+    walked in tiles of _TILE.  A tile's candidates are the ratios inside its
+    bounding box widened by w on each side: a searchsorted slice of the
+    ratios sorted by (re, im), then a mask on the imaginary part (skipped
+    when it would keep half the slice or more, as any superset will do);
+    w starts a quarter above the previous tile's largest nearest distance.
+    A ratio left out differs from every point of the tile by more than w in
+    its real or its imaginary part alone (the box's bounds are rounded, but a
+    ratio is a float too, so none within w of the tile falls outside them),
+    and complex abs is never below either part.  So when the tile's largest
+    distance to its candidates lies below w by a few ulps (relative, and
+    absolute for subnormals), the minimum over the same abs values is
+    unchanged.  Otherwise w grows to that distance plus the margin and the
+    tile is measured again; the whole set is the last resort.  An input of
+    one tile (at most _TILE points, where no earlier tile gives w) or of one
+    block (lam.size * ratios.size <= _BLOCK), or one that holds a nan or an
+    infinity, is measured against the whole set without sorting.  Every abs
+    temporary holds at most _BLOCK differences, so the temporaries stay near
+    1.5 MiB."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    ratios = np.atleast_1d(np.asarray(ratios, dtype=complex))
     if ratios.size == 0:
         return np.full(lam.shape, np.inf)
+    if (lam.size <= _TILE or lam.size * ratios.size <= _BLOCK
+            or not (np.isfinite(lam).all() and np.isfinite(ratios).all())):
+        return _nearest(lam, ratios)
+    rs = np.sort(ratios)  # by (re, im): a slice of it is a range of real parts
+    rank = np.empty(lam.size, dtype=np.intp)
+    rank[np.argsort(lam.real, kind="stable")] = np.arange(lam.size)
+    order = np.lexsort((lam.imag, rank // _STRIP))
+    starts = np.arange(0, lam.size, _TILE)
+    # (x0, y0, x1, y1) of each tile
+    boxes = zip(*(f.reduceat(part[order], starts).tolist()
+                  for f in (np.minimum, np.maximum) for part in (lam.real, lam.imag)))
     out = np.empty(lam.size)
-    block = max(1, 2**16 // ratios.size)
-    for start in range(0, lam.size, block):
-        chunk = lam[start : start + block]
-        out[start : start + block] = np.abs(chunk[:, None] - ratios[None, :]).min(axis=1)
+    w = 0.0
+    for start, (x0, y0, x1, y1) in zip(starts.tolist(), boxes):
+        idx = order[start : start + _TILE]
+        tile = lam[idx]
+        for _ in range(2):
+            lo = int(rs.searchsorted(complex(x0 - w, -math.inf)))
+            hi = int(rs.searchsorted(complex(x1 + w, math.inf), "right"))
+            near = rs[lo:hi]
+            inside = (near.imag >= y0 - w) & (near.imag <= y1 + w)
+            if 2 * np.count_nonzero(inside) < near.size:  # else the slice, a superset, saves a copy
+                near = near[inside]
+            if near.size == 0:  # none in the box: its neighbours by real part bound the distances
+                near = rs[max(lo - 1, 0) : hi + 1]
+            d = _nearest(tile, near)
+            top = float(d.max())
+            if top * (1 + 4 * _EPS) + 4 * _TINY < w:
+                break
+            w = top * (1 + 8 * _EPS) + 8 * _TINY
+        else:
+            d = _nearest(tile, rs)
+            top = float(d.max())
+        out[idx] = d
+        w = 1.25 * top  # a quarter wider than the last tile needed spares most second passes
     return out
 
 

@@ -8,6 +8,7 @@ so the frozen raw values are normalized the same way inside the assertions.
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from compext import (
     verify_theorem_suite,
 )
 from compext.cli import main
-from compext.extspec import _dedup_sorted, _power_members, _rotation_circle
+from compext.extspec import GRID_SHAPES, _dedup_sorted, _power_members, _rotation_circle
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -142,6 +143,91 @@ def test_ratio_distance_matches_brute_force():
     assert np.array_equal(ratio_distance(0.3 + 0.1j, ratios), _naive_distance(0.3 + 0.1j, ratios))
     empty = ratio_distance(pts, np.array([], dtype=complex))
     assert empty.shape == pts.shape and np.all(np.isinf(empty))
+
+
+def test_ratio_distance_coerces_the_ratio_set_like_lambda():
+    # lists, a numpy scalar and a 0-d array are ratio sets too
+    assert np.array_equal(ratio_distance([0.5, 1j], [1, 2j]), [0.5, 1.0])
+    assert np.array_equal(ratio_distance([0.5, 2.0], np.complex128(1j)), np.abs(np.array([0.5, 2.0]) - 1j))
+    assert np.array_equal(ratio_distance(3.0, np.array(1.0)), [2.0])
+
+
+def _formula(lam, ratios):
+    return np.abs(lam[:, None] - ratios[None, :]).min(axis=1)
+
+
+_SPECIALS = (math.nan, math.inf, -math.inf)
+
+
+def _values(rng, n, scale, on_lattice, specials):
+    """n complex values: integer lattice points times scale (duplicates, ties,
+    points on ratios) or uniform ones, and `specials` entries with a nan or an
+    infinity in the real or the imaginary part."""
+    if on_lattice:
+        re, im = rng.integers(-8, 9, n) * scale, rng.integers(-8, 9, n) * scale
+    else:
+        re, im = rng.uniform(-8, 8, n) * scale, rng.uniform(-8, 8, n) * scale
+    z = re + 1j * im
+    for i in rng.integers(0, n, min(specials, n)):
+        bad = _SPECIALS[rng.integers(3)]
+        z[i] = complex(bad, z[i].imag) if rng.integers(2) else complex(z[i].real, bad)
+    return z
+
+
+# sizes reach 400 x 400, past the one-block limit of 2**16 differences, so
+# that the tiles are drawn as well as the single block
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n_lam=st.integers(0, 400),
+    n_rat=st.integers(0, 400),
+    lam_scale=st.sampled_from([5e-324, 1e-310, 1e-300, 1e-8, 1.0, 3e5, 1e300, 2e307]) | st.floats(5e-324, 1e300),
+    rat_scale=st.sampled_from([5e-324, 1e-310, 1.0, 1e300, 2e307]) | st.floats(5e-324, 1e300),
+    lattice=st.tuples(st.booleans(), st.booleans()),
+    specials=st.tuples(st.sampled_from([0, 0, 0, 1, 3]), st.sampled_from([0, 0, 0, 1, 3])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ratio_distance_is_the_formula_bit_for_bit(n_lam, n_rat, lam_scale, rat_scale, lattice, specials, seed):
+    rng = np.random.default_rng(seed)
+    lam = _values(rng, n_lam, lam_scale, lattice[0], specials[0])
+    ratios = _values(rng, n_rat, rat_scale, lattice[1], specials[1])
+    with np.errstate(invalid="ignore"):  # inf - inf, as in the formula
+        got = ratio_distance(lam, ratios)
+        want = _formula(lam, ratios) if n_rat else np.full(n_lam, np.inf)
+    assert got.shape == (n_lam,)
+    # array_equal with equal_nan: nan where the formula gives nan, and every other value bit for bit
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_ratio_distance_full_scale_grids():
+    # every grid shape at the CLI's 4096 points against the two ratio-set
+    # shapes of the spectral-limit workload: a rotation's w^k, |k| < 256, on
+    # the unit circle, and a scattered parabolic-like set, moduli 0.05..11
+    w = cmath.exp(2j * math.pi * (math.sqrt(5) - 1) / 2)
+    powers = w ** np.arange(-255, 256)
+    rng = np.random.default_rng(11)
+    scattered = np.exp(rng.uniform(math.log(0.05), math.log(11), 8000) + 2j * math.pi * rng.random(8000))
+    for shape in GRID_SHAPES:
+        lam, _ = make_grid(GridSpec(shape, 4096))
+        for ratios in (powers, scattered):
+            assert np.array_equal(ratio_distance(lam, ratios), _naive_distance(lam, ratios)), shape
+
+
+def test_ratio_distance_temporaries_stay_capped():
+    # numpy reports its buffers to tracemalloc; every abs temporary holds at
+    # most 2**16 differences (1.5 MiB with the complex differences), so the
+    # peak stays under 2 MiB even where a tile's candidates are most of the
+    # set (the annulus lies far outside the ratios)
+    rng = np.random.default_rng(5)
+    ratios = np.exp(rng.uniform(math.log(0.05), math.log(11), 11557) + 2j * math.pi * rng.random(11557))
+    for spec in (GridSpec("disk", 4096), GridSpec("annulus", 4096, rmin=3.0, rmax=40.0)):
+        lam, _ = make_grid(spec)
+        tracemalloc.start()
+        try:
+            ratio_distance(lam, ratios)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, (spec.shape, peak)
 
 
 # values on a 0.05 lattice, or anywhere, so that many pairs fall within

@@ -67,8 +67,12 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # witness parameter lists, an empty grid and two grids past the float range
 # (a disk whose radii rmax * k overflow, a circle whose step 2 * rmax does;
 # both exited 0 with Infinity and NaN in the JSON before make_grid checked
-# them) (exit 2) and an unresolved class (exit 3); last, the order-256 matrix
-# JSON, 3.9 MB of entries in the column writer
+# them) (exit 2) and an unresolved class (exit 3); the order-256 matrix JSON,
+# 3.9 MB of entries in the column writer; last, three ratio_distance inputs the
+# pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
+# decades (the reliability filter keeps 8 ratios, 1e-8 to 1e6: one block), a
+# Bergman rotation scanned on an annulus far outside its ratio set (wide
+# candidate boxes in the tiles) and a circle of subnormal radius 1e-320
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -114,6 +118,10 @@ OFF_POOL = [
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"],
     ["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"],
     ["matrix", "--phi=1,0.5,0.5,1", "--n", "256", "--format", "json"],
+    ["extscan", "--phi=0.01,0,0,1", "--space", "fock", "--n", "256", "--grid", "disk", "--points", "4096"],
+    ["extscan", "--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "256", "--grid", "annulus",
+     "--rmin", "3", "--rmax", "40", "--points", "4096"],
+    ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e-320", "--points", "16"],
 ]
 
 
