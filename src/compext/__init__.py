@@ -9,11 +9,8 @@ probes, scans and per-class verification), cli (command line).
 from .lft import (
     INF,
     Classification,
-    DegenerateMapError,
     DomainError,
-    IdentityMapError,
     LinearFractionalMap,
-    ParamOutOfRangeError,
     apply,
     classify,
     compose,
@@ -31,10 +28,6 @@ from .lft import (
     standard_form,
 )
 from .series import (
-    NegativeParameterError,
-    OrderMismatchError,
-    PoleInsideDiskError,
-    ZeroConstantTermError,
     binomial_power,
     cayley_power,
     compose_series,
@@ -46,18 +39,12 @@ from .series import (
     reciprocal,
 )
 from .spaces import (
-    NormRangeError,
     SpaceSpec,
     monomial_norm,
     monomial_norms,
 )
 from .operators import (
-    BadShiftError,
-    CenterOutsideDiskError,
-    DimensionMismatchError,
     OperatorMatrix,
-    SymbolNotAdmissibleError,
-    WrongSpaceError,
     adjoint,
     basis_shift_matrix,
     composition_matrix,
@@ -74,13 +61,11 @@ from .operators import (
 )
 from .extspec import (
     CheckRow,
-    EmptyGridError,
     ExtScanReport,
     GridSpec,
     PredictedExt,
     SingularTruncationError,
     SylvesterProbe,
-    TooLargeError,
     UnresolvedClassError,
     VerifyReport,
     VerifyRow,

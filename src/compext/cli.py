@@ -8,15 +8,15 @@ how results become JSON and CSV: json.dumps writes each document, with
 _encode for the types it does not know, and the column writer (_Block,
 _csv) writes the arrays: extscan rows, eigs arrays and matrix entries.
 
-Exit codes: 0 success; 1 any compext DomainError (inadmissible symbol,
-wrong space, singular truncation, Fock norms or matrix entries out of float
-range, ...), a failed verify, or an unresolved class under extscan
---require-prediction; 2 any other ValueError, usage or parse error (an
-empty grid or one with a non-finite radius, radius ratio, point or step;
-checked at parse time: a degenerate --phi, a complex literal past the float
-range in --phi or --lam, a non-finite --alpha or --threshold, a negative
---seed and a --candidates that is neither 'all' nor an integer >= 0); 3
-unresolved symbol class.
+Exit codes: 0 success; 1 a DomainError (inadmissible symbol, wrong space,
+Fock norms or matrix entries out of float range, a singular truncation: its
+one subclass SingularTruncationError, ...), a failed verify, or an unresolved
+class under extscan --require-prediction; 2 a plain ValueError, usage or
+parse error (an empty grid or one with a non-finite radius, radius ratio,
+point or step; checked at parse time: a degenerate --phi, a complex literal
+past the float range in --phi or --lam, a non-finite --alpha or --threshold,
+a negative --seed and a --candidates that is neither 'all' nor an integer
+>= 0); 3 an UnresolvedClassError, an unresolved symbol class.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .lft import (
     parse_lft,
 )
 from .operators import composition_matrix, operator_to_matrix_market
-from .spaces import SpaceSpec
+from .spaces import KINDS, SpaceSpec
 
 
 @dataclass
@@ -121,10 +121,10 @@ def _parsed(parse: Callable[[str], object]):
     return conv
 
 
-def _add_common(p: argparse.ArgumentParser, need_phi: bool = True):
-    p.add_argument("--phi", type=_parsed(parse_lft), required=need_phi,
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--phi", type=_parsed(parse_lft), required=True,
                    help="symbol as 'a,b,c,d' with complex entries in x+yi form")
-    p.add_argument("--space", choices=("hardy", "bergman", "fock"), default="bergman")
+    p.add_argument("--space", choices=KINDS, default="bergman")
     p.add_argument("--alpha", type=_finite_float, default=1.0, help="fock weight parameter")
     p.add_argument("--n", type=_bounded_int(8, 256, "--n"), default=48,
                    help="truncation order, 8..256")

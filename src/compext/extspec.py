@@ -46,15 +46,12 @@ import numpy as np
 from .lft import (
     DomainError,
     LinearFractionalMap,
-    ParamOutOfRangeError,
     classify,
     format_complex,
     is_fock_symbol,
     parse_complex,
 )
 from .operators import (
-    CenterOutsideDiskError,
-    DimensionMismatchError,
     OperatorMatrix,
     _eig_with_reliability,  # noqa: F401 -- bench/tracing.py wraps the eig layer by this name
     basis_shift_matrix,
@@ -72,19 +69,11 @@ from .series import (
     monomial,
     parabolic_eigenfunction,
 )
-from .spaces import NormRangeError, SpaceSpec
+from .spaces import SpaceSpec
 
 
 class SingularTruncationError(DomainError):
     """Ratio set is meaningless: the truncation is numerically singular."""
-
-
-class TooLargeError(DomainError):
-    """Sylvester probe above order MAX_PROBE_ORDER (the lifted problem is order N^2)."""
-
-
-class EmptyGridError(ValueError):
-    """Scan grid is empty or badly parameterized."""
 
 
 class UnresolvedClassError(ValueError):
@@ -117,24 +106,24 @@ def intertwining_residual(
     There, hold the kept block fixed (margin = order - block) and grow the
     order to see an exact witness converge.
 
-    Raises NormRangeError when an entry of the kept block leaves the float
+    Raises DomainError when an entry of the kept block leaves the float
     range.
     """
     if A.order != X.order or A.space != X.space:
-        raise DimensionMismatchError("witness and operator must match in space and order")
+        raise DomainError("witness and operator must match in space and order")
     if not 0 <= margin < A.order:
-        raise DimensionMismatchError(f"margin must lie in [0, {A.order - 1}]")
+        raise DomainError(f"margin must lie in [0, {A.order - 1}]")
     keep = A.order - margin
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
         R = A.entries @ X.entries - complex(lam) * (X.entries @ A.entries)
     block = R[:keep, :keep]
     if not np.isfinite(block).all():
-        raise NormRangeError(
+        raise DomainError(
             f"entries of A X - lambda X A leave the float range at lambda = {format_complex(lam)}"
         )
     denom = op_norm(A) * op_norm(X)
     if denom == 0:
-        raise DimensionMismatchError("zero operator has no meaningful residual")
+        raise DomainError("zero operator has no meaningful residual")
     return float(np.linalg.svd(block, compute_uv=False)[0]) / denom
 
 
@@ -362,7 +351,7 @@ class SylvesterProbe:
     def __init__(self, A: OperatorMatrix, seed: int = 0):
         n = A.order
         if n > MAX_PROBE_ORDER:
-            raise TooLargeError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
+            raise DomainError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
         self.n = n
         self.norm_a = float(A.svdvals[0])
         import scipy.linalg  # loaded on first use, as in _eig_with_reliability
@@ -441,24 +430,24 @@ class GridSpec:
 
     def __post_init__(self):
         if self.shape not in GRID_SHAPES:
-            raise EmptyGridError(f"unknown grid shape {self.shape!r}")
+            raise ValueError(f"unknown grid shape {self.shape!r}")
         if self.points < 2:
-            raise EmptyGridError("need at least 2 grid points")
+            raise ValueError("need at least 2 grid points")
         if not (math.isfinite(self.rmin) and math.isfinite(self.rmax)):
-            raise EmptyGridError("rmin and rmax must be finite")
+            raise ValueError("rmin and rmax must be finite")
         if self.shape == "annulus" and not 0 < self.rmin <= self.rmax:
-            raise EmptyGridError("annulus needs 0 < rmin <= rmax")
+            raise ValueError("annulus needs 0 < rmin <= rmax")
         if self.shape == "annulus" and not math.isfinite(self.rmax / self.rmin):
-            raise EmptyGridError("annulus needs a finite rmax/rmin")
+            raise ValueError("annulus needs a finite rmax/rmin")
         if self.shape in ("circle", "disk") and not self.rmax > 0:
-            raise EmptyGridError("need rmax > 0")
+            raise ValueError("need rmax > 0")
 
 
 def make_grid(spec: GridSpec):
     """Return (points, step): a grid that never contains 0, and the largest
     nearest-neighbor spacing, which scan thresholds are measured against.
     A grid whose points or step leave the float range (a radius near the
-    float maximum) is an EmptyGridError.
+    float maximum) is a ValueError.
 
     circle   -- spec.points equally spaced on |z| = rmax
     annulus  -- log-spaced rings between rmin and rmax, ring count balancing
@@ -489,7 +478,7 @@ def make_grid(spec: GridSpec):
             pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
             step = max(spec.rmax / n_r, 2 * spec.rmax * math.sin(math.pi / n_t))
     if not (math.isfinite(step) and np.isfinite(pts).all()):
-        raise EmptyGridError(f"{spec.shape} grid leaves the float range at rmax = {spec.rmax:g}")
+        raise ValueError(f"{spec.shape} grid leaves the float range at rmax = {spec.rmax:g}")
     return pts, float(step)
 
 
@@ -792,10 +781,8 @@ def ext_scan(
     what it passed in.
     """
     lam, step = make_grid(grid)
-    if lam.size == 0:
-        raise EmptyGridError("grid has no points")
     if np.any(lam == 0):
-        raise EmptyGridError("grid must exclude 0")
+        raise ValueError("grid must exclude 0")
     notes = []
     rt = 0.999 * step
 
@@ -831,7 +818,7 @@ def ext_scan(
         if smin <= SYLVESTER_THRESHOLD * smax:
             # rank-one certificate (see SylvesterProbe): every lambda flags
             sylv[chosen] = smin / smax if smax > 0 else 0.0
-        else:
+        elif chosen.size:
             probe = SylvesterProbe(A, seed=seed)
             for i in chosen:
                 sylv[i] = probe.sigma_min(lam[i], iters=5)
@@ -853,7 +840,7 @@ def _sigma_power_series(c: complex, k: int, order: int) -> np.ndarray:
     logarithms instead, where it under- or overflows as a float does.  A
     negative k is refused: (z - c)^k then has its pole inside the disk."""
     if k < 0:
-        raise ParamOutOfRangeError(f"need k >= 0, got k={k}")
+        raise DomainError(f"need k >= 0, got k={k}")
     coeffs = np.zeros(order, dtype=np.complex128)
     for m in range(min(k, order - 1) + 1):
         binom = math.comb(k, m)
@@ -866,12 +853,14 @@ def _sigma_power_series(c: complex, k: int, order: int) -> np.ndarray:
 
 
 def _interior_fixed_point(fixed_points: tuple) -> complex:
+    """The first fixed point inside the open disk, where a sigma-power
+    witness is centered; a DomainError when there is none."""
     for p in fixed_points:
         if not isinstance(p, complex):
             continue
         if abs(p) < 1.0 - 1e-9:
             return p
-    raise CenterOutsideDiskError("symbol has no fixed point inside the open disk")
+    raise DomainError("symbol has no fixed point inside the open disk")
 
 
 def _witness_args(text: str, form: str, args: str, *types) -> list:
@@ -909,7 +898,7 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
         mult:exponential,t        M_{exp(-t (1+z)/(1-z))}
         mult:sigma-power,k        M_{(z-c)^k}, c = phi's interior fixed point
 
-    Raises NormRangeError when an entry of the witness leaves the float range.
+    Raises DomainError when an entry of the witness leaves the float range.
     """
     text = text.strip()
     name, _, args = text.partition(":")
@@ -947,7 +936,7 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
         else:
             raise ValueError(f"unknown witness {text!r}")
     if not np.isfinite(X.entries).all():
-        raise NormRangeError(
+        raise DomainError(
             f"entries of witness {text!r} leave the float range on {space.kind} space "
             f"at alpha = {space.alpha:g}, order {order}"
         )

@@ -36,20 +36,6 @@ class DomainError(ValueError):
     or leaves the float range.  The command line exits 1 on any of them."""
 
 
-class DegenerateMapError(DomainError):
-    """Coefficient matrix is (numerically) singular: the map is constant."""
-
-
-class IdentityMapError(DomainError):
-    """Operation is undefined for the identity map (e.g. fixed points)."""
-
-
-class ParamOutOfRangeError(DomainError):
-    """A parameter violates its constraint: a standard-form parameter, a
-    monomial degree outside [0, order), a negative matrix or sigma power, or a
-    non-finite exponential-family t."""
-
-
 class Infinity:
     """The point at infinity on the Riemann sphere.  A single instance, INF."""
 
@@ -86,7 +72,7 @@ class LinearFractionalMap:
         object.__setattr__(self, "d", d)
         scale = max(abs(a), abs(b), abs(c), abs(d))
         if abs(a * d - b * c) <= 1e-12 * scale * scale:
-            raise DegenerateMapError(
+            raise DomainError(
                 f"ad - bc = {a * d - b * c!r} is negligible against "
                 f"coefficient scale {scale!r}"
             )
@@ -146,10 +132,10 @@ def fixed_points(f: LinearFractionalMap):
 
     Solves c z^2 + (d - a) z - b = 0.  When c = 0 the map is affine and
     infinity is always fixed; a double root is reported once.  Raises
-    IdentityMapError for the identity, which fixes everything.
+    DomainError for the identity, which fixes everything.
     """
     if _is_identity(f):
-        raise IdentityMapError("every point is fixed")
+        raise DomainError("every point is fixed")
     a, b, c, d = f.a, f.b, f.c, f.d
     scale = max(abs(a), abs(b), abs(c), abs(d))
     if abs(c) <= CLASSIFY_TOL * scale:
@@ -309,50 +295,50 @@ def standard_form(kind: str, **params) -> LinearFractionalMap:
     if kind == "elliptic-automorphism":
         w = complex(params["w"])
         if abs(abs(w) - 1.0) > 1e-12 or abs(w - 1.0) <= 1e-12:
-            raise ParamOutOfRangeError("need |w| = 1 and w != 1")
+            raise DomainError("need |w| = 1 and w != 1")
         return LinearFractionalMap(w, 0, 0, 1)
     if kind == "hyperbolic-automorphism":
         r = float(params["r"])
         if not 0 < r < 1:
-            raise ParamOutOfRangeError("need 0 < r < 1")
+            raise DomainError("need 0 < r < 1")
         return LinearFractionalMap(1, r, r, 1)
     if kind == "hyperbolic-na-1":
         r = float(params["r"])
         if not 0 < r < 1:
-            raise ParamOutOfRangeError("need 0 < r < 1")
+            raise DomainError("need 0 < r < 1")
         return LinearFractionalMap(r, 1 - r, 0, 1)
     if kind == "hyperbolic-na-2":
         r = float(params["r"])
         if not 0 < r < 1:
-            raise ParamOutOfRangeError("need 0 < r < 1")
+            raise DomainError("need 0 < r < 1")
         return LinearFractionalMap(r, 0, -(1 - r), 1)
     if kind in ("parabolic-automorphism", "parabolic-non-automorphism"):
         a = complex(params["a"])
         if kind == "parabolic-automorphism":
             if abs(a.real) > 1e-12 * abs(a) or a == 0:
-                raise ParamOutOfRangeError("need purely imaginary a != 0")
+                raise DomainError("need purely imaginary a != 0")
         else:
             if a.real <= 0:
-                raise ParamOutOfRangeError("need Re(a) > 0")
+                raise DomainError("need Re(a) > 0")
         return LinearFractionalMap(2 - a, a, -a, 2 + a)
     if kind in ("hyperbolic-na-3", "loxodromic"):
         a = complex(params["a"])
         c = complex(params["c"])
         if abs(a) >= 1 or a == 0:
-            raise ParamOutOfRangeError("need 0 < |a| < 1")
+            raise DomainError("need 0 < |a| < 1")
         if abs(a) + abs(1 - a) * abs(c) > 1:
-            raise ParamOutOfRangeError(
+            raise DomainError(
                 "need |a| + |1 - a| |c| <= 1 for a self-map of the disk"
             )
         if kind == "hyperbolic-na-3":
             if abs(a.imag) > 1e-12 * abs(a) or a.real <= 0:
-                raise ParamOutOfRangeError("need positive real a")
+                raise DomainError("need positive real a")
         else:
             if abs(a.imag) <= 1e-12 * abs(a) and a.real > 0:
-                raise ParamOutOfRangeError("positive real a is the na-3 case")
+                raise DomainError("positive real a is the na-3 case")
         # z -> a(z - c) + c = a z + c(1 - a)
         return LinearFractionalMap(a, c * (1 - a), 0, 1)
-    raise ParamOutOfRangeError(f"unknown class kind {kind!r}")
+    raise DomainError(f"unknown class kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

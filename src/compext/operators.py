@@ -22,35 +22,15 @@ eigenvalue tests exercise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .lft import DomainError, LinearFractionalMap, ParamOutOfRangeError, is_fock_symbol, is_self_map_of_disk
+from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 from .series import lft_taylor
-from .spaces import NormRangeError, SpaceSpec, monomial_norms
-
-
-class SymbolNotAdmissibleError(DomainError):
-    """The symbol does not induce a bounded composition operator on the space."""
-
-
-class BadShiftError(DomainError):
-    """Shift index k out of range (need 1 <= k < order)."""
-
-
-class CenterOutsideDiskError(DomainError):
-    """A sigma center (a sigma-shift's c, or the interior fixed point a
-    sigma-power witness needs) must lie in the open unit disk."""
-
-
-class WrongSpaceError(DomainError):
-    """Operator only defined on a particular space kind."""
-
-
-class DimensionMismatchError(DomainError):
-    """Operands live on different spaces or have different orders."""
+from .spaces import SpaceSpec, monomial_norms
 
 
 @dataclass(frozen=True)
@@ -63,7 +43,7 @@ class OperatorMatrix:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.complex128)
         if arr.shape != (self.order, self.order):
-            raise DimensionMismatchError(
+            raise DomainError(
                 f"entries shape {arr.shape} does not match order {self.order}"
             )
         arr.flags.writeable = False
@@ -114,9 +94,9 @@ def _eig_with_reliability(A: OperatorMatrix):
 
 def _check_compatible(A: OperatorMatrix, B: OperatorMatrix):
     if A.order != B.order:
-        raise DimensionMismatchError(f"orders {A.order} and {B.order} differ")
+        raise DomainError(f"orders {A.order} and {B.order} differ")
     if A.space != B.space:
-        raise DimensionMismatchError(f"spaces {A.space} and {B.space} differ")
+        raise DomainError(f"spaces {A.space} and {B.space} differ")
 
 
 def matmul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
@@ -132,7 +112,7 @@ def adjoint(A: OperatorMatrix) -> OperatorMatrix:
 
 def matrix_power(A: OperatorMatrix, k: int) -> OperatorMatrix:
     if k < 0:
-        raise ParamOutOfRangeError(f"need a nonnegative power, got {k}")
+        raise DomainError(f"need a nonnegative power, got {k}")
     label = f"({A.label})^{k}" if A.label else ""
     return OperatorMatrix(A.space, A.order, np.linalg.matrix_power(A.entries, k), label)
 
@@ -141,7 +121,7 @@ def direct_sum(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     """Block-diagonal sum.  Both blocks must live on the same space kind;
     the result's order is the sum of the orders."""
     if A.space != B.space:
-        raise DimensionMismatchError(f"spaces {A.space} and {B.space} differ")
+        raise DomainError(f"spaces {A.space} and {B.space} differ")
     n, m = A.order, B.order
     out = np.zeros((n + m, n + m), dtype=np.complex128)
     out[:n, :n] = A.entries
@@ -164,18 +144,18 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
 
     Admissibility: a self-map of the disk for hardy/bergman, an affine
     contraction (or rotation) for fock.  For phi(z) = w z the matrix is
-    exactly diagonal with entries w^j.  Raises NormRangeError when an entry
+    exactly diagonal with entries w^j.  Raises DomainError when an entry
     leaves the float range (a Fock translation b whose powers b^j outgrow
     the norm ratios ||z^j||, say).
     """
     if space.kind == "fock":
         if not is_fock_symbol(phi):
-            raise SymbolNotAdmissibleError(
+            raise DomainError(
                 "fock composition needs phi = w z + b with |w| < 1, or |w| = 1, b = 0"
             )
     else:
         if not is_self_map_of_disk(phi):
-            raise SymbolNotAdmissibleError("phi is not a self-map of the unit disk")
+            raise DomainError("phi is not a self-map of the unit disk")
     t = lft_taylor(phi, order)
     nm = monomial_norms(space, order)
     entries = np.zeros((order, order), dtype=np.complex128)
@@ -187,7 +167,7 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
             cur = np.convolve(cur, t)[:order]
             entries[:, j] = cur * nm / nm[j]
     if not np.isfinite(entries).all():
-        raise NormRangeError(
+        raise DomainError(
             f"entries of C_phi leave the float range on {space.kind} space "
             f"at alpha = {space.alpha:g}, order {order}"
         )
@@ -212,7 +192,7 @@ def multiplication_matrix(b: np.ndarray, space: SpaceSpec, order: int) -> Operat
 def basis_shift_matrix(k: int, space: SpaceSpec, order: int) -> OperatorMatrix:
     """X_k: e_n -> e_{n-k} for n >= k, annihilating e_0..e_{k-1}."""
     if not 1 <= k < order:
-        raise BadShiftError(f"need 1 <= k < order, got k={k}, order={order}")
+        raise DomainError(f"need 1 <= k < order, got k={k}, order={order}")
     entries = np.eye(order, k=k, dtype=np.complex128)
     return OperatorMatrix(space, order, entries, label=f"X_{k}")
 
@@ -224,13 +204,17 @@ def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> Oper
     Built by conjugating the plain backward shift with the unitriangular
     change of basis between monomials and sigma-powers; with c = 0 it
     reduces to basis_shift_matrix up to the norm weights on monomials.
+    Its binomial coefficients C(j, m), j < order, leave the float range from
+    order 1031 on, which is a DomainError.
     """
     c = complex(c)
     if abs(c) >= 1.0:
-        raise CenterOutsideDiskError(f"|c| = {abs(c)} must be < 1")
+        raise DomainError(f"|c| = {abs(c)} must be < 1")
     if not 1 <= k < order:
-        raise BadShiftError(f"need 1 <= k < order, got k={k}, order={order}")
+        raise DomainError(f"need 1 <= k < order, got k={k}, order={order}")
     n = order
+    if math.comb(n - 1, (n - 1) // 2) > sys.float_info.max:
+        raise DomainError(f"binomial coefficients of (z - c)^j leave the float range at order {n}")
     # W[m, j] = monomial coefficient of z^m in (z - c)^j
     W = np.zeros((n, n), dtype=np.complex128)
     Winv = np.zeros((n, n), dtype=np.complex128)
@@ -247,7 +231,7 @@ def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> Oper
 
 def _require_fock(space: SpaceSpec, who: str):
     if space.kind != "fock":
-        raise WrongSpaceError(f"{who} only acts on a fock space")
+        raise DomainError(f"{who} only acts on a fock space")
 
 
 def quasi_diff_matrix(space: SpaceSpec, order: int) -> OperatorMatrix:

@@ -2,7 +2,7 @@
 
 A truncated series of order N is a 1-d complex128 array of its coefficients
 (c_0, ..., c_{N-1}).  Cauchy products need operands of one order
-(OrderMismatchError); sums and scalar multiples are plain array arithmetic.
+(a DomainError otherwise); sums and scalar multiples are plain array arithmetic.
 The special constructors at the bottom build the eigenfunction families used
 by the operator-level tests: binomial powers (1 - z)^w, Cayley powers
 ((1 + z)/(1 - z))^w, and the exponential family exp(-t (1 + z)/(1 - z)).
@@ -17,36 +17,20 @@ import math
 
 import numpy as np
 
-from .lft import DomainError, LinearFractionalMap, ParamOutOfRangeError, is_fock_symbol, is_self_map_of_disk
-
-
-class OrderMismatchError(DomainError):
-    """Binary operation on series of different truncation orders."""
-
-
-class ZeroConstantTermError(DomainError):
-    """Reciprocal of a series whose constant term is (numerically) zero."""
-
-
-class PoleInsideDiskError(DomainError):
-    """Taylor expansion requested for a map whose pole meets the closed disk."""
-
-
-class NegativeParameterError(DomainError):
-    """Parameter must be nonnegative."""
+from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 
 
 def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Cauchy product, truncated to the common order."""
     if p.size != q.size:
-        raise OrderMismatchError(f"orders {p.size} and {q.size} differ")
+        raise DomainError(f"orders {p.size} and {q.size} differ")
     return np.convolve(p, q)[: p.size]
 
 
 def monomial(k: int, order: int) -> np.ndarray:
-    """z^k truncated to order; raises ParamOutOfRangeError unless 0 <= k < order."""
+    """z^k truncated to order; raises DomainError unless 0 <= k < order."""
     if not 0 <= k < order:
-        raise ParamOutOfRangeError(f"need 0 <= k < order, got k={k}, order={order}")
+        raise DomainError(f"need 0 <= k < order, got k={k}, order={order}")
     c = np.zeros(order, dtype=np.complex128)
     c[k] = 1.0
     return c
@@ -56,7 +40,7 @@ def reciprocal(p: np.ndarray) -> np.ndarray:
     """1/p as a truncated series; requires |p_0| > 1e-14."""
     p0 = p[0]
     if abs(p0) <= 1e-14:
-        raise ZeroConstantTermError(f"constant term {p0!r} too small to invert")
+        raise DomainError(f"constant term {p0!r} too small to invert")
     n = p.size
     q = np.zeros(n, dtype=np.complex128)
     q[0] = 1.0 / p0
@@ -85,7 +69,7 @@ def lft_taylor(f: LinearFractionalMap, order: int) -> np.ndarray:
     """
     a, b, c, d = f.a, f.b, f.c, f.d
     if c != 0 and abs(-d / c) <= 1.0:
-        raise PoleInsideDiskError(f"pole at {-d / c!r} meets the closed disk")
+        raise DomainError(f"pole at {-d / c!r} meets the closed disk")
     num = np.zeros(order, dtype=np.complex128)
     num[0] = b
     if order > 1:
@@ -125,9 +109,9 @@ def parabolic_eigenfunction(t: float, order: int) -> np.ndarray:
     """exp(-t (1 + z)/(1 - z)) for finite t >= 0; constant term exp(-t)."""
     t = float(t)
     if not math.isfinite(t):
-        raise ParamOutOfRangeError(f"t must be finite, got {t!r}")
+        raise DomainError(f"t must be finite, got {t!r}")
     if t < 0:
-        raise NegativeParameterError("t must be >= 0 for a bounded function on the disk")
+        raise DomainError("t must be >= 0 for a bounded function on the disk")
     # -t (1 + z)/(1 - z) = -t - 2 t (z + z^2 + ...)
     p = np.full(order, -2.0 * t, dtype=np.complex128)
     p[0] = -t
@@ -146,11 +130,11 @@ def compose_series(g: np.ndarray, f: LinearFractionalMap, order: int) -> np.ndar
     exact given g's first `order` coefficients.
     """
     if g.size < order:
-        raise OrderMismatchError(
+        raise DomainError(
             f"generator has order {g.size}, need at least {order}"
         )
     if not (is_self_map_of_disk(f) or is_fock_symbol(f)):
-        raise PoleInsideDiskError("symbol is neither a disk self-map nor a Fock symbol")
+        raise DomainError("symbol is neither a disk self-map nor a Fock symbol")
     t = lft_taylor(f, order)
     acc = np.zeros(order, dtype=np.complex128)
     acc[0] = g[g.size - 1]

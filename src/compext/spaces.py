@@ -22,11 +22,6 @@ from .lft import DomainError
 KINDS = ("hardy", "bergman", "fock")
 
 
-class NormRangeError(DomainError):
-    """A monomial norm, the ratio of two, or an operator entry built from
-    them leaves the float range."""
-
-
 @dataclass(frozen=True)
 class SpaceSpec:
     kind: str
@@ -52,7 +47,7 @@ def monomial_norm(space: SpaceSpec, n: int) -> float:
 
 
 def monomial_norms(space: SpaceSpec, order: int) -> np.ndarray:
-    """Vector (||z^0||, ..., ||z^{order-1}||); raises NormRangeError when
+    """Vector (||z^0||, ..., ||z^{order-1}||); raises DomainError when
     one of them (a Fock norm, for alpha far from 1), or the ratio of the
     largest to the smallest, which the operators divide by, leaves the
     float range."""
@@ -62,7 +57,7 @@ def monomial_norms(space: SpaceSpec, order: int) -> np.ndarray:
         norms = np.array([math.inf])
     lo, hi = float(norms.min(initial=1.0)), float(norms.max(initial=1.0))
     if not (lo > 0 and hi / lo < math.inf):
-        raise NormRangeError(
+        raise DomainError(
             f"fock norms sqrt(n!/alpha^n) leave the float range at alpha = {space.alpha:g}, order {order}"
         )
     return norms

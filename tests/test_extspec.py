@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compext import (
+    DomainError,
     GridSpec,
-    EmptyGridError,
     LinearFractionalMap,
     OperatorMatrix,
     SingularTruncationError,
     SpaceSpec,
     SylvesterProbe,
-    TooLargeError,
     UnresolvedClassError,
     basis_shift_matrix,
     build_witness,
@@ -346,7 +345,7 @@ def test_probe_estimator_agrees_with_dense_kronecker():
 
 def test_probe_order_cap():
     A = _op(np.eye(129))
-    with pytest.raises(TooLargeError):
+    with pytest.raises(DomainError, match="order 129 > 128: the lifted problem has order 16641"):
         SylvesterProbe(A)
 
 
@@ -502,18 +501,18 @@ def test_disk_grid_excludes_origin():
 
 
 def test_grid_validation():
-    with pytest.raises(EmptyGridError):
+    with pytest.raises(ValueError, match="need at least 2 grid points"):
         GridSpec("circle", 1, rmax=1.0)
-    with pytest.raises(EmptyGridError):
+    with pytest.raises(ValueError, match="annulus needs 0 < rmin <= rmax"):
         GridSpec("annulus", 100, rmin=2.0, rmax=1.0)
-    with pytest.raises(EmptyGridError):
+    with pytest.raises(ValueError, match="annulus needs 0 < rmin <= rmax"):
         GridSpec("annulus", 100, rmin=0.0, rmax=1.0)
-    with pytest.raises(EmptyGridError):
+    with pytest.raises(ValueError, match="unknown grid shape 'nonagon'"):
         GridSpec("nonagon", 100, rmax=1.0)
     for rmin, rmax in ((0.2, math.inf), (0.2, math.nan), (math.inf, math.inf)):
-        with pytest.raises(EmptyGridError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be finite"):
             GridSpec("circle", 100, rmin=rmin, rmax=rmax)
-    with pytest.raises(EmptyGridError, match="finite rmax/rmin"):
+    with pytest.raises(ValueError, match="finite rmax/rmin"):
         GridSpec("annulus", 100, rmin=1e-300, rmax=1e300)
 
 
@@ -568,6 +567,26 @@ def test_scan_candidate_budget_limits_probing():
     rep = ext_scan(A, GridSpec("circle", 140, rmax=1.0))
     assert np.isfinite(rep.sylvester).sum() == 50
     np.testing.assert_array_equal(np.where(rep.flagged)[0], np.arange(0, 140, 20))
+
+
+def test_scan_without_candidates_builds_no_probe(monkeypatch):
+    import compext.extspec as extspec
+
+    A = composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), FOCK, 48)
+    assert A.svdvals[-1] > extspec.SYLVESTER_THRESHOLD * A.svdvals[0]  # no certificate
+    grid = GridSpec("circle", 16, rmax=1.0)
+    probes = []
+    init = extspec.SylvesterProbe.__init__
+
+    def counting_init(self, *args, **kwargs):
+        probes.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(extspec.SylvesterProbe, "__init__", counting_init)
+    assert np.isnan(ext_scan(A, grid, candidates=0).sylvester).all()
+    assert probes == []
+    assert np.isfinite(ext_scan(A, grid, candidates=1).sylvester).sum() == 1
+    assert probes == [1]
 
 
 def test_scan_report_serialization_round_trip(capsys, tmp_path):

@@ -5,20 +5,17 @@ Taylor coefficients of the symbol by FFT on a circle, powers by
 numpy.polynomial multiplication, then the norm rescaling.
 """
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 from compext import (
-    BadShiftError,
-    CenterOutsideDiskError,
-    DimensionMismatchError,
+    DomainError,
     LinearFractionalMap,
     OperatorMatrix,
     SpaceSpec,
-    SymbolNotAdmissibleError,
-    WrongSpaceError,
     adjoint,
     basis_shift_matrix,
     binomial_power,
@@ -112,9 +109,9 @@ def test_composition_homomorphism_on_leading_block():
 
 
 def test_composition_rejects_bad_symbols():
-    with pytest.raises(SymbolNotAdmissibleError):
+    with pytest.raises(DomainError, match="phi is not a self-map of the unit disk"):
         composition_matrix(LinearFractionalMap(2, 0, 0, 1), BERGMAN, 8)
-    with pytest.raises(SymbolNotAdmissibleError):
+    with pytest.raises(DomainError, match=r"fock composition needs phi = w z \+ b"):
         # disk automorphism, but not an affine expansion-free symbol
         composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), FOCK, 8)
 
@@ -171,9 +168,9 @@ def test_basis_shift_is_backward():
 
 
 def test_basis_shift_range_checks():
-    with pytest.raises(BadShiftError):
+    with pytest.raises(DomainError, match="need 1 <= k < order, got k=0, order=6"):
         basis_shift_matrix(0, HARDY, 6)
-    with pytest.raises(BadShiftError):
+    with pytest.raises(DomainError, match="need 1 <= k < order, got k=6, order=6"):
         basis_shift_matrix(6, HARDY, 6)
 
 
@@ -218,8 +215,16 @@ def test_sigma_shift_steps_down_the_sigma_powers():
 
 
 def test_sigma_shift_center_must_be_inside():
-    with pytest.raises(CenterOutsideDiskError):
+    with pytest.raises(DomainError, match=r"\|c\| = 1.0 must be < 1"):
         sigma_shift_matrix(1.0, 1, BERGMAN, 6)
+
+
+def test_sigma_shift_binomials_past_the_float_range_are_refused_at_once():
+    # C(1030, 515) > 1.8e308: refused before the O(order^2) basis change
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="leave the float range at order 1031"):
+        sigma_shift_matrix(0.5, 1, BERGMAN, 1031)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +262,11 @@ def test_quasi_pair_scaling_with_alpha():
 
 
 def test_quasi_pair_requires_fock():
-    with pytest.raises(WrongSpaceError):
+    with pytest.raises(DomainError, match="quasi_diff_matrix only acts on a fock space"):
         quasi_diff_matrix(HARDY, 6)
-    with pytest.raises(WrongSpaceError):
+    with pytest.raises(DomainError, match="quasi_mult_matrix only acts on a fock space"):
         quasi_mult_matrix(BERGMAN, 6)
-    with pytest.raises(WrongSpaceError):
+    with pytest.raises(DomainError, match="quasi_mult_matrix only acts on a fock space"):
         shifted_quasi_mult(HARDY, 0.5, 6)
 
 
@@ -319,7 +324,7 @@ def test_direct_sum_stacks_spectra():
 def test_direct_sum_requires_matching_space():
     A = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 4)
     B = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), BERGMAN, 4)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError, match=r"spaces SpaceSpec\(kind='hardy'.* and SpaceSpec\(kind='bergman'.* differ"):
         direct_sum(A, B)
 
 
@@ -351,7 +356,7 @@ def test_operator_matrix_owns_its_entries():
 def test_matmul_requires_matching_shapes():
     A = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 4)
     B = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 6)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DomainError, match="orders 4 and 6 differ"):
         matmul(A, B)
 
 

@@ -11,11 +11,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from compext import (
+    DomainError,
     LinearFractionalMap,
-    NegativeParameterError,
-    OrderMismatchError,
-    PoleInsideDiskError,
-    ZeroConstantTermError,
     binomial_power,
     cayley_power,
     compose_series,
@@ -45,7 +42,7 @@ def test_mul_matches_polymul():
         got = mul(p, q)
         want = P.polymul(p, q)[:8]
         np.testing.assert_allclose(got, want, atol=1e-13)
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(DomainError, match="orders 2 and 3 differ"):
         mul(_ps(1, 2), _ps(1, 2, 3))
 
 
@@ -75,7 +72,7 @@ def test_reciprocal_is_a_ring_inverse():
 
 
 def test_reciprocal_zero_constant_term():
-    with pytest.raises(ZeroConstantTermError):
+    with pytest.raises(DomainError, match="too small to invert"):
         reciprocal(monomial(1, 4))
 
 
@@ -114,7 +111,7 @@ def test_lft_taylor_affine_is_exact():
 
 
 def test_lft_taylor_pole_inside_disk_rejected():
-    with pytest.raises(PoleInsideDiskError):
+    with pytest.raises(DomainError, match="meets the closed disk"):
         lft_taylor(LinearFractionalMap(1, 0, -2, 1), 6)  # pole at 1/2
 
 
@@ -197,7 +194,7 @@ def test_parabolic_eigenfunction_adds_in_t():
 
 
 def test_parabolic_eigenfunction_rejects_negative_t():
-    with pytest.raises(NegativeParameterError):
+    with pytest.raises(DomainError, match="t must be >= 0"):
         parabolic_eigenfunction(-0.5, 6)
 
 
@@ -226,13 +223,13 @@ def test_compose_matches_pointwise_evaluation():
 def test_compose_order_shortfall_rejected():
     g = _ps(1, 2, 3)
     f = standard_form("hyperbolic-automorphism", r=0.5)
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(DomainError, match="generator has order 3, need at least 8"):
         compose_series(g, f, 8)
 
 
 def test_compose_requires_a_self_map():
     g = _ps(*np.ones(8))
-    with pytest.raises(PoleInsideDiskError):
+    with pytest.raises(DomainError, match="neither a disk self-map nor a Fock symbol"):
         compose_series(g, LinearFractionalMap(2, 0, 0, 1), 8)
 
 

@@ -67,12 +67,17 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # witness parameter lists, an empty grid and two grids past the float range
 # (a disk whose radii rmax * k overflow, a circle whose step 2 * rmax does;
 # both exited 0 with Infinity and NaN in the JSON before make_grid checked
-# them) (exit 2) and an unresolved class (exit 3); the order-256 matrix JSON,
+# them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
+# errors and seven exit-2 requests are what show that every error message and
+# exit code survives a change to the error classes; the order-256 matrix JSON,
 # 3.9 MB of entries in the column writer; last, three ratio_distance inputs the
 # pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
 # decades (the reliability filter keeps 8 ratios, 1e-8 to 1e6: one block), a
 # Bergman rotation scanned on an annulus far outside its ratio set (wide
-# candidate boxes in the tiles) and a circle of subnormal radius 1e-320
+# candidate boxes in the tiles) and a circle of subnormal radius 1e-320; and
+# a scan with --candidates 0 on a Fock contraction whose truncation is far
+# from singular, so no rank-one certificate applies and no probe is built
+# (its Sylvester column is all null)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -122,6 +127,7 @@ OFF_POOL = [
     ["extscan", "--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "256", "--grid", "annulus",
      "--rmin", "3", "--rmax", "40", "--points", "4096"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e-320", "--points", "16"],
+    ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "24", "--points", "16", "--candidates", "0"],
 ]
 
 
