@@ -15,8 +15,9 @@ class under extscan --require-prediction; 2 a plain ValueError, usage or
 parse error (an empty grid or one with a non-finite radius, radius ratio,
 point or step; checked at parse time: a degenerate --phi, a complex literal
 past the float range in --phi or --lam, a non-finite --alpha or --threshold,
-a negative --seed and a --candidates that is neither 'all' nor an integer
->= 0); 3 an UnresolvedClassError, an unresolved symbol class.
+a negative --seed, which only extscan and verify take, and a --candidates
+that is neither 'all' nor an integer >= 0), or an --out file that cannot be
+written; 3 an UnresolvedClassError, an unresolved symbol class.
 """
 
 from __future__ import annotations
@@ -128,7 +129,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=_finite_float, default=1.0, help="fock weight parameter")
     p.add_argument("--n", type=_bounded_int(8, 256, "--n"), default=48,
                    help="truncation order, 8..256")
-    p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
@@ -274,10 +274,14 @@ def _dumps(doc) -> str:
 
 
 def _write(text: str, out: str | None):
-    """Write text to the file out, or to stdout when out is not given."""
+    """Write text to the file out, or to stdout when out is not given.  A
+    file that cannot be written is a ValueError that names it."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -463,11 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sylvester probe budget: an integer >= 0 or 'all'")
     p.add_argument("--require-prediction", action="store_true",
                    help="exit 1 when the symbol class has no resolved prediction")
+    p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
     p.set_defaults(func=cmd_extscan)
 
     p = sub.add_parser("verify", help="run every known identity for the symbol's class")
     _add_common(p)
     p.add_argument("--points", type=_bounded_int(16, 4096, "--points"), default=None)
+    p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
     p.set_defaults(func=cmd_verify)
 
     return ap

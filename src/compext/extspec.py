@@ -12,25 +12,11 @@ ratio set {mu_i / mu_j}.  Two numerical probes are provided:
     normalized by ||A|| (1 + |lambda|).
 
 Both probes are scanned over grids by ext_scan, which settles each Sylvester
-value by the first of three routes that applies (see SylvesterProbe):
-
-  * certificate -- sigma_min(A)/||A|| <= SYLVESTER_THRESHOLD.  X = v u^H from
-    A's smallest right and left singular vectors gives sigma_min(Sylv) <=
-    (1+|lambda|) sigma_min(A), so every lambda flags and the reported value
-    is that certified upper bound.  Truncations of the hyperbolic and
-    parabolic composition operators are exponentially close to singular and
-    always take this route: there the probe cannot tell lambdas apart, the
-    candidate-limiting default exists because of this, and scan output
-    should be read as candidate localization, not as membership proof.
-  * exact -- A is normal (rotations: diagonal truncations), and sigma_min is
-    min |mu_i - lambda mu_j| over the eigenvalues.
-  * iteration -- inverse iteration with triangular Sylvester solves, an
-    upper-bound estimate accurate to a small factor (a dense Kronecker SVD
-    at small orders).
-
-The reported Sylvester value is thus an upper bound on the true value, and
-exact for normal truncations -- apart from the 0.0 the iteration returns when
-a solve overflows.
+value by a rank-one certificate when the truncation is that close to singular,
+else by one of the probe's three routes (see SylvesterProbe for all four).
+The reported value is an upper bound on the true value, exact on the exact
+and dense routes -- apart from the 0.0 the iteration returns when a solve
+overflows.
 """
 
 from __future__ import annotations
@@ -81,6 +67,7 @@ class UnresolvedClassError(ValueError):
 
 
 MAX_PROBE_ORDER = 128  # the Sylvester probe's order cap
+ITERATION_STEPS = 5  # the most inverse-iteration steps a probe takes per lambda
 SYLVESTER_THRESHOLD = 1e-6  # a normalized Sylvester sigma_min at or below this flags
 RELIABILITY_TOL = 1e-6  # the eigenvalue error estimate, relative to |mu|, a scan trusts
 
@@ -139,13 +126,10 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     cells apart; such pairs are resolved greedily in (re, im) order, each
     value dropped when it lies within tol of an earlier one that was kept.
     The result is a subset of the input in which no two values lie within
-    tol, and it does not depend on the input's order.  tol <= 0 merges
-    exact duplicates only.
+    tol, and it does not depend on the input's order.
     """
     if values.size == 0:
         return values
-    if tol <= 0:
-        return np.unique(values)  # complex values sort by (re, im)
     # presorting by the real part leaves the cell keys nearly sorted, which
     # the stable sort below then orders in close to linear time
     vals = values[np.argsort(values.real)]
@@ -326,47 +310,55 @@ def __getattr__(name: str):
 class SylvesterProbe:
     """Normalized sigma_min of X -> A X - lambda X A, reusable across lambdas.
 
-    A complex Schur form A = Q T Q^H is computed once; each lambda then takes
-    the first route that applies:
+    A probe takes the first route that applies to A and builds only what that
+    route reads:
 
-      exact      A is normal (T diagonal to roundoff: ||strict_upper(T)||_F <=
-                 n eps ||T||_F).  X -> Q^H X Q turns the operator into the
-                 diagonal one with entries mu_i - lambda mu_j, so sigma_min is
-                 min |mu_i - lambda mu_j| -- O(n^2) per lambda and, sigma_min
-                 being 1-Lipschitz, within about n eps of the truth.
+      exact      A is diagonal (the rotations' truncations), with entries mu.
+                 The operator is then diagonal too, with entries
+                 mu_i - lambda mu_j, so sigma_min is min |mu_i - lambda mu_j|:
+                 O(n^2) per lambda and exact to roundoff.
       dense      order <= 16: SVD of the n^2 x n^2 Kronecker matrix.
-      iteration  inverse power iteration on the lifted normal equations, each
-                 step two triangular Sylvester solves (ztrsyl).  The estimate
-                 is an upper bound accurate to a small factor -- ample against
-                 thresholds here, which sit many orders away from the values
-                 they test.
+      iteration  a complex Schur form A = Q T Q^H, computed once, then per
+                 lambda at most ITERATION_STEPS steps of inverse power
+                 iteration on the lifted normal equations from a start drawn
+                 from `seed`, each step two triangular Sylvester solves
+                 (ztrsyl).  The estimate is an upper bound accurate to a small
+                 factor -- ample against thresholds here, which sit many orders
+                 away from the values they test -- and 0.0 when a solve
+                 overflows.
+
+    A normal A that is not diagonal takes the dense route at order <= 16 and
+    the iteration above it.
 
     One closed form needs no probe at all: when sigma_min(A)/||A|| is at or
     below SYLVESTER_THRESHOLD, X = v u^H built from A's smallest right and
     left singular vectors gives ||A X - lambda X A|| <= sigma_min(A)(1+|lambda|),
     so every lambda flags with the certified bound sigma_min(A)/||A||.
-    ext_scan applies that certificate before it builds a probe.
+    ext_scan applies that certificate before it builds a probe.  Truncations
+    of the hyperbolic and parabolic composition operators are exponentially
+    close to singular and always take it: there the probe cannot tell lambdas
+    apart, the candidate-limiting default exists because of this, and scan
+    output should be read as candidate localization, not as membership proof.
     """
 
     def __init__(self, A: OperatorMatrix, seed: int = 0):
         n = A.order
         if n > MAX_PROBE_ORDER:
             raise DomainError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
-        self.n = n
         self.norm_a = float(A.svdvals[0])
-        import scipy.linalg  # loaded on first use, as in _eig_with_reliability
-
-        self.t, _ = scipy.linalg.schur(A.entries, output="complex")
-        off = np.linalg.norm(np.triu(self.t, 1))
-        normal = off <= n * np.finfo(float).eps * np.linalg.norm(self.t)
-        self.mu = np.diag(self.t).copy() if normal else None
-        self.dense = not normal and n <= 16
+        a = A.entries
+        self.mu = np.diag(a) if np.array_equal(a, np.diag(np.diag(a))) else None
+        self.dense = self.mu is None and n <= 16
         if self.dense:
-            self.a = A.entries
+            self.a = a
             self.eye = np.eye(n)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        self.v0 = v0 / np.linalg.norm(v0)
+        elif self.mu is None:
+            import scipy.linalg  # loaded on first use, as in _eig_with_reliability
+
+            self.t, _ = scipy.linalg.schur(a, output="complex")
+            rng = np.random.default_rng(seed)
+            v0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            self.v0 = v0 / np.linalg.norm(v0)
 
     def _solve(self, lam: complex, c: np.ndarray, adjoint_eq: bool) -> np.ndarray | None:
         # trsyl solves op(A) X + isgn X op(B) = scale C for triangular A, B;
@@ -379,9 +371,8 @@ class SylvesterProbe:
             return None
         return x / scale
 
-    def sigma_min(self, lam: complex, iters: int = 8) -> float:
-        """sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|)): exact for normal A
-        and for small orders, an upper-bound estimate otherwise."""
+    def sigma_min(self, lam: complex) -> float:
+        """sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|)), by the probe's route."""
         lam = complex(lam)
         scale = self.norm_a * (1.0 + abs(lam))
         if scale == 0:
@@ -394,7 +385,7 @@ class SylvesterProbe:
 
         v = self.v0
         prev = None
-        for _ in range(max(1, iters)):
+        for _ in range(ITERATION_STEPS):
             y = self._solve(lam, v, adjoint_eq=True)
             if y is None:
                 return 0.0
@@ -772,13 +763,12 @@ def ext_scan(
 
     The Sylvester probe runs on the `candidates` grid points with the
     smallest ratio distance ("all" for every point; default: all points for
-    order <= 48, else 50; none above order MAX_PROBE_ORDER), each probe at
-    most 5 inverse-iteration steps.  Ratios use the strict mode of ratio_set
-    when the truncation allows it, falling back to the reliability filter at
-    RELIABILITY_TOL (recorded in notes) -- the fallback is the normal path for
-    hyperbolic and parabolic symbols, whose truncations are exponentially
-    singular.  The report holds what the scan measured; the caller keeps
-    what it passed in.
+    order <= 48, else 50; none above order MAX_PROBE_ORDER).  Ratios use the
+    strict mode of ratio_set when the truncation allows it, falling back to
+    the reliability filter at RELIABILITY_TOL (recorded in notes) -- the
+    fallback is the normal path for hyperbolic and parabolic symbols, whose
+    truncations are exponentially singular.  The report holds what the scan
+    measured; the caller keeps what it passed in.
     """
     lam, step = make_grid(grid)
     if np.any(lam == 0):
@@ -821,7 +811,7 @@ def ext_scan(
         elif chosen.size:
             probe = SylvesterProbe(A, seed=seed)
             for i in chosen:
-                sylv[i] = probe.sigma_min(lam[i], iters=5)
+                sylv[i] = probe.sigma_min(lam[i])
 
     sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= SYLVESTER_THRESHOLD
     ratio_flag = rd < rt

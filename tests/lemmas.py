@@ -14,8 +14,6 @@ from compext import (
     OperatorMatrix,
     SpaceSpec,
     SylvesterProbe,
-    adjoint,
-    direct_sum,
     ratio_distance,
     ratio_set,
 )
@@ -82,7 +80,7 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
     for idx, M in enumerate(mats):
         r = ratio_set(M)
         # adjoint: conj(1/rho)
-        r_adj = ratio_set(adjoint(M))
+        r_adj = ratio_set(OperatorMatrix(M.space, M.order, M.entries.conj().T))
         expected = _dedup_sorted(np.conj(1.0 / r), 1e-9)
         worst_adj = max(worst_adj, _setdist(r_adj, expected))
         # scaling
@@ -104,7 +102,8 @@ def lemma_suite(A: OperatorMatrix | None = None, seed: int = 0, draws: int = 10,
         # direct sum: every block ratio flags in the sum's scan
         if A is None and idx % 2 == 1:
             prev = mats[idx - 1]
-            S = direct_sum(prev, M)
+            zero = np.zeros((prev.order, M.order))
+            S = OperatorMatrix(space, prev.order + M.order, np.block([[prev.entries, zero], [zero.T, M.entries]]))
             probe_s = SylvesterProbe(S, seed=seed)
             union = _dedup_sorted(np.concatenate([ratio_set(prev), r]), 1e-9)
             for lam in union:

@@ -313,6 +313,46 @@ def test_extscan_candidates_and_seed_are_checked_at_parse_time():
         assert sum(row[3] is not None for row in doc["rows"]) == probed
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["matrix", "--n", "8", "--format", "mm"],
+    ["eigs", "--n", "8"],
+    ["extcheck", "--n", "8", "--witness", "identity", "--lam", "1"],
+], ids=lambda argv: argv[0])
+def test_only_the_probing_commands_take_a_seed(argv):
+    argv = argv[:1] + ["--phi", "0.5,0,0,1"] + argv[1:]
+    rc, out, err = run(argv + ["--seed", "0"])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --seed 0" in err
+    rc, out, _ = run(argv)
+    assert rc == 0
+    if argv[0] != "matrix":  # the Matrix Market text has no config echo
+        assert json.loads(out)["config"]["seed"] == 0
+
+
+def test_verify_checks_its_seed_and_echoes_it():
+    argv = ["verify", "--phi", "i,0,0,1", "--space", "fock", "--n", "16", "--points", "16"]
+    rc, out, err = run(argv + ["--seed", "-1"])
+    assert (rc, out) == (2, "") and "--seed" in err
+    rc, out, _ = run(argv + ["--seed", "3"])
+    assert rc == 0 and json.loads(out)["config"]["seed"] == 3
+
+
+def test_unwritable_out_is_an_argument_error(tmp_path):
+    missing = tmp_path / "missing"
+    phi = ["--phi", "0.5,0,0,1", "--n", "8"]
+    for argv, path in (
+        # extscan writes its CSV first
+        (["extscan", *phi, "--space", "hardy", "--points", "16", "--out", f"{missing}/x.json"], missing / "x.grid.csv"),
+        (["matrix", *phi, "--format", "mm", "--out", f"{missing}/x.mtx"], missing / "x.mtx"),
+        (["matrix", *phi, "--out", f"{missing}/x.json"], missing / "x.json"),
+    ):
+        rc, out, err = run(argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not missing.exists()
+
+
 def test_extscan_bad_grid_exits_two():
     rc, _, _ = run(
         ["extscan", "--phi", "i,0,0,1", "--space", "fock", "--n", "12",

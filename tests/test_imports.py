@@ -1,9 +1,10 @@
 """scipy.linalg is loaded on first use, not with the package.
 
 classify, extcheck and matrix need no spectral computation, so a process that
-runs only those never imports scipy.linalg; eigs (and extscan, verify and the
-Sylvester probe) import it when they run.  Each check runs in a fresh
-interpreter, since the test process has loaded scipy already.
+runs only those never imports scipy.linalg; eigs imports it when it runs, and
+so do extscan and verify when a truncation needs the reliability filter or the
+Sylvester probe's iteration.  Each check runs in a fresh interpreter, since
+the test process has loaded scipy already.
 """
 import os
 import subprocess
@@ -39,6 +40,22 @@ def test_scipy_linalg_loads_only_for_spectral_commands():
         with contextlib.redirect_stdout(io.StringIO()):
             assert compext.cli.main(["eigs", phi, "--n", "16"]) == 0
         assert "scipy.linalg" in sys.modules
+    """)
+
+
+def test_scans_of_rotations_never_load_scipy_linalg():
+    # a rotation's truncation is diagonal: the probe takes its exact route
+    _run("""
+        import contextlib, io, sys
+        import compext.cli
+
+        fock = ["--phi=i,0,0,1", "--space", "fock", "--n", "16", "--points", "16"]
+        bergman = ["--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "16", "--points", "16"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for args in (fock, bergman):
+                for command in ("extscan", "verify"):
+                    assert compext.cli.main([command] + args) == 0, (command, args)
+        assert "scipy.linalg" not in sys.modules
     """)
 
 

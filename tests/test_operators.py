@@ -35,6 +35,7 @@ from compext import (
     sigma_shift_matrix,
     standard_form,
 )
+from oracle import composition_entries
 
 HARDY = SpaceSpec("hardy")
 BERGMAN = SpaceSpec("bergman")
@@ -94,6 +95,28 @@ def test_composition_matches_independent_oracle():
         got = composition_matrix(f, sp, 10).entries
         want = _composition_oracle(f, sp, 10)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+ORACLE_CASES = [
+    pytest.param(standard_form("elliptic-automorphism", w=np.exp(2j * np.pi / 7)), BERGMAN, id="bergman-elliptic"),
+    pytest.param(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, id="bergman-hyperbolic-aut"),
+    pytest.param(standard_form("hyperbolic-na-1", r=0.5), BERGMAN, id="bergman-na-1"),
+    pytest.param(standard_form("parabolic-automorphism", a=2j), BERGMAN, id="bergman-parabolic-aut"),
+    pytest.param(standard_form("hyperbolic-na-3", a=0.5, c=0.2), BERGMAN, id="bergman-na-3"),
+    pytest.param(standard_form("loxodromic", a=0.5j, c=0.2), BERGMAN, id="bergman-loxodromic"),
+    pytest.param(LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, id="fock-rotation"),
+    pytest.param(LinearFractionalMap(0.6 * np.exp(0.3j), 0.5 - 0.2j, 0, 1), FOCK, id="fock-affine"),
+]
+
+
+@pytest.mark.parametrize("order", [32, 48])
+@pytest.mark.parametrize("phi, space", ORACLE_CASES)
+def test_composition_matches_the_50_digit_oracle(phi, space, order):
+    # error relative to each column's largest entry; the Fock affine
+    # contraction is the worst case, at 1.3e-14 (order 48)
+    want = composition_entries(phi, space, order)
+    got = composition_matrix(phi, space, order).entries
+    assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() <= 1e-13
 
 
 def test_composition_homomorphism_on_leading_block():
@@ -302,7 +325,7 @@ def test_matrix_power_matches_repeated_product():
     C = composition_matrix(f, HARDY, 8)
     P3 = matrix_power(C, 3)
     np.testing.assert_allclose(
-        P3.entries, matmul(C, matmul(C, C)).entries, atol=1e-13
+        P3.entries, C.entries @ (C.entries @ C.entries), atol=1e-13
     )
     np.testing.assert_allclose(matrix_power(C, 0).entries, np.eye(8), atol=0)
 

@@ -54,10 +54,11 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # skipped probes in JSON rows and in the CSV, verify at its default scan
 # sizes, one request per scan kind (rotation circle, power annulus,
 # unit-circle annulus, closed disk), an irrational Fock rotation (w = e^{2i}
-# at N = 128, whose scan flags lie near w^k, |k| < N, only), the one scan
-# known to settle its Sylvester values by inverse iteration (ztrsyl solves;
-# every other request settles them by the certificate, exact or dense route)
-# and two witness labels, in Matrix Market and in JSON; the entries of six
+# at N = 128, whose scan flags lie near w^k, |k| < N, only), the two scans
+# known to settle their Sylvester values by inverse iteration (ztrsyl
+# solves), at n = 24 and at n = 128, the probe's largest order (every other
+# request settles them by the certificate, exact or dense route) and two
+# witness labels, in Matrix Market and in JSON; the entries of six
 # more witness kinds in Matrix Market (the pools compare witnesses only
 # through one extcheck residual each); then one request per failure path:
 # twelve domain errors (three of them witness entries past the float range,
@@ -93,6 +94,7 @@ OFF_POOL = [
     ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
     ["verify", "--phi=-0.41614691548307164+0.9092973907000532i,0,0,1", "--space", "fock", "--n", "128"],
     ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
+    ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "128", "--points", "16"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:0.5,2", "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "mult:binomial,1+1i", "--format", "json"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:monomial,3", "--format", "mm"],
