@@ -1,12 +1,13 @@
 """Command line surface.
 
-Subcommands: classify, matrix, eigs, extcheck, extscan, verify.  Every
-command echoes its resolved configuration in the JSON it emits, so runs are
-reproducible from their own output; output is byte-stable across runs with
-the same inputs, except for the timestamp field.  This module alone decides
-how results become JSON and CSV: json.dumps writes each document, with
-_encode for the types it does not know, and the column writer (_Block,
-_csv) writes the arrays: extscan rows, eigs arrays and matrix entries.
+Subcommands: classify, matrix, eigs, extcheck, extscan, verify.  Every JSON
+document echoes, under "config", the options its command parsed (the parser
+is their only list), so feeding them back to compext reproduces the run;
+output is byte-stable across runs with the same inputs, except for the
+timestamp field.  This module alone decides how results become JSON and
+CSV: json.dumps writes each document, with _encode for the types it does
+not know, and the column writer (_Block, _csv) writes the arrays: extscan
+rows, eigs arrays and matrix entries.
 
 Exit codes: 0 success; 1 a DomainError (inadmissible symbol, wrong space,
 Fock norms or matrix entries out of float range, a singular truncation: its
@@ -28,7 +29,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,25 +60,6 @@ from .lft import (
 )
 from .operators import composition_matrix, operator_to_matrix_market
 from .spaces import KINDS, SpaceSpec
-
-
-@dataclass
-class RunConfig:
-    command: str
-    phi: str | None = None
-    space: str = "bergman"
-    alpha: float = 1.0
-    n: int = 48
-    seed: int = 0
-    threshold: float = 1e-6
-    margin: int = 0
-    grid: str | None = None
-    points: int | None = None
-    rmin: float | None = None
-    rmax: float | None = None
-    witness: str | None = None
-    lam: str | None = None
-    out: str | None = None
 
 
 def _bounded_int(lo: int, hi: float, what: str):
@@ -138,19 +119,6 @@ def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--points", type=_bounded_int(16, 4096, "--points"), default=default.points)
     p.add_argument("--rmin", type=float, default=default.rmin)
     p.add_argument("--rmax", type=float, default=default.rmax)
-
-
-def _config(args) -> RunConfig:
-    """The run's configuration: each RunConfig field from the argument of its
-    name, at the field's default where the command has no such argument, the
-    symbol and lambda echoed as text."""
-    fields = dataclasses.fields(RunConfig)
-    config = RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields})
-    if config.phi is not None:
-        config.phi = format_lft(config.phi)
-    if config.lam is not None:
-        config.lam = format_complex(config.lam)
-    return config
 
 
 def _fields(obj) -> dict:
@@ -287,10 +255,15 @@ def _write(text: str, out: str | None):
 
 
 def _respond(args, result):
-    """Write the command's JSON document (its configuration, a timestamp and
-    the result) to --out or stdout."""
+    """Write the command's JSON document (the options it parsed, a timestamp
+    and the result) to --out or stdout; the symbol and lambda are echoed as
+    the text they parse back from."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config["phi"] = format_lft(args.phi)
+    if "lam" in config:
+        config["lam"] = format_complex(args.lam)
     doc = {
-        "config": asdict(_config(args)),  # unset options stay null, which _fields would drop
+        "config": config,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }

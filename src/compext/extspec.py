@@ -989,6 +989,11 @@ def verify_theorem_suite(
     parabolic automorphism classes, where finite sections cannot see the
     predicted unit circle.  Raises UnresolvedClassError for classes/spaces
     with no resolved prediction.
+
+    What a scan row can show: a truncation's extended eigenvalues are exactly
+    its eigenvalue ratios, since X -> C X - lambda X C is singular iff
+    sigma(C) meets lambda sigma(C).  So a scan row checks the section's ratio
+    set against the prediction; the witness rows carry the paper's content.
     """
     label, mult, fixed_points = _resolve(phi, space)
     recipe = _RECIPES[label]

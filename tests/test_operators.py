@@ -19,6 +19,7 @@ from compext import (
     adjoint,
     basis_shift_matrix,
     binomial_power,
+    build_witness,
     compose,
     composition_matrix,
     direct_sum,
@@ -35,7 +36,7 @@ from compext import (
     sigma_shift_matrix,
     standard_form,
 )
-from oracle import composition_entries
+import oracle
 
 HARDY = SpaceSpec("hardy")
 BERGMAN = SpaceSpec("bergman")
@@ -114,9 +115,70 @@ ORACLE_CASES = [
 def test_composition_matches_the_50_digit_oracle(phi, space, order):
     # error relative to each column's largest entry; the Fock affine
     # contraction is the worst case, at 1.3e-14 (order 48)
-    want = composition_entries(phi, space, order)
+    want = oracle.composition_entries(phi, space, order)
     got = composition_matrix(phi, space, order).entries
     assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() <= 1e-13
+
+
+def _column_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Entrywise error relative to each column's largest entry; a column the
+    oracle holds at zero must be zero."""
+    scale = np.abs(want).max(axis=0)
+    assert not got[:, scale == 0].any()
+    return (np.abs(got - want).max(axis=0)[scale > 0] / scale[scale > 0]).max(initial=0.0)
+
+
+# sigma-power is centred at phi's interior fixed point c = 0.8; the Fock
+# weight 0.5 shows a misplaced alpha, which alpha = 1 would hide
+SIGMA_PHI = LinearFractionalMap(0.5, 0.4, 0, 1)
+MULT_WITNESSES = ["mult:binomial,0.5+3i", "mult:cayley,0.3+1i", "mult:exponential,1.0", "mult:monomial,3",
+                  "mult:sigma-power,5"]
+WITNESS_CASES = [
+    pytest.param(text, space, id=f"{space.kind}-{text}")
+    for space in (HARDY, BERGMAN, SpaceSpec("fock", alpha=0.5))
+    for text in MULT_WITNESSES
+] + [
+    pytest.param(text, SpaceSpec("fock", alpha=0.5), id=f"fock-{text}")
+    for text in ("qdiff:2", "qmult-shifted:1+1i,3")
+]
+
+
+@pytest.mark.parametrize("order", [32, 64])
+@pytest.mark.parametrize("text, space", WITNESS_CASES)
+def test_witnesses_match_the_50_digit_oracle(text, space, order):
+    # worst 5.4e-14, the Fock exponential at order 64 (its norm ratios);
+    # at most 4.4e-16 on Hardy and Bergman and 3.2e-16 for the Fock pair
+    want = oracle.witness_entries(text, SIGMA_PHI, space, order)
+    assert _column_error(build_witness(text, SIGMA_PHI, space, order).entries, want) <= 1e-13
+
+
+ROTATION7 = LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1)
+QUARTER_TURN = LinearFractionalMap(1j, 0, 0, 1)
+RESIDUAL_CASES = [
+    # exact witnesses whose float products are exact: both residuals are 0
+    pytest.param(QUARTER_TURN, FOCK, "shift:1", -1j, 0, 16, id="fock-rotation-shift"),
+    pytest.param(QUARTER_TURN, SpaceSpec("fock", alpha=0.5), "mult:monomial,1", 1j, 0, 8, id="fock-rotation-z"),
+    pytest.param(LinearFractionalMap(0.5, 0, 0, 1), FOCK, "qdiff:1", 2.0, 0, 8, id="fock-dilation-qdiff"),
+    # residuals of 1e-2 and more: a wrong lambda, truncated non-banded witnesses
+    pytest.param(ROTATION7, FOCK, "shift:1", np.exp(2j * np.pi / 7), 0, 16, id="fock-rotation-wrong-lambda"),
+    pytest.param(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, "mult:cayley,1i", 3.0**-1j, 2, 8,
+                 id="bergman-hyperbolic-cayley"),
+    pytest.param(SIGMA_PHI, BERGMAN, "mult:sigma-power,2", 0.25, 0, 8, id="bergman-affine-sigma-power"),
+]
+
+
+@pytest.mark.parametrize("phi, space, text, lam, margin, order", RESIDUAL_CASES)
+def test_intertwining_residual_matches_the_50_digit_oracle(phi, space, text, lam, margin, order):
+    # the oracle reads the same float entries, so only the residual's own
+    # products and SVDs are checked
+    A = composition_matrix(phi, space, order)
+    X = build_witness(text, phi, space, order)
+    want = oracle.intertwining_residual(A.entries, X.entries, lam, margin)
+    got = intertwining_residual(A, X, lam, margin)
+    if want < 1e-15:
+        assert abs(got - want) <= 1e-17
+    else:
+        assert want >= 1e-2 and abs(got - want) <= 1e-14 * want
 
 
 def test_composition_homomorphism_on_leading_block():

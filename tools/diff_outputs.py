@@ -78,7 +78,11 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # candidate boxes in the tiles) and a circle of subnormal radius 1e-320; and
 # a scan with --candidates 0 on a Fock contraction whose truncation is far
 # from singular, so no rank-one certificate applies and no probe is built
-# (its Sylvester column is all null)
+# (its Sylvester column is all null); and an empty ratio set: on Fock
+# 0.1z + 3 with alpha = 10 at n = 8 no eigenvalue is reliable, which only
+# these two requests reach (eigs's ratio_set note; extscan's "no reliable
+# eigenvalues" branch, its "no ratio ranking" note for --candidates 3 and
+# ratio_distance's return for an empty set)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -130,6 +134,9 @@ OFF_POOL = [
      "--rmin", "3", "--rmax", "40", "--points", "4096"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e-320", "--points", "16"],
     ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "24", "--points", "16", "--candidates", "0"],
+    ["eigs", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8"],
+    ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
+     "--candidates", "3"],
 ]
 
 
