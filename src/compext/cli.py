@@ -7,7 +7,8 @@ output is byte-stable across runs with the same inputs, except for the
 timestamp field.  This module alone decides how results become JSON and
 CSV: json.dumps writes each document, with _encode for the types it does
 not know, and the column writer (_Block, _csv) writes the arrays: extscan
-rows, eigs arrays and matrix entries.
+rows, eigs arrays and matrix entries.  The JSON is strict (RFC 8259): a
+non-finite float is null there, and nan, inf or -inf in the CSV.
 
 Exit codes: 0 success; 1 a DomainError (inadmissible symbol, wrong space,
 Fock norms or matrix entries out of float range, a singular truncation: its
@@ -134,28 +135,39 @@ def _fields(obj) -> dict:
     return out
 
 
+def _plain(obj):
+    """obj with every non-finite float in it, in dicts, lists and tuples at
+    any depth, as None: null is the one JSON spelling of nan, inf and -inf,
+    since RFC 8259 has no other."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
+
 def _encode(obj):
     """json.dumps hook for what the standard encoder does not know: a complex
     number as [re, im], INF as null, a numpy scalar as its Python value and a
-    dataclass as _fields(obj)."""
+    dataclass as _fields(obj), each through _plain."""
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _plain([obj.real, obj.imag])
     if isinstance(obj, np.generic):
-        return obj.item()
+        return _plain(obj.item())
     if is_inf(obj):
         return None
     if dataclasses.is_dataclass(obj):
-        return _fields(obj)
+        return _plain(_fields(obj))
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # How a column's words read in the text: str(list) writes floats with
 # float.__repr__, as json and the CSV f-string do, non-finite ones as nan, inf
-# and -inf, and flags as True and False.  "-inf" comes first, so that a column
-# that writes inf as null does not leave its sign behind.
-_JSON = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN", "True": "true", "False": "false"}
-_NAN_NULL = _JSON | {"nan": "null"}
-_NON_FINITE_NULL = _JSON | {"-inf": "null", "inf": "null", "nan": "null"}
+# and -inf, and flags as True and False.  "-inf" comes first, so that null
+# does not leave its sign behind.
+_JSON = {"-inf": "null", "inf": "null", "nan": "null", "True": "true", "False": "false"}
 _CSV = {"True": "1", "False": "0"}
 
 
@@ -183,18 +195,18 @@ def _join(columns: list, head: str, cell_sep: str, row_sep: str, tail: str) -> s
 
 
 class _Block:
-    """Float or bool columns of one length, each with its JSON spelling, that
-    _dumps writes as one array: one column as a flat list, several as rows
+    """Float or bool columns of one length that _dumps writes as one array
+    (non-finite floats as null): one column as a flat list, several as rows
     of one entry per column."""
 
-    def __init__(self, *columns: tuple):
+    def __init__(self, *columns: np.ndarray):
         self.columns = columns
 
     def json(self, indent: str) -> str:
         """The array as json.dumps(indent=2) writes it on a line at indent."""
-        if not self.columns[0][0].size:
+        if not self.columns[0].size:
             return "[]"
-        columns = [_tokens(column, spelling) for column, spelling in self.columns]
+        columns = [_tokens(column, _JSON) for column in self.columns]
         inner = indent + "  "
         if len(columns) == 1:
             return _join(columns, f"[\n{inner}", "", f",\n{inner}", f"\n{indent}]")
@@ -205,7 +217,7 @@ class _Block:
 def _complex_block(a: np.ndarray) -> _Block:
     """A complex array as its flat row-major list of [re, im] pairs."""
     flat = a.ravel()
-    return _Block((flat.real, _JSON), (flat.imag, _JSON))
+    return _Block(flat.real, flat.imag)
 
 
 def _csv(header: tuple, columns: tuple) -> str:
@@ -220,8 +232,9 @@ _SENTINEL = "\0"  # what json.dumps writes for a block, as the string "\u0000"
 
 def _dumps(doc) -> str:
     """doc as json.dumps(sort_keys=True, indent=2) writes it, with each
-    _Block in it written by the column writer.  The blocks are met in the
-    order the text holds them; a document without one is not searched."""
+    non-finite float as null (allow_nan=False makes sure) and each _Block in
+    it written by the column writer.  The blocks are met in the order the
+    text holds them; a document without one is not searched."""
     blocks = []
 
     def encode(obj):
@@ -230,7 +243,7 @@ def _dumps(doc) -> str:
             return _SENTINEL
         return _encode(obj)
 
-    text = json.dumps(doc, sort_keys=True, indent=2, default=encode)
+    text = json.dumps(_plain(doc), sort_keys=True, indent=2, allow_nan=False, default=encode)
     if not blocks:
         return text
     pieces = text.split(json.dumps(_SENTINEL))
@@ -309,8 +322,8 @@ def cmd_eigs(args) -> int:
         ratio_info = {"count": 0, "sample": [], "note": str(exc)}
     result = {
         "eigenvalues": _complex_block(w),
-        "error_estimates": _Block((err, _NON_FINITE_NULL)),
-        "reliable": _Block((reliable, _JSON)),
+        "error_estimates": _Block(err),
+        "reliable": _Block(reliable),
         "reliable_count": np.count_nonzero(reliable),
         "ratio_set": ratio_info,
     }
@@ -374,8 +387,7 @@ def cmd_extscan(args) -> int:
     else:
         summary["columns"] = SCAN_COLUMNS
         # the Sylvester value is nan where the probe did not run: null in JSON, nan in CSV
-        spellings = (_JSON, _JSON, _JSON, _NAN_NULL, _JSON)
-        summary["rows"] = _Block(*zip(columns, spellings))
+        summary["rows"] = _Block(*columns)
     _respond(args, summary)
     return 0
 

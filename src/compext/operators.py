@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 from .series import lft_taylor
@@ -139,14 +140,62 @@ def op_norm(A: OperatorMatrix) -> float:
 # factories
 
 
+def _toeplitz(v: np.ndarray, order: int) -> np.ndarray:
+    """The order x order lower-triangular Toeplitz matrix of v, T[i, j] =
+    v[i - j] for 0 <= i - j < v.size and 0 elsewhere, as a read-only view of
+    one zero-padded copy of v."""
+    m = min(v.size, order)
+    padded = np.zeros(2 * order - 1, dtype=v.dtype)
+    padded[order - m : order] = v[:m][::-1]
+    return sliding_window_view(padded, order)[::-1]
+
+
+_ROW_BLOCK = 64  # rows per product, so that each skips its block's zeros of T
+
+
+def _powers(t: np.ndarray, order: int, affine: bool) -> np.ndarray:
+    """The order x order array whose column j holds the Taylor coefficients
+    of phi^j, phi's own being t.
+
+    Built by doubling: once phi^0 .. phi^(k-1) are known, phi^k .. phi^(2k-2)
+    are phi^(k-1) phi^m for m = 1 .. k-1, one product of the lower-triangular
+    Toeplitz matrix T of phi^(k-1) with those columns, about log2(order)
+    products in all, each in one reused workspace.  Each product is taken in
+    blocks of rows, each block against the columns of T up to its diagonal
+    only; for affine phi phi^m has degree m, so the zero rows of the
+    right-hand block and of the result are skipped too.
+    """
+    powers = np.zeros((order, order), dtype=np.complex128)
+    powers[0, 0] = 1.0
+    if order > 1:
+        powers[:, 1] = t
+    work = np.empty((order, order), dtype=np.complex128)
+    k = 2
+    while k < order:
+        cols = min(k - 1, order - k)
+        # nonzero rows: of phi^1 .. phi^(k-1), and of the new columns
+        depth, rows = (k, min(2 * k - 1, order)) if affine else (order, order)
+        T = work[:rows, :depth]
+        np.copyto(T, _toeplitz(powers[:, k - 1], order)[:rows, :depth])
+        for r0 in range(0, rows, _ROW_BLOCK):
+            r1 = min(r0 + _ROW_BLOCK, rows)
+            inner = min(r1, depth)
+            powers[r0:r1, k : k + cols] = T[r0:r1, :inner] @ powers[:inner, 1 : 1 + cols]
+        k += cols
+    return powers
+
+
 def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -> OperatorMatrix:
-    """Truncation of C_phi: column j holds the coordinates of phi^j / ||z^j||.
+    """Truncation of C_phi: column j holds the coordinates of phi^j / ||z^j||,
+    the coefficients of the powers from _powers (Toeplitz doubling) scaled by
+    the norm ratios ||z^i|| / ||z^j|| as one array.
 
     Admissibility: a self-map of the disk for hardy/bergman, an affine
     contraction (or rotation) for fock.  For phi(z) = w z the matrix is
-    exactly diagonal with entries w^j.  Raises DomainError when an entry
-    leaves the float range (a Fock translation b whose powers b^j outgrow
-    the norm ratios ||z^j||, say).
+    exactly diagonal, and for any affine phi exactly upper triangular, its
+    zeros written as 0.0.  Raises DomainError when an entry leaves the float
+    range (a Fock translation b whose powers b^j outgrow the norm ratios
+    ||z^j||, say).
     """
     if space.kind == "fock":
         if not is_fock_symbol(phi):
@@ -158,14 +207,10 @@ def composition_matrix(phi: LinearFractionalMap, space: SpaceSpec, order: int) -
             raise DomainError("phi is not a self-map of the unit disk")
     t = lft_taylor(phi, order)
     nm = monomial_norms(space, order)
-    entries = np.zeros((order, order), dtype=np.complex128)
-    cur = np.zeros(order, dtype=np.complex128)
-    cur[0] = 1.0
-    entries[0, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        for j in range(1, order):
-            cur = np.convolve(cur, t)[:order]
-            entries[:, j] = cur * nm / nm[j]
+        entries = _powers(t, order, phi.c == 0)
+        entries *= nm[:, None]
+        entries /= nm[None, :]
     if not np.isfinite(entries).all():
         raise DomainError(
             f"entries of C_phi leave the float range on {space.kind} space "
@@ -181,11 +226,8 @@ def multiplication_matrix(b: np.ndarray, space: SpaceSpec, order: int) -> Operat
     Lower triangular: entry (i, j) = b_{i-j} ||z^i|| / ||z^j|| for i >= j.
     """
     nm = monomial_norms(space, order)
-    entries = np.zeros((order, order), dtype=np.complex128)
-    for j in range(order):
-        top = min(order, j + b.size)
-        i = np.arange(j, top)
-        entries[i, j] = b[: top - j] * nm[i] / nm[j]
+    entries = _toeplitz(b, order) * nm[:, None]
+    entries /= nm[None, :]
     return OperatorMatrix(space, order, entries, label="M[poly]")
 
 

@@ -62,7 +62,9 @@ def exp_series(p: np.ndarray) -> np.ndarray:
 
 
 def lft_taylor(f: LinearFractionalMap, order: int) -> np.ndarray:
-    """Taylor coefficients of (a z + b)/(c z + d) about 0.
+    """Taylor coefficients of (a z + b)/(c z + d) about 0, in closed form:
+    b/d, then (a d - b c)/d^2 (-c/d)^(n-1) at z^n, the powers of -c/d taken
+    by successive products (exactly zero past z^1 when c = 0).
 
     Requires the pole -d/c strictly outside the closed unit disk (or c = 0),
     so the expansion converges on the disk.
@@ -70,15 +72,14 @@ def lft_taylor(f: LinearFractionalMap, order: int) -> np.ndarray:
     a, b, c, d = f.a, f.b, f.c, f.d
     if c != 0 and abs(-d / c) <= 1.0:
         raise DomainError(f"pole at {-d / c!r} meets the closed disk")
-    num = np.zeros(order, dtype=np.complex128)
-    num[0] = b
-    if order > 1:
-        num[1] = a
-    den = np.zeros(order, dtype=np.complex128)
-    den[0] = d
-    if order > 1:
-        den[1] = c
-    return mul(num, reciprocal(den))
+    t = np.zeros(order, dtype=np.complex128)
+    t[:1] = b / d
+    n = order if c != 0 else min(order, 2)
+    if n > 1:
+        ratios = np.full(n - 1, -c / d)
+        ratios[0] = 1.0
+        t[1:n] = (a * d - b * c) / d**2 * np.cumprod(ratios)
+    return t
 
 
 def binomial_power(w: complex, order: int) -> np.ndarray:

@@ -6,8 +6,9 @@ exact value only by 50-digit rounding, far below any double-precision error
 it is compared with.  Each builder is recomputed from a closed form other
 than the package's recurrence: Laguerre sums for the exponential family,
 products of binomial series for the Cayley powers, factorial ratios for
-the Fock pair.  Nothing in the package calls this module; tests import it
-as `import oracle`.
+the Fock pair, one binomial coefficient per entry for the sigma-shift.
+Nothing in the package calls this module; tests import it as
+`import oracle`.
 """
 from math import comb
 
@@ -53,6 +54,20 @@ def composition_entries(phi: LinearFractionalMap, space: SpaceSpec, order: int) 
                 cur = [mpmath.fsum(cur[i - k] * tk for k, tk in terms if k <= i) for i in range(order)]
             for i in range(order):
                 entries[i, j] = complex(cur[i] * nm[i] / nm[j])
+    return entries
+
+
+def sigma_shift_entries(c: complex, k: int, space: SpaceSpec, order: int) -> np.ndarray:
+    """The truncation of the backward shift of sigma-powers, sigma = z - c,
+    in closed form: entry (i, j) = C(j-1-i, k-1) c^(j-k-i) ||z^i|| / ||z^j||
+    for i <= j - k, and 0 otherwise (exact on polynomials of degree < order)."""
+    with mpmath.workdps(DIGITS):
+        c = mpmath.mpc(c)
+        nm = _norms(space, order)
+        entries = np.zeros((order, order), dtype=np.complex128)
+        for j in range(k, order):
+            for i in range(j - k + 1):
+                entries[i, j] = complex(comb(j - 1 - i, k - 1) * c ** (j - k - i) * nm[i] / nm[j])
     return entries
 
 

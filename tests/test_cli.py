@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: exit codes, JSON shapes, determinism."""
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from compext import (
     ratio_set,
 )
 from compext.cli import main
-from compext.extspec import RELIABILITY_TOL
+from compext.extspec import RELIABILITY_TOL, CheckRow
 
 
 def run(argv):
@@ -434,19 +435,25 @@ def test_verify_unresolved_exits_three():
 # the column writer: byte for byte what json.dumps and the CSV f-string wrote
 
 
+def _null(v: float):
+    """A float as strict JSON holds it: null when it is not finite."""
+    return v if math.isfinite(v) else None
+
+
 def _reference_encode(obj):
     """The JSON hook as it was when every array went through json.dumps: an
-    ndarray as its flat row-major list, complex entries as [re, im] pairs."""
+    ndarray as its flat row-major list, complex entries as [re, im] pairs,
+    non-finite floats as null."""
     if isinstance(obj, np.ndarray):
         flat = obj.ravel()
         if np.iscomplexobj(flat):
-            return np.stack([flat.real, flat.imag], axis=-1).tolist()
-        return flat.tolist()
+            return [[_null(re), _null(im)] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
+        return [_null(v) if isinstance(v, float) else v for v in flat.tolist()]
     return cli._encode(obj)
 
 
 def _reference_dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=_reference_encode)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_reference_encode)
 
 
 def _reference_rows(rep):
@@ -454,7 +461,7 @@ def _reference_rows(rep):
     rows = list(zip(rep.lam.real.tolist(), rep.lam.imag.tolist(), rep.ratio_dist.tolist(),
                     rep.sylvester.tolist(), rep.flagged.tolist()))
     lines = [",".join(cli.SCAN_COLUMNS)] + [f"{re!r},{im!r},{rd!r},{sv!r},{fl:d}" for re, im, rd, sv, fl in rows]
-    json_rows = [[re, im, rd, None if math.isnan(sv) else sv, fl] for re, im, rd, sv, fl in rows]
+    json_rows = [[_null(re), _null(im), _null(rd), _null(sv), fl] for re, im, rd, sv, fl in rows]
     return json_rows, "\n".join(lines) + "\n"
 
 
@@ -520,12 +527,12 @@ def test_column_writer_matches_json_dumps_at_any_depth(xs, ys):
     z = np.array(xs[: len(ys)], dtype=complex)
     z.imag = ys[: len(z)]
     doc = {
-        "a": {"flat": cli._Block((x, cli._JSON)), "nulls": cli._Block((x, cli._NON_FINITE_NULL))},
+        "a": {"flat": cli._Block(x)},
         "b": [1, {"pairs": cli._complex_block(z)}],
-        "flags": cli._Block((x > 0, cli._JSON)),
+        "flags": cli._Block(x > 0),
     }
     reference = {
-        "a": {"flat": x, "nulls": [v if math.isfinite(v) else None for v in xs]},
+        "a": {"flat": [_null(v) for v in xs]},
         "b": [1, {"pairs": z}],
         "flags": x > 0,
     }
@@ -562,6 +569,50 @@ def test_matrix_json_matches_the_reference_route(witness):
     doc = json.loads(out)
     doc["result"] = build_witness(witness, phi, space, 8) if witness else composition_matrix(phi, space, 8)
     assert out == _reference_dumps(doc) + "\n"
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_non_finite_floats_are_null_at_any_depth():
+    # verify's worst is inf when a scan flags nothing; scalars, dataclass
+    # fields, complex parts and numpy scalars all write null, as blocks do
+    doc = {
+        "row": CheckRow("scan", False, math.inf, "no points flagged at all"),
+        "scalars": [-math.inf, math.nan, np.float64(math.inf), 0.5],
+        "pair": complex(math.nan, -0.0),
+        "block": cli._Block(np.array([1.0, math.inf, -math.inf, math.nan])),
+    }
+    assert json.loads(cli._dumps(doc), parse_constant=_refuse) == {
+        "row": {"name": "scan", "passed": False, "worst": None, "detail": "no points flagged at all"},
+        "scalars": [None, None, None, 0.5],
+        "pair": [None, -0.0],
+        "block": [1.0, None, None, None],
+    }
+
+
+DIFF_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
+
+
+def test_every_off_pool_json_output_is_strict():
+    # each JSON document the off-pool requests of tools/diff_outputs.py write,
+    # to stdout or to --out, parses with no NaN, Infinity or -Infinity
+    spec = importlib.util.spec_from_file_location("diff_outputs", DIFF_OUTPUTS)
+    diff_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff_outputs)
+    documents = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = Path(tmp) / "out.json"
+        for argv in diff_outputs.OFF_POOL:
+            _, out, _ = run([str(out_path) if a == diff_outputs.OUT else a for a in argv])
+            texts = [out] + ([out_path.read_text()] if out_path.exists() else [])
+            out_path.unlink(missing_ok=True)
+            for text in texts:
+                if text and not text.startswith("%%MatrixMarket"):
+                    json.loads(text, parse_constant=_refuse)
+                    documents += 1
+    assert documents == 23  # the other requests write Matrix Market text or fail
 
 
 # ---------------------------------------------------------------------------

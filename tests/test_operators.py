@@ -41,6 +41,8 @@ import oracle
 HARDY = SpaceSpec("hardy")
 BERGMAN = SpaceSpec("bergman")
 FOCK = SpaceSpec("fock")
+ROTATION7 = LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1)
+FOCK_AFFINE = LinearFractionalMap(0.6 * np.exp(0.3j), 0.5 - 0.2j, 0, 1)
 
 
 def _fft_taylor(f: LinearFractionalMap, order: int, radius: float = 0.9) -> np.ndarray:
@@ -106,18 +108,44 @@ ORACLE_CASES = [
     pytest.param(standard_form("hyperbolic-na-3", a=0.5, c=0.2), BERGMAN, id="bergman-na-3"),
     pytest.param(standard_form("loxodromic", a=0.5j, c=0.2), BERGMAN, id="bergman-loxodromic"),
     pytest.param(LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, id="fock-rotation"),
-    pytest.param(LinearFractionalMap(0.6 * np.exp(0.3j), 0.5 - 0.2j, 0, 1), FOCK, id="fock-affine"),
+    pytest.param(FOCK_AFFINE, FOCK, id="fock-affine"),
 ]
+# every case at orders 32 and 48; the worst case also at orders 1 and 2,
+# which build no product, 3, and 64
+ORACLE_ORDERS = [
+    pytest.param(*case.values, order, id=f"{case.id}-{order}") for case in ORACLE_CASES for order in (32, 48)
+] + [pytest.param(FOCK_AFFINE, FOCK, order, id=f"fock-affine-{order}") for order in (1, 2, 3, 64)]
 
 
-@pytest.mark.parametrize("order", [32, 48])
-@pytest.mark.parametrize("phi, space", ORACLE_CASES)
+@pytest.mark.parametrize("phi, space, order", ORACLE_ORDERS)
 def test_composition_matches_the_50_digit_oracle(phi, space, order):
     # error relative to each column's largest entry; the Fock affine
-    # contraction is the worst case, at 1.3e-14 (order 48)
+    # contraction is the worst case, at 1.3e-14 (order 48) and 3.6e-14
+    # (order 64; 6.5e-14 at 96), and every Bergman case and the Fock
+    # rotation stay at or below 1.3e-15
     want = oracle.composition_entries(phi, space, order)
     got = composition_matrix(phi, space, order).entries
     assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() <= 1e-13
+
+
+def _negative_zeros(a: np.ndarray) -> int:
+    parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+    return int(np.count_nonzero((parts == 0) & np.signbit(parts)))
+
+
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, FOCK])
+def test_affine_composition_keeps_its_structural_zeros_exact(space):
+    # phi^j has degree j: the truncation is upper triangular, and diagonal
+    # for a rotation (the probe's exact route reads that), with every
+    # structural zero written as 0.0, never -0.0, in Matrix Market text too
+    affine = FOCK_AFFINE if space.kind == "fock" else LinearFractionalMap(0.5, 0.4, 0, 1)
+    rotation = composition_matrix(ROTATION7, space, 256).entries
+    assert np.array_equal(rotation, np.diag(np.diag(rotation)))
+    C = composition_matrix(affine, space, 256).entries
+    assert not np.tril(C, -1).any()
+    assert _negative_zeros(rotation) == 0 and _negative_zeros(C) == 0
+    for phi in (ROTATION7, affine):
+        assert "-0.0" not in operator_to_matrix_market(composition_matrix(phi, space, 64)).split()
 
 
 def _column_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -152,7 +180,6 @@ def test_witnesses_match_the_50_digit_oracle(text, space, order):
     assert _column_error(build_witness(text, SIGMA_PHI, space, order).entries, want) <= 1e-13
 
 
-ROTATION7 = LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1)
 QUARTER_TURN = LinearFractionalMap(1j, 0, 0, 1)
 RESIDUAL_CASES = [
     # exact witnesses whose float products are exact: both residuals are 0
@@ -238,6 +265,33 @@ def test_multiplication_by_constant_is_scalar():
     np.testing.assert_allclose(M.entries, (2.5 - 1j) * np.eye(4), atol=0)
 
 
+def _multiplication_by_columns(b: np.ndarray, space: SpaceSpec, order: int) -> np.ndarray:
+    """M_b one column at a time: entry (i, j) = b_(i-j) ||z^i|| / ||z^j||."""
+    nm = monomial_norms(space, order)
+    entries = np.zeros((order, order), dtype=np.complex128)
+    for j in range(order):
+        top = min(order, j + b.size)
+        i = np.arange(j, top)
+        entries[i, j] = b[: top - j] * nm[i] / nm[j]
+    return entries
+
+
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, SpaceSpec("fock", alpha=0.5), SpaceSpec("fock", alpha=3)],
+                         ids=lambda sp: f"{sp.kind}-{sp.alpha:g}")
+@pytest.mark.parametrize("order", [8, 64, 256])
+def test_multiplication_is_bit_identical_to_the_column_loop(space, order):
+    # every bit, the sign of zero included, for symbols shorter and longer
+    # than the order, one of them with signed zeros among its coefficients
+    rng = np.random.default_rng(order)
+    signed = np.array([-0.0 - 0.0j, 1.5 - 0.0j, -0.0 + 2j])
+    for size in (1, 3, order // 2, order, 2 * order):
+        b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        for symbol in (b, np.concatenate([signed, b])):
+            got = multiplication_matrix(symbol, space, order).entries
+            want = _multiplication_by_columns(symbol, space, order)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # shifts
 
@@ -297,6 +351,19 @@ def test_sigma_shift_steps_down_the_sigma_powers():
     want = np.zeros(order, dtype=complex)
     want[:3] = P.polypow([-c, 1.0], 2)
     np.testing.assert_allclose(q, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, SpaceSpec("fock", alpha=0.5)], ids=lambda sp: sp.kind)
+@pytest.mark.parametrize("c", [0.3, -0.3j, 0.2 - 0.2j, 0.0])
+def test_sigma_shift_matches_the_50_digit_oracle_where_it_is_accurate(space, c):
+    # the change of basis W S W^-1 cancels terms of size (1 + |c|)^order, so
+    # the builder is checked only at order <= 24 and |c| <= 0.3; worst
+    # 1.0e-12, Bergman with c = -0.3i at order 24 (at order 48 it reads
+    # 1.6e-8 for c = 0.3, and 3.9 for c = 0.7)
+    for k in (1, 2, 3):
+        for order in (16, 24):
+            want = oracle.sigma_shift_entries(c, k, space, order)
+            assert _column_error(sigma_shift_matrix(c, k, space, order).entries, want) <= 1.5e-12
 
 
 def test_sigma_shift_center_must_be_inside():

@@ -20,8 +20,12 @@ each differing field with wildcard indices (extscan rows by column name), the
 number of requests in which it differs and the largest absolute difference of
 its numbers, followed by two of the differing requests.  Outputs that parse to
 the same values but differ in their bytes (1 against 1.0, say) are reported
-as "(same values, different bytes)".  Exit status: 0 when every output is
-identical, 1 otherwise.
+as "(same values, different bytes)".  For the pool requests the report also
+counts how many of the differing outputs of NEW_TREE still match their
+bench/reference digest, by the rule the benchmark checks every output with
+(workloads.digest and workloads.mismatch): a change that moves digits but no
+verdict keeps that count equal to the number that differ.  Exit status: 0
+when every output is identical, 1 otherwise.
 
 With --acceptance the pools are not sent; instead each tree runs its own
 tests/test_acceptance.py (pytest -s, the same environment) and the nine
@@ -235,9 +239,26 @@ def _worst(x, y):
     return None if x is None or y is None else max(x, y)
 
 
-def compare(requests: list, old: list, new: list) -> bool:
-    per_cmd = defaultdict(lambda: {"total": 0, "same": 0, "fields": {}, "examples": []})
-    for argv, ra, rb in zip(requests, old, new):
+def _matches_reference(workloads, req, ref, rec: dict) -> bool:
+    """Whether rec, one tree's output for req, reproduces ref, the request's
+    bench/reference digest (None when none is recorded)."""
+    if ref is None:
+        return False
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in rec["files"].items():
+            Path(tmp, name).write_text(text)
+        try:
+            got = workloads.digest(req, rec["rc"], rec["stdout"], Path(tmp, "out.json"))
+        except (ValueError, KeyError, IndexError, OSError):
+            return False
+    return workloads.mismatch(got, ref) is None
+
+
+def compare(requests: list, old: list, new: list, check=None) -> bool:
+    """Print the per-command report; check(i, record), when given, says
+    whether NEW_TREE's i-th output matches its reference digest."""
+    per_cmd = defaultdict(lambda: {"total": 0, "same": 0, "fields": {}, "examples": [], "digest_ok": 0})
+    for i, (argv, ra, rb) in enumerate(zip(requests, old, new)):
         entry = per_cmd[argv[0]]
         entry["total"] += 1
         found = {}
@@ -247,6 +268,7 @@ def compare(requests: list, old: list, new: list) -> bool:
         if not found:
             entry["same"] += 1
             continue
+        entry["digest_ok"] += bool(check and check(i, rb))
         if len(entry["examples"]) < EXAMPLES:
             entry["examples"].append(" ".join(argv))
         for field, delta in found.items():
@@ -257,6 +279,8 @@ def compare(requests: list, old: list, new: list) -> bool:
         e = per_cmd[cmd]
         print(f"{cmd}: {e['same']} of {e['total']} identical")
         identical &= e["same"] == e["total"]
+        if check and e["same"] < e["total"]:
+            print(f"  {e['digest_ok']} of the {e['total'] - e['same']} that differ match their bench/reference digest")
         for field, (count, worst) in sorted(e["fields"].items()):
             size = "not numeric" if worst is None else f"max |diff| {worst:.3g}"
             print(f"  {field.lstrip('.')}: differs in {count} ({size})")
@@ -315,7 +339,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    pooled = [list(req.argv) for w in (args.workload or workloads.WORKLOADS) for req in workloads.pool(w)]
+    pool = []  # (request, its reference digest or None)
+    for w in args.workload or workloads.WORKLOADS:
+        refs = json.loads((ROOT / "bench" / "reference" / f"{w}.json").read_text())["requests"]
+        pool += [(req, refs.get(req.key)) for req in workloads.pool(w)]
+    pooled = [list(req.argv) for req, _ in pool]
     requests = pooled + OFF_POOL
     with tempfile.TemporaryDirectory() as tmp:
         req_file = os.path.join(tmp, "requests.json")
@@ -334,7 +362,7 @@ def main(argv=None) -> int:
         old, new = (json.loads(Path(o).read_text()) for o in outputs)
     n = len(pooled)
     print(f"{n} requests, {args.old} vs {args.new}")
-    identical = compare(pooled, old[:n], new[:n])
+    identical = compare(pooled, old[:n], new[:n], lambda i, rec: _matches_reference(workloads, *pool[i], rec))
     print(f"{len(OFF_POOL)} off-pool requests")
     identical &= compare(OFF_POOL, old[n:], new[n:])
     return 0 if identical else 1
