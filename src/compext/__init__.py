@@ -34,9 +34,7 @@ from .series import (
     exp_series,
     lft_taylor,
     monomial,
-    mul,
     parabolic_eigenfunction,
-    reciprocal,
 )
 from .spaces import (
     SpaceSpec,

@@ -5,8 +5,9 @@ document echoes, under "config", the options its command parsed (the parser
 is their only list), so feeding them back to compext reproduces the run;
 output is byte-stable across runs with the same inputs, except for the
 timestamp field.  This module alone decides how results become JSON and
-CSV: json.dumps writes each document, with _encode for the types it does
-not know, and the column writer (_Block, _csv) writes the arrays: extscan
+CSV: one _plain pass turns each document into plain JSON values (dataclasses,
+complex numbers, numpy scalars and non-finite floats included), json.dumps
+writes it, and the column writer (_Block, _csv) writes the arrays: extscan
 rows, eigs arrays and matrix entries.  The JSON is strict (RFC 8259): a
 non-finite float is null there, and nan, inf or -inf in the CSV.
 
@@ -54,7 +55,6 @@ from .lft import (
     format_complex,
     format_lft,
     is_fock_symbol,
-    is_inf,
     is_self_map_of_disk,
     parse_complex,
     parse_lft,
@@ -136,31 +136,23 @@ def _fields(obj) -> dict:
 
 
 def _plain(obj):
-    """obj with every non-finite float in it, in dicts, lists and tuples at
-    any depth, as None: null is the one JSON spelling of nan, inf and -inf,
-    since RFC 8259 has no other."""
+    """obj as plain JSON values, at any depth: a dataclass as _fields(obj), a
+    complex number as [re, im], a numpy scalar as its Python value, a tuple
+    as a list and a non-finite float as None, since null is the one JSON
+    spelling of nan, inf and -inf that RFC 8259 allows."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(value) for value in obj]
-    return obj
-
-
-def _encode(obj):
-    """json.dumps hook for what the standard encoder does not know: a complex
-    number as [re, im], INF as null, a numpy scalar as its Python value and a
-    dataclass as _fields(obj), each through _plain."""
     if isinstance(obj, complex):
         return _plain([obj.real, obj.imag])
     if isinstance(obj, np.generic):
         return _plain(obj.item())
-    if is_inf(obj):
-        return None
     if dataclasses.is_dataclass(obj):
         return _plain(_fields(obj))
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return obj
 
 
 # How a column's words read in the text: str(list) writes floats with
@@ -241,7 +233,7 @@ def _dumps(doc) -> str:
         if isinstance(obj, _Block):
             blocks.append(obj)
             return _SENTINEL
-        return _encode(obj)
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
     text = json.dumps(_plain(doc), sort_keys=True, indent=2, allow_nan=False, default=encode)
     if not blocks:

@@ -846,8 +846,6 @@ def _interior_fixed_point(fixed_points: tuple) -> complex:
     """The first fixed point inside the open disk, where a sigma-power
     witness is centered; a DomainError when there is none."""
     for p in fixed_points:
-        if not isinstance(p, complex):
-            continue
         if abs(p) < 1.0 - 1e-9:
             return p
     raise DomainError("symbol has no fixed point inside the open disk")

@@ -2,7 +2,9 @@
 
 A map phi(z) = (a z + b) / (c z + d) is stored by its four coefficients.
 Coefficients are only meaningful up to a common scalar; nothing here ever
-normalizes them, and every predicate is invariant under rescaling.
+normalizes them, and every predicate is invariant under rescaling.  A point
+of the sphere is a complex number or INF, the point at infinity, which is the
+float math.inf.
 
 The classification scheme is the one relevant for composition operators:
 self-maps of the disk are sorted by the location of their fixed points and
@@ -36,25 +38,11 @@ class DomainError(ValueError):
     or leaves the float range.  The command line exits 1 on any of them."""
 
 
-class Infinity:
-    """The point at infinity on the Riemann sphere.  A single instance, INF."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = Infinity()
+INF = math.inf
 
 
 def is_inf(z) -> bool:
-    return isinstance(z, Infinity)
+    return z == INF
 
 
 @dataclass(frozen=True)
@@ -214,6 +202,9 @@ def is_fock_symbol(f: LinearFractionalMap) -> bool:
 
 @dataclass(frozen=True)
 class Classification:
+    """A map's class, its fixed points (INF, which is math.inf, may be one)
+    and the multiplier at the attracting one."""
+
     kind: str = field(metadata={"json": "class"})
     fixed_points: tuple
     multiplier: complex | None  # derivative at the attracting fixed point
@@ -243,13 +234,10 @@ def classify(f: LinearFractionalMap) -> Classification:
 
     # two fixed points: find the attracting one (|phi'| <= 1, ties broken
     # toward the point of smaller modulus, i.e. the one in the disk)
-    def _absval(p):
-        return math.inf if is_inf(p) else abs(p)
-
     mults = [multiplier(f, p) for p in fps]
     if abs(abs(mults[0]) - abs(mults[1])) <= CLASSIFY_TOL:
         # elliptic-style tie: attracting point is the one of smaller modulus
-        order = sorted(range(2), key=lambda i: _absval(fps[i]))
+        order = sorted(range(2), key=lambda i: abs(fps[i]))
     else:
         order = sorted(range(2), key=lambda i: abs(mults[i]))
     p_att, p_rep = fps[order[0]], fps[order[1]]
@@ -259,8 +247,8 @@ def classify(f: LinearFractionalMap) -> Classification:
         # elliptic rotation about an interior fixed point
         return Classification("elliptic-automorphism", (p_att, p_rep), lam)
 
-    att_on_circle = (not is_inf(p_att)) and abs(_absval(p_att) - 1.0) <= CLASSIFY_TOL
-    rep_on_circle = (not is_inf(p_rep)) and abs(_absval(p_rep) - 1.0) <= CLASSIFY_TOL
+    att_on_circle = abs(abs(p_att) - 1.0) <= CLASSIFY_TOL
+    rep_on_circle = abs(abs(p_rep) - 1.0) <= CLASSIFY_TOL
 
     if att_on_circle:
         if is_automorphism_of_disk(f):
@@ -345,41 +333,23 @@ def standard_form(kind: str, **params) -> LinearFractionalMap:
 # text form: "a,b,c,d" where each entry is a complex literal like -1.5+0.25i
 
 
-_COMPLEX_RE = re.compile(
-    r"""^
-    (?P<real>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-    (?P<imag>[+-](?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-    (?P<i>i)?
-    $""",
-    re.VERBOSE,
-)
+# what complex() also takes, a literal may not: spaces, _, nan, inf, j, ( and )
+_LITERAL = re.compile(r"[\d.eE+-]*i?")
 
 
 def parse_complex(text: str) -> complex:
     """Parse 'x+yi' (no spaces, i suffix): '2', '-0.5i', '1+2i', '1e-3-2.5e2i'.
     A literal past the float range, such as '1e999', is rejected."""
     s = text.strip()
-    if not s or " " in s:
-        raise ValueError(f"bad complex literal {text!r}")
-    m = _COMPLEX_RE.match(s)
-    if not m or (m.group("real") is None and m.group("imag") is None and m.group("i") is None):
-        raise ValueError(f"bad complex literal {text!r}")
-    real_s, imag_s, has_i = m.group("real"), m.group("imag"), m.group("i")
-    if has_i:
-        if imag_s is not None:
-            re_part = float(real_s) if real_s is not None else 0.0
-            im_part = float(imag_s) if imag_s not in ("+", "-") else float(imag_s + "1")
-        else:
-            # pure imaginary: the "real" group holds the imaginary part
-            re_part = 0.0
-            im_part = float(real_s) if real_s is not None else 1.0
-    elif imag_s is not None:
-        raise ValueError(f"bad complex literal {text!r}")
-    else:
-        re_part, im_part = float(real_s), 0.0
-    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+    try:
+        if not _LITERAL.fullmatch(s):
+            raise ValueError
+        z = complex(s[:-1] + "j" if s.endswith("i") else s)
+    except ValueError:
+        raise ValueError(f"bad complex literal {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"complex literal {text!r} is out of float range")
-    return complex(re_part, im_part)
+    return z
 
 
 def format_complex(z: complex) -> str:

@@ -1,8 +1,7 @@
 """Truncated power series with complex coefficients.
 
 A truncated series of order N is a 1-d complex128 array of its coefficients
-(c_0, ..., c_{N-1}).  Cauchy products need operands of one order
-(a DomainError otherwise); sums and scalar multiples are plain array arithmetic.
+(c_0, ..., c_{N-1}); sums and scalar multiples are plain array arithmetic.
 The special constructors at the bottom build the eigenfunction families used
 by the operator-level tests: binomial powers (1 - z)^w, Cayley powers
 ((1 + z)/(1 - z))^w, and the exponential family exp(-t (1 + z)/(1 - z)).
@@ -20,13 +19,6 @@ import numpy as np
 from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 
 
-def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Cauchy product, truncated to the common order."""
-    if p.size != q.size:
-        raise DomainError(f"orders {p.size} and {q.size} differ")
-    return np.convolve(p, q)[: p.size]
-
-
 def monomial(k: int, order: int) -> np.ndarray:
     """z^k truncated to order; raises DomainError unless 0 <= k < order."""
     if not 0 <= k < order:
@@ -34,19 +26,6 @@ def monomial(k: int, order: int) -> np.ndarray:
     c = np.zeros(order, dtype=np.complex128)
     c[k] = 1.0
     return c
-
-
-def reciprocal(p: np.ndarray) -> np.ndarray:
-    """1/p as a truncated series; requires |p_0| > 1e-14."""
-    p0 = p[0]
-    if abs(p0) <= 1e-14:
-        raise DomainError(f"constant term {p0!r} too small to invert")
-    n = p.size
-    q = np.zeros(n, dtype=np.complex128)
-    q[0] = 1.0 / p0
-    for k in range(1, n):
-        q[k] = -np.dot(p[1 : k + 1], q[k - 1 :: -1]) / p0
-    return q
 
 
 def exp_series(p: np.ndarray) -> np.ndarray:

@@ -86,7 +86,10 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # 0.1z + 3 with alpha = 10 at n = 8 no eigenvalue is reliable, which only
 # these two requests reach (eigs's ratio_set note; extscan's "no reliable
 # eigenvalues" branch, its "no ratio ranking" note for --candidates 3 and
-# ratio_distance's return for an empty set)
+# ratio_distance's return for an empty set); and three requests whose --phi,
+# --lam and witness parameters spell complex literals as -0, -0i, a bare i,
+# .5i and 1e-3-2.5e2i, so that the parsed values and their config echo are
+# compared too
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -141,6 +144,9 @@ OFF_POOL = [
     ["eigs", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8"],
     ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
      "--candidates", "3"],
+    ["classify", "--phi=-0,.5i,1e-3-2.5e2i,i"],
+    ["extcheck", "--phi=.5i,-0i,-0,1", "--n", "8", "--lam=i", "--witness", "mult:cayley,.5i"],
+    ["matrix", "--phi=i,-0,-0i,1", "--n", "8", "--witness", "mult:binomial,1e-3-2.5e2i", "--format", "json"],
 ]
 
 
