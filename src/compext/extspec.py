@@ -43,11 +43,13 @@ from .operators import (
     basis_shift_matrix,
     composition_matrix,
     matrix_power,
+    monomial_support,
     multiplication_matrix,
     op_norm,
     quasi_diff_matrix,
     shifted_quasi_mult,
     sigma_shift_matrix,
+    singular_values,
 )
 from .series import (
     binomial_power,
@@ -93,6 +95,12 @@ def intertwining_residual(
     There, hold the kept block fixed (margin = order - block) and grow the
     order to see an exact witness converge.
 
+    Every norm here is a largest singular value, read off the entries when
+    its matrix is monomial (operators.monomial_support): ||A|| and ||X||
+    through op_norm, the block directly.  For a rotation with a shift:k,
+    mult:monomial, qdiff:k or identity witness all three are monomial (the
+    products' zeros are exact zeros), so no SVD runs.
+
     Raises DomainError when an entry of the kept block leaves the float
     range.
     """
@@ -111,7 +119,7 @@ def intertwining_residual(
     denom = op_norm(A) * op_norm(X)
     if denom == 0:
         raise DomainError("zero operator has no meaningful residual")
-    return float(np.linalg.svd(block, compute_uv=False)[0]) / denom
+    return float(singular_values(block, monomial_support(block))[0]) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +197,7 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
                 "eigenvalue ratios of this truncation are noise "
                 "(pass reliability_tol to filter instead)"
             )
-        mu = np.linalg.eigvals(A.entries)
+        mu = np.diag(A.entries) if A.is_diagonal else np.linalg.eigvals(A.entries)
     else:
         w, err = A.eig_reliability
         keep = err <= reliability_tol * np.abs(w)
@@ -313,7 +321,8 @@ class SylvesterProbe:
     A probe takes the first route that applies to A and builds only what that
     route reads:
 
-      exact      A is diagonal (the rotations' truncations), with entries mu.
+      exact      A is diagonal (A.is_diagonal: the rotations' truncations; see
+                 operators.monomial_support), with entries mu.
                  The operator is then diagonal too, with entries
                  mu_i - lambda mu_j, so sigma_min is min |mu_i - lambda mu_j|:
                  O(n^2) per lambda and exact to roundoff.
@@ -347,7 +356,7 @@ class SylvesterProbe:
             raise DomainError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
         self.norm_a = float(A.svdvals[0])
         a = A.entries
-        self.mu = np.diag(a) if np.array_equal(a, np.diag(np.diag(a))) else None
+        self.mu = np.diag(a) if A.is_diagonal else None
         self.dense = self.mu is None and n <= 16
         if self.dense:
             self.a = a

@@ -51,10 +51,24 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
 
     @cached_property
+    def monomial(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """monomial_support(entries), computed once per truncation."""
+        return monomial_support(self.entries)
+
+    @property
+    def is_diagonal(self) -> bool:
+        """Monomial with every nonzero on the diagonal (a rotation's truncation,
+        the identity, a zero matrix)."""
+        return self.monomial is not None and np.array_equal(*self.monomial)
+
+    @cached_property
     def svdvals(self) -> np.ndarray:
         """Singular values in descending order, computed once per truncation
-        (the entries are read-only, so the cache cannot go stale)."""
-        sv = np.linalg.svd(self.entries, compute_uv=False)
+        (the entries are read-only, so the cache cannot go stale).  A monomial
+        truncation (see monomial_support: a rotation's C, the shift:k,
+        mult:monomial, qdiff:k and identity witnesses) reads them off its
+        entries; every other one takes LAPACK's SVD (see singular_values)."""
+        sv = singular_values(self.entries, self.monomial)
         sv.flags.writeable = False
         return sv
 
@@ -71,6 +85,36 @@ class OperatorMatrix:
         return replace(self, label=label)
 
 
+def monomial_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, cols) of the nonzero entries of a, in row order, when a is
+    monomial -- each row and each column holds at most one nonzero -- and
+    every entry is finite; None otherwise.
+
+    The nonzeros are counted first, so a matrix with more of them than rows
+    or columns (every dense truncation) pays only that count.  Monomial
+    matrices here are the rotations' truncations (diagonal) and the
+    shift:k, mult:monomial, qdiff:k and identity witnesses.
+    """
+    if np.count_nonzero(a) > min(a.shape):
+        return None
+    rows, cols = np.nonzero(a)  # rows come sorted; np.unique would import numpy.ma
+    sorted_cols = np.sort(cols)
+    repeated = (rows[1:] == rows[:-1]).any() or (sorted_cols[1:] == sorted_cols[:-1]).any()
+    return None if repeated or not np.isfinite(a[rows, cols]).all() else (rows, cols)
+
+
+def singular_values(a: np.ndarray, support: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Singular values of a in descending order, given support =
+    monomial_support(a).  A monomial a has orthogonal columns, each with at
+    most one nonzero, so its singular values are the moduli of its nonzeros
+    (its column maxima) and zeros; every other a takes LAPACK's SVD."""
+    if support is None:
+        return np.linalg.svd(a, compute_uv=False)
+    sv = np.zeros(min(a.shape))
+    sv[: support[0].size] = np.sort(np.abs(a[support]))[::-1]
+    return sv
+
+
 def _eig_with_reliability(A: OperatorMatrix):
     """Eigenvalues plus a forward-error estimate for each one.
 
@@ -78,17 +122,22 @@ def _eig_with_reliability(A: OperatorMatrix):
     reciprocal condition number from the left/right eigenvector pair.  This is
     the standard first-order perturbation bound; for severely nonnormal
     truncations the unreliable eigenvalues show err far above |mu|.
+    A diagonal A (A.is_diagonal) has its diagonal as eigenvalues and unit
+    vectors as eigenvector pairs, rcond_j = 1, so it is read off directly:
+    LAPACK returns the same values, in the same order.
     Read it through OperatorMatrix.eig_reliability, which computes it once.
     scipy.linalg is imported here, not with the package: most commands never
     need it, and it costs more than the rest of the import together.
     """
+    eps = np.finfo(float).eps
+    if A.is_diagonal:
+        return np.diag(A.entries).copy(), np.full(A.order, eps * A.svdvals[0])
     import scipy.linalg
 
     w, vl, vr = scipy.linalg.eig(A.entries, left=True, right=True)
     overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
     rcond = overlap / np.where(norms == 0, 1.0, norms)
-    eps = np.finfo(float).eps
     err = np.where(rcond > 0, eps * A.svdvals[0] / np.where(rcond == 0, 1.0, rcond), np.inf)
     return w, err
 
@@ -132,7 +181,9 @@ def direct_sum(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 
 
 def op_norm(A: OperatorMatrix) -> float:
-    """Largest singular value of the truncation."""
+    """Largest singular value of the truncation, A.svdvals[0]: the largest
+    modulus of its entries when A is monomial (monomial_support), else
+    LAPACK's."""
     return float(A.svdvals[0])
 
 

@@ -1,10 +1,11 @@
 """scipy.linalg is loaded on first use, not with the package.
 
 classify, extcheck and matrix need no spectral computation, so a process that
-runs only those never imports scipy.linalg; eigs imports it when it runs, and
-so do extscan and verify when a truncation needs the reliability filter or the
-Sylvester probe's iteration.  Each check runs in a fresh interpreter, since
-the test process has loaded scipy already.
+runs only those never imports scipy.linalg.  eigs, extscan and verify import it
+when a truncation needs LAPACK's eigenvectors (the reliability filter) or the
+Sylvester probe's iteration; a rotation's truncation is diagonal, and its
+eigenvalues and probe values are read off the diagonal without it.  Each check
+runs in a fresh interpreter, since the test process has loaded scipy already.
 """
 import os
 import subprocess
@@ -55,6 +56,20 @@ def test_scans_of_rotations_never_load_scipy_linalg():
             for args in (fock, bergman):
                 for command in ("extscan", "verify"):
                     assert compext.cli.main([command] + args) == 0, (command, args)
+        assert "scipy.linalg" not in sys.modules
+    """)
+
+
+def test_eigs_of_rotations_never_loads_scipy_linalg():
+    _run("""
+        import contextlib, io, sys
+        import compext.cli
+
+        fock = ["--phi=i,0,0,1", "--space", "fock", "--n", "64"]
+        bergman = ["--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "64"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for args in (fock, bergman):
+                assert compext.cli.main(["eigs"] + args) == 0, args
         assert "scipy.linalg" not in sys.modules
     """)
 

@@ -9,6 +9,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from compext import (
@@ -36,6 +39,7 @@ from compext import (
     sigma_shift_matrix,
     standard_form,
 )
+from compext.operators import monomial_support
 import oracle
 
 HARDY = SpaceSpec("hardy")
@@ -503,6 +507,112 @@ def test_operator_matrix_owns_its_entries():
     B = multiplication_matrix(b, BERGMAN, 6)
     b[:] = 0
     assert np.count_nonzero(np.tril(B.entries)) == 21
+
+
+# ---------------------------------------------------------------------------
+# monomial truncations: singular values and eigenvalues read off the entries
+
+
+def _permuted_diagonal(seed: int, n: int) -> np.ndarray:
+    """P D: a random permutation times a random complex diagonal with zeros
+    and repeated moduli, its first column's entry nonzero."""
+    rng = np.random.default_rng(seed)
+    d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-3, 4, n)
+    d[rng.random(n) < 0.2] = 0
+    repeat = rng.random(n) < 0.3
+    d[repeat] = np.abs(d[0]) * np.exp(2j * np.pi * rng.random(np.count_nonzero(repeat)))
+    d[0] = d[0] or 1.0
+    return np.eye(n)[:, rng.permutation(n)] * d[None, :]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+def test_monomial_svdvals_match_lapack(seed, n):
+    a = _permuted_diagonal(seed, n)
+    A = OperatorMatrix(HARDY, n, a)
+    assert A.monomial is not None
+    want = np.linalg.svd(a, compute_uv=False)
+    got = A.svdvals
+    assert not got.flags.writeable
+    assert np.all(got[:-1] >= got[1:])
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * want[0]
+    assert op_norm(A) == got[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 32), spoil=st.sampled_from(["off-pattern", "nan", "inf"]))
+def test_spoiled_monomial_matrices_take_lapack(seed, n, spoil):
+    # one more nonzero in an occupied column, or a non-finite entry anywhere:
+    # the result is LAPACK's, or LAPACK's error
+    a = _permuted_diagonal(seed, n)
+    rng = np.random.default_rng(seed)
+    if spoil == "off-pattern":
+        row = np.flatnonzero(a[:, 0])[0]
+        a[(row + 1 + rng.integers(n - 1)) % n, 0] = 0.5 - 0.25j
+    else:
+        a[rng.integers(n), rng.integers(n)] = complex(spoil)
+    assert monomial_support(a) is None
+    A = OperatorMatrix(HARDY, n, a)
+    try:
+        want = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(type(exc)):
+            A.svdvals
+    else:
+        assert np.array_equal(A.svdvals, want, equal_nan=True)
+
+
+def test_monomial_support_positions():
+    a = np.zeros((4, 4), dtype=complex)
+    assert [x.tolist() for x in monomial_support(a)] == [[], []]
+    a[2, 0], a[0, 3] = 1j, -2.0
+    assert [x.tolist() for x in monomial_support(a)] == [[0, 2], [3, 0]]
+    a[3, 0] = 1.0  # a second nonzero in column 0
+    assert monomial_support(a) is None
+    assert monomial_support(np.ones((4, 4))) is None
+
+
+def _scipy_eig_route(A: OperatorMatrix):
+    """(eigenvalues, error estimates) by the general route: scipy's left and
+    right eigenvectors, err = eps ||A|| / rcond."""
+    w, vl, vr = scipy.linalg.eig(A.entries, left=True, right=True)
+    overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
+    norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+    rcond = overlap / np.where(norms == 0, 1.0, norms)
+    eps = np.finfo(float).eps
+    return w, np.where(rcond > 0, eps * A.svdvals[0] / np.where(rcond == 0, 1.0, rcond), np.inf)
+
+
+@pytest.mark.parametrize("order", [16, 64, 256])
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, FOCK], ids=lambda sp: sp.kind)
+def test_rotation_eig_reliability_is_the_scipy_route_bit_for_bit(space, order):
+    for w in (np.exp(2j * np.pi / 7), np.exp(2j), -1.0):
+        A = composition_matrix(LinearFractionalMap(w, 0, 0, 1), space, order)
+        assert A.is_diagonal
+        got, want = A.eig_reliability, _scipy_eig_route(A)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, FOCK], ids=lambda sp: sp.kind)
+def test_rotation_shift_residual_reads_no_svd(space, monkeypatch):
+    # every norm of a rotation/shift residual is read off monomial entries;
+    # it matches the dense-SVD reading of the same matrices and block
+    w = np.exp(0.7j)
+    phi = LinearFractionalMap(w, 0, 0, 1)
+    order, margin = 48, 4
+
+    def norm(m):
+        return np.linalg.svd(m, compute_uv=False)[0]
+
+    for lam in (w**-2, 1.1 * w**-2, 0.3 - 2j):
+        A = composition_matrix(phi, space, order)
+        X = build_witness("shift:2", phi, space, order)
+        R = A.entries @ X.entries - lam * (X.entries @ A.entries)
+        want = norm(R[: order - margin, : order - margin]) / (norm(A.entries) * norm(X.entries))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", None)
+            got = intertwining_residual(A, X, lam, margin)
+        assert abs(got - want) <= 4 * np.finfo(float).eps * max(want, 1e-16)
 
 
 def test_matmul_requires_matching_shapes():
