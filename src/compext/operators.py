@@ -290,15 +290,42 @@ def basis_shift_matrix(k: int, space: SpaceSpec, order: int) -> OperatorMatrix:
     return OperatorMatrix(space, order, entries, label=f"X_{k}")
 
 
+def _binomials(order: int) -> np.ndarray:
+    """The order x order table F[m, j] = C(j, m) for m <= j, 0 below the
+    diagonal, each entry the correctly rounded float of the exact integer.
+
+    Pascal's rule runs on exact Python integers in one object buffer, a row
+    at a time, and each row is rounded into its column of F as soon as it
+    is made, so no table of integers is kept.
+    """
+    F = np.zeros((order, order))
+    F[0, 0] = 1.0
+    row = np.zeros(order, dtype=object)
+    row[0] = 1
+    for j in range(1, order):
+        np.add(row[1 : j + 1], row[:j], out=row[1 : j + 1])
+        F[: j + 1, j] = row[: j + 1]
+    return F
+
+
 def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> OperatorMatrix:
     """Backward shift of sigma-powers, sigma(z) = z - c with |c| < 1:
     sigma^n -> sigma^{n-k} for n >= k, sigma^n -> 0 for n < k.
 
     Built by conjugating the plain backward shift with the unitriangular
-    change of basis between monomials and sigma-powers; with c = 0 it
-    reduces to basis_shift_matrix up to the norm weights on monomials.
-    Its binomial coefficients C(j, m), j < order, leave the float range from
-    order 1031 on, which is a DomainError.
+    change of basis between monomials and sigma-powers, W[m, j] =
+    C(j, m) (-c)^(j-m) and W^-1[m, j] = C(j, m) c^(j-m): one binomial table
+    (_binomials) times the upper Toeplitz matrices of two power vectors,
+    (-c)^e and c^e.  W's columns moved k places right stand for W X_k, and
+    one product with W^-1 remains.  With c = 0 it reduces to
+    basis_shift_matrix up to the norm weights on monomials.
+
+    The entries cancel from terms of size (1 + |c|)^order.  On Bergman with
+    k = 1 the error relative to each column's largest entry is 2.8e-13 at
+    order 24 and 1.6e-8 at order 48 for c = 0.3, and 3.8 at order 48 for
+    c = 0.7.  The closed form of ROADMAP item 2(a) replaces this
+    construction.  The binomials C(j, m), j < order, leave the float range
+    from order 1031 on, which is a DomainError.
     """
     c = complex(c)
     if abs(c) >= 1.0:
@@ -308,15 +335,17 @@ def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> Oper
     n = order
     if math.comb(n - 1, (n - 1) // 2) > sys.float_info.max:
         raise DomainError(f"binomial coefficients of (z - c)^j leave the float range at order {n}")
-    # W[m, j] = monomial coefficient of z^m in (z - c)^j
-    W = np.zeros((n, n), dtype=np.complex128)
-    Winv = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        for m in range(j + 1):
-            W[m, j] = math.comb(j, m) * (-c) ** (j - m)
-            Winv[m, j] = math.comb(j, m) * c ** (j - m)  # z^j = sum_m C(j,m) c^{j-m} sigma^m
-    shift = np.eye(n, k=k, dtype=np.complex128)
-    on_coeffs = W @ shift @ Winv
+    F = _binomials(n)
+    # CPython's own powers (repeated squaring up to exponent 100, polar
+    # form above); np.power's differ from them in the last bits
+    neg = np.array([(-c) ** e for e in range(n)], dtype=np.complex128)
+    pos = np.array([c ** e for e in range(n)], dtype=np.complex128)
+    # W X_k[:, j] = W[:, j - k]; W[m, j] is the coefficient of z^m in (z - c)^j
+    WX = np.zeros((n, n), dtype=np.complex128)
+    np.multiply(F[:, : n - k], _toeplitz(neg, n).T[:, : n - k], out=WX[:, k:])
+    # W^-1[m, j] is the coefficient of sigma^m in z^j
+    Winv = F * _toeplitz(pos, n).T
+    on_coeffs = WX @ Winv
     nm = monomial_norms(space, n)
     entries = (nm[:, None] * on_coeffs) / nm[None, :]
     return OperatorMatrix(space, n, entries, label=f"S[sigma,{k}]")

@@ -370,6 +370,70 @@ def test_sigma_shift_matches_the_50_digit_oracle_where_it_is_accurate(space, c):
             assert _column_error(sigma_shift_matrix(c, k, space, order).entries, want) <= 1.5e-12
 
 
+def _sigma_shift_entry_by_entry(c: complex, k: int, space: SpaceSpec, order: int) -> np.ndarray:
+    # the builder as first written: W and W^-1 one entry at a time from
+    # math.comb and Python's complex powers, then W @ X_k @ W^-1
+    n = order
+    W = np.zeros((n, n), dtype=np.complex128)
+    Winv = np.zeros((n, n), dtype=np.complex128)
+    for j in range(n):
+        for m in range(j + 1):
+            W[m, j] = math.comb(j, m) * (-c) ** (j - m)
+            Winv[m, j] = math.comb(j, m) * c ** (j - m)
+    shift = np.eye(n, k=k, dtype=np.complex128)
+    on_coeffs = W @ shift @ Winv
+    nm = monomial_norms(space, n)
+    return (nm[:, None] * on_coeffs) / nm[None, :]
+
+
+# +0.0 and -0.0 parts, |c| up to 0.95, and c = 0
+_SIGMA_CENTERS = [
+    complex(0.3, 0.0), complex(0.3, -0.0), complex(-0.0, 0.6), complex(0.0, -0.6),
+    complex(-0.7, -0.0), 0.95 * np.exp(2.1j), 0.6 + 0.2j, complex(-0.0, -0.0),
+]
+
+
+@pytest.mark.parametrize("space", [HARDY, BERGMAN, SpaceSpec("fock", alpha=0.5)], ids=lambda sp: sp.kind)
+@pytest.mark.parametrize("order", [2, 24, 64, 130])
+def test_sigma_shift_is_bit_identical_to_the_entry_by_entry_build(space, order):
+    # orders past j = 57 (binomials above 2^53, rounded from exact integers)
+    # and past exponent 100 (where CPython's complex power turns polar);
+    # compared as bit patterns, so signed zeros count
+    for c in _SIGMA_CENTERS:
+        for k in sorted({1, 2, order - 1} & set(range(1, order))):
+            got = sigma_shift_matrix(c, k, space, order).entries
+            want = _sigma_shift_entry_by_entry(complex(c), k, space, order)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, k)
+
+
+def test_sigma_shift_is_bit_identical_on_random_draws():
+    rng = np.random.default_rng(22)
+    spaces = [HARDY, BERGMAN, FOCK]
+    for draw in range(30):
+        order = int(rng.integers(2, 140))
+        c = complex(rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform()))
+        c = [c, complex(c.real, -0.0), complex(-0.0, c.imag)][draw % 3]
+        k = int(rng.integers(1, order))
+        space = spaces[draw % 3]
+        got = sigma_shift_matrix(c, k, space, order).entries
+        want = _sigma_shift_entry_by_entry(c, k, space, order)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (space, order, c, k)
+
+
+def test_sigma_shift_calls_math_comb_only_for_the_order_guard(monkeypatch):
+    # the binomials come from one Pascal table, not one math.comb per entry
+    calls = []
+    comb = math.comb
+
+    def counting(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counting)
+    sigma_shift_matrix(0.6 + 0.2j, 3, BERGMAN, 256)
+    assert len(calls) <= 1
+
+
 def test_sigma_shift_center_must_be_inside():
     with pytest.raises(DomainError, match=r"\|c\| = 1.0 must be < 1"):
         sigma_shift_matrix(1.0, 1, BERGMAN, 6)

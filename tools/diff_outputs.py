@@ -89,7 +89,12 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # ratio_distance's return for an empty set); and three requests whose --phi,
 # --lam and witness parameters spell complex literals as -0, -0i, a bare i,
 # .5i and 1e-3-2.5e2i, so that the parsed values and their config echo are
-# compared too
+# compared too; and two sigma-shift witnesses at n = 130 in Matrix Market,
+# every entry's repr compared, whose change of basis passes binomials above
+# 2^53 (j >= 57) and powers of c past exponent 100 (CPython's polar branch):
+# one on Bergman with c = 0.6+0.2i and k = 3, and one on Hardy with
+# c = -0.3-0i, a -0.0 imaginary part, so that every entry's imaginary part is
+# an exact zero whose sign is compared
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -147,6 +152,10 @@ OFF_POOL = [
     ["classify", "--phi=-0,.5i,1e-3-2.5e2i,i"],
     ["extcheck", "--phi=.5i,-0i,-0,1", "--n", "8", "--lam=i", "--witness", "mult:cayley,.5i"],
     ["matrix", "--phi=i,-0,-0i,1", "--n", "8", "--witness", "mult:binomial,1e-3-2.5e2i", "--format", "json"],
+    ["matrix", "--phi=0.5,0,0,1", "--space", "bergman", "--n", "130", "--witness", "sigma-shift:0.6+0.2i,3",
+     "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--space", "hardy", "--n", "130", "--witness", "sigma-shift:-0.3-0i,2",
+     "--format", "mm"],
 ]
 
 
