@@ -1,6 +1,8 @@
 """Command line surface.
 
-Subcommands: classify, matrix, eigs, extcheck, extscan, verify.  Every JSON
+Subcommands: classify, matrix, eigs, extcheck, extscan, verify, one
+COMMANDS entry each; main adds arguments only to the subparser of the
+command it runs, so a run builds one command's options.  Every JSON
 document echoes, under "config", the options its command parsed (the parser
 is their only list), so feeding them back to compext reproduces the run;
 output is byte-stable across runs with the same inputs, except for the
@@ -405,60 +407,76 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="compext",
-        description="Extended eigenvalues of composition operators: "
-        "truncations, intertwining witnesses, grid scans.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="dynamical class of a symbol on the disk")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("matrix", help="truncation of C_phi (or a named witness)")
-    _add_common(p)
+def _add_matrix(p: argparse.ArgumentParser):
     p.add_argument("--witness", default=None, help="witness grammar, e.g. shift:2")
     p.add_argument("--format", choices=("json", "mm"), default="json")
-    p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("eigs", help="truncation eigenvalues with reliability estimates")
-    _add_common(p)
-    p.set_defaults(func=cmd_eigs)
 
-    p = sub.add_parser("extcheck", help="residual of A X - lambda X A for one witness")
-    _add_common(p)
+def _add_extcheck(p: argparse.ArgumentParser):
     p.add_argument("--witness", required=True,
                    help="identity | shift:k | sigma-shift:c,k | qdiff:m | "
                         "qmult-shifted:tau,m | mult:family,param")
     p.add_argument("--lam", required=True, type=_parsed(parse_complex), help="trial lambda, x+yi")
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--threshold", type=_finite_float, default=1e-8)
-    p.set_defaults(func=cmd_extcheck)
 
-    p = sub.add_parser("extscan", help="scan a grid for extended-eigenvalue candidates")
-    _add_common(p)
+
+def _add_extscan(p: argparse.ArgumentParser):
     _add_grid(p)
     p.add_argument("--candidates", type=_candidates_type, default=None,
                    help="sylvester probe budget: an integer >= 0 or 'all'")
     p.add_argument("--require-prediction", action="store_true",
                    help="exit 1 when the symbol class has no resolved prediction")
     p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
-    p.set_defaults(func=cmd_extscan)
 
-    p = sub.add_parser("verify", help="run every known identity for the symbol's class")
-    _add_common(p)
+
+def _add_verify(p: argparse.ArgumentParser):
     p.add_argument("--points", type=_bounded_int(16, 4096, "--points"), default=None)
     p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
-    p.set_defaults(func=cmd_verify)
 
+
+def _add_nothing(p: argparse.ArgumentParser):
+    pass
+
+
+# (name, help, the function that adds the command's own arguments after
+# _add_common's, the function that runs it), in the order --help lists them
+COMMANDS = (
+    ("classify", "dynamical class of a symbol on the disk", _add_nothing, cmd_classify),
+    ("matrix", "truncation of C_phi (or a named witness)", _add_matrix, cmd_matrix),
+    ("eigs", "truncation eigenvalues with reliability estimates", _add_nothing, cmd_eigs),
+    ("extcheck", "residual of A X - lambda X A for one witness", _add_extcheck, cmd_extcheck),
+    ("extscan", "scan a grid for extended-eigenvalue candidates", _add_extscan, cmd_extscan),
+    ("verify", "run every known identity for the symbol's class", _add_verify, cmd_verify),
+)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The compext parser with one subparser per command, where only
+    command's subparser holds its arguments: the others hold only -h, which
+    is all that the top-level usage, help and "invalid choice" errors read."""
+    ap = argparse.ArgumentParser(
+        prog="compext",
+        description="Extended eigenvalues of composition operators: "
+        "truncations, intertwining witnesses, grid scans.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, func in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            _add_common(p)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value and no other positional,
+    # so the first word that names a command is the one argparse runs
+    names = {entry[0] for entry in COMMANDS}
+    command = next((word for word in argv if word in names), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -345,9 +345,10 @@ def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> Oper
     np.multiply(F[:, : n - k], _toeplitz(neg, n).T[:, : n - k], out=WX[:, k:])
     # W^-1[m, j] is the coefficient of sigma^m in z^j
     Winv = F * _toeplitz(pos, n).T
-    on_coeffs = WX @ Winv
+    entries = WX @ Winv
     nm = monomial_norms(space, n)
-    entries = (nm[:, None] * on_coeffs) / nm[None, :]
+    entries *= nm[:, None]
+    entries /= nm[None, :]
     return OperatorMatrix(space, n, entries, label=f"S[sigma,{k}]")
 
 

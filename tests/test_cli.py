@@ -1,4 +1,5 @@
 """End-to-end tests of the command line: exit codes, JSON shapes, determinism."""
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -429,6 +430,76 @@ def test_verify_unresolved_exits_three():
         ["verify", "--phi", "1,0.5,0.5,1", "--space", "hardy", "--n", "16"]
     )
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# the parser: main adds arguments only to the command it runs
+
+
+def _subparsers(ap: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _parser_with_every_command(build_parser) -> argparse.ArgumentParser:
+    """The reference: build_parser's parser with every command's subparser
+    populated from cli.COMMANDS, as one parser for all commands is."""
+    ap = build_parser(None)
+    choices = _subparsers(ap).choices
+    for name, _, add_arguments, func in cli.COMMANDS:
+        cli._add_common(choices[name])
+        add_arguments(choices[name])
+        choices[name].set_defaults(func=func)
+    return ap
+
+
+def _run_parsed(monkeypatch, argv):
+    """run(argv), the timestamp masked, and the options main parsed (func
+    left out): one dict, or none when parsing exits."""
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        ns = parse_args(self, *args, **kwargs)
+        parsed.append({k: v for k, v in vars(ns).items() if k != "func"})
+        return ns
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_args", recording)
+        rc, out, err = run(argv)
+    return rc, re.sub(r'"timestamp": "[^"]*"', "", out), err, parsed
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "extcheck"], ["bogus"],
+    ["classify", "--help"], ["matrix", "--help"], ["eigs", "--help"],
+    ["extcheck", "--help"], ["extscan", "--help"], ["verify", "--help"],
+    # an option before the command, and -- before it
+    ["--phi=0.5,0,0,1", "classify"], ["--", "classify", "--phi=0.5,0,0,1"],
+    # an unrecognized trailing word, an abbreviated option, missing required options
+    ["classify", "--phi=0.5,0,0,1", "extra"], ["classify", "--ph=0.5,0,0,1"], ["extcheck", "--phi=1,0,0,1"],
+    # one valid command line per command
+    ["classify", "--phi=0.5,0,0,1"],
+    ["matrix", "--phi=0.5,0.1,0,1", "--n", "8", "--witness", "shift:2"],
+    ["eigs", "--phi=0.5,1,0,1", "--space", "fock", "--n", "8"],
+    ["extcheck", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--witness", "shift:1", "--lam=-i"],
+    ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--points", "16"],
+    ["verify", "--phi=i,0,0,1", "--space", "fock", "--n", "16", "--points", "16"],
+], ids=" ".join)
+def test_main_answers_as_a_parser_with_every_command(monkeypatch, argv):
+    got = _run_parsed(monkeypatch, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: _parser_with_every_command(build_parser))
+    assert got == _run_parsed(monkeypatch, argv)
+
+
+def test_main_builds_only_the_command_it_runs(monkeypatch):
+    calls = []
+    add_common = cli._add_common
+    monkeypatch.setattr(cli, "_add_common", lambda p: calls.append(p) or add_common(p))
+    assert run(["extcheck", "--phi=i,0,0,1", "--n", "8", "--witness", "identity", "--lam", "1"])[0] == 0
+    assert len(calls) == 1
+    for name, p in _subparsers(cli.build_parser("extcheck")).choices.items():
+        assert ([a.dest for a in p._actions] == ["help"]) == (name != "extcheck"), name
 
 
 # ---------------------------------------------------------------------------

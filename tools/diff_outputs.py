@@ -94,7 +94,10 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # 2^53 (j >= 57) and powers of c past exponent 100 (CPython's polar branch):
 # one on Bergman with c = 0.6+0.2i and k = 3, and one on Hardy with
 # c = -0.3-0i, a -0.0 imaginary part, so that every entry's imaginary part is
-# an exact zero whose sign is compared
+# an exact zero whose sign is compared; and three argparse errors (exit 2,
+# empty stdout) whose stderr shows that main parses as one parser holding
+# every command would: an option before the command, an unrecognized
+# trailing word and -- before the command
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -156,6 +159,9 @@ OFF_POOL = [
      "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--space", "hardy", "--n", "130", "--witness", "sigma-shift:-0.3-0i,2",
      "--format", "mm"],
+    ["--phi=0.5,0,0,1", "classify"],
+    ["classify", "--phi=0.5,0,0,1", "extra"],
+    ["--", "classify", "--phi=0.5,0,0,1"],
 ]
 
 
@@ -274,7 +280,7 @@ def compare(requests: list, old: list, new: list, check=None) -> bool:
     whether NEW_TREE's i-th output matches its reference digest."""
     per_cmd = defaultdict(lambda: {"total": 0, "same": 0, "fields": {}, "examples": [], "digest_ok": 0})
     for i, (argv, ra, rb) in enumerate(zip(requests, old, new)):
-        entry = per_cmd[argv[0]]
+        entry = per_cmd[next(a for a in argv if not a.startswith("-"))]  # the command, after any option
         entry["total"] += 1
         found = {}
         _diff(_normalize(ra), _normalize(rb), "", found)
