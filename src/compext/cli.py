@@ -41,6 +41,7 @@ from .extspec import (
     GRID_SHAPES,
     RELIABILITY_TOL,
     SYLVESTER_THRESHOLD,
+    WITNESSES,
     GridSpec,
     SingularTruncationError,
     UnresolvedClassError,
@@ -407,15 +408,16 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+_WITNESS_HELP = "a witness, complex parameters written x+yi: " + " | ".join(WITNESSES)
+
+
 def _add_matrix(p: argparse.ArgumentParser):
-    p.add_argument("--witness", default=None, help="witness grammar, e.g. shift:2")
+    p.add_argument("--witness", default=None, help=_WITNESS_HELP)
     p.add_argument("--format", choices=("json", "mm"), default="json")
 
 
 def _add_extcheck(p: argparse.ArgumentParser):
-    p.add_argument("--witness", required=True,
-                   help="identity | shift:k | sigma-shift:c,k | qdiff:m | "
-                        "qmult-shifted:tau,m | mult:family,param")
+    p.add_argument("--witness", required=True, help=_WITNESS_HELP)
     p.add_argument("--lam", required=True, type=_parsed(parse_complex), help="trial lambda, x+yi")
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--threshold", type=_finite_float, default=1e-8)

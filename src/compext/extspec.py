@@ -833,11 +833,12 @@ def ext_scan(
 # witnesses by name, and the per-class verification driver
 
 
-def _sigma_power_series(c: complex, k: int, order: int) -> np.ndarray:
-    """Coefficients of (z - c)^k below degree `order`: C(k, m) (-c)^(k - m) at
-    z^m.  A term whose C(k, m) passes the float range is formed from
-    logarithms instead, where it under- or overflows as a float does.  A
-    negative k is refused: (z - c)^k then has its pole inside the disk."""
+def _sigma_power_series(phi: LinearFractionalMap, k: int, order: int) -> np.ndarray:
+    """Coefficients of (z - c)^k below degree `order`, c = phi's interior fixed
+    point: C(k, m) (-c)^(k - m) at z^m.  A C(k, m) past the float range is
+    formed from logarithms, where the term under- or overflows as a float does.
+    A negative k is refused: (z - c)^k then has its pole inside the disk."""
+    c = _interior_fixed_point(classify(phi).fixed_points)
     if k < 0:
         raise DomainError(f"need k >= 0, got k={k}")
     coeffs = np.zeros(order, dtype=np.complex128)
@@ -860,11 +861,59 @@ def _interior_fixed_point(fixed_points: tuple) -> complex:
     raise DomainError("symbol has no fixed point inside the open disk")
 
 
-def _witness_args(text: str, form: str, args: str, *types) -> list:
-    """Convert the comma-separated parameters `args` of witness `text` by
-    `types`.  A wrong count, an empty parameter or a bad integer or real is a
-    ValueError naming `form`; a bad complex literal keeps its own message."""
-    parts = args.split(",")
+# The witness grammar, form -> (parameter types, builder); complex parameters
+# are written x+yi.  A builder takes space, order and the parameters, then phi
+# and the parameter text by keyword; a mult builder returns the multiplier's
+# coefficients.  Builders call the factories by module-global name as they run,
+# so a rebound attribute of this module (the benchmark's tracer) is called.
+WITNESSES = {
+    "identity": ((), lambda space, order, **_: OperatorMatrix(space, order, np.eye(order), label="I")),
+    "shift:k": ((int,), lambda space, order, k, **_: basis_shift_matrix(k, space, order)),
+    "sigma-shift:c,k": ((parse_complex, int), lambda space, order, c, k, **_: sigma_shift_matrix(c, k, space, order)),
+    "qdiff:m": (
+        (int,),
+        lambda space, order, m, **_: matrix_power(quasi_diff_matrix(space, order), m).relabel(f"D^{m}"),
+    ),
+    "qmult-shifted:tau,m": (
+        (parse_complex, int),
+        lambda space, order, tau, m, params, **_: matrix_power(shifted_quasi_mult(space, tau, order), m).relabel(
+            "(X-{})^{}".format(*params.split(","))
+        ),
+    ),
+    "mult:monomial,k": ((int,), lambda space, order, k, **_: monomial(k, order)),
+    "mult:binomial,w": ((parse_complex,), lambda space, order, w, **_: binomial_power(w, order)),
+    "mult:cayley,w": ((parse_complex,), lambda space, order, w, **_: cayley_power(w, order)),
+    "mult:exponential,t": ((float,), lambda space, order, t, **_: parabolic_eigenfunction(t, order)),
+    "mult:sigma-power,k": ((int,), lambda space, order, k, phi, **_: _sigma_power_series(phi, k, order)),
+}
+
+
+def _split(text: str) -> tuple[str, str]:
+    """A witness text or form as (head, parameter text): 'mult:cayley,2i' gives ('mult:cayley', '2i')."""
+    name, _, params = text.partition(":")
+    if name == "mult":
+        family, _, params = params.partition(",")
+        name = f"mult:{family}"
+    return name, params
+
+
+_FORMS = {_split(form)[0]: form for form in WITNESSES}
+
+
+def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: int) -> OperatorMatrix:
+    """Construct the witness operator that `text` names in the grammar of
+    WITNESSES.  A text outside the grammar or a bad parameter is a ValueError
+    (a bad complex literal keeps parse_complex's message); an entry of the
+    witness past the float range is a DomainError."""
+    text = text.strip()
+    head, params = _split(text)
+    form = _FORMS.get(head)
+    if form is None and head.startswith("mult:"):
+        raise ValueError(f"unknown multiplication family {head.removeprefix('mult:')!r}")
+    if form is None or (text != head and not WITNESSES[form][0]):
+        raise ValueError(f"unknown witness {text!r}")
+    types, build = WITNESSES[form]
+    parts = params.split(",") if types else []
     bad = ValueError(f"bad witness {text!r}: expected {form}")
     if len(parts) != len(types) or not all(parts):
         raise bad
@@ -876,62 +925,10 @@ def _witness_args(text: str, form: str, args: str, *types) -> list:
             if conv is parse_complex:
                 raise
             raise bad from None
-    return values
-
-
-def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: int) -> OperatorMatrix:
-    """Construct a witness operator from its textual name.
-
-    Grammar (complex parameters in x+yi form):
-
-        identity
-        shift:k                   monomial backward shift by k
-        sigma-shift:c,k           sigma-power backward shift, sigma = z - c
-        qdiff:m                   D^m on fock
-        qmult-shifted:tau,m       (X - tau I)^m on fock
-        mult:monomial,k           M_{z^k}
-        mult:binomial,w           M_{(1-z)^w}
-        mult:cayley,w             M_{((1+z)/(1-z))^w}
-        mult:exponential,t        M_{exp(-t (1+z)/(1-z))}
-        mult:sigma-power,k        M_{(z-c)^k}, c = phi's interior fixed point
-
-    Raises DomainError when an entry of the witness leaves the float range.
-    """
-    text = text.strip()
-    name, _, args = text.partition(":")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
-        if text == "identity":
-            X = OperatorMatrix(space, order, np.eye(order), label="I")
-        elif name == "shift":
-            X = basis_shift_matrix(*_witness_args(text, "shift:k", args, int), space, order)
-        elif name == "sigma-shift":
-            c, k = _witness_args(text, "sigma-shift:c,k", args, parse_complex, int)
-            X = sigma_shift_matrix(c, k, space, order)
-        elif name == "qdiff":
-            (m,) = _witness_args(text, "qdiff:m", args, int)
-            X = matrix_power(quasi_diff_matrix(space, order), m).relabel(f"D^{m}")
-        elif name == "qmult-shifted":
-            tau, m = _witness_args(text, "qmult-shifted:tau,m", args, parse_complex, int)
-            tau_s, m_s = args.split(",")
-            X = matrix_power(shifted_quasi_mult(space, tau, order), m).relabel(f"(X-{tau_s})^{m_s}")
-        elif name == "mult":
-            family, _, param = args.partition(",")
-            if family == "monomial":
-                b = monomial(*_witness_args(text, "mult:monomial,k", param, int), order)
-            elif family == "binomial":
-                b = binomial_power(*_witness_args(text, "mult:binomial,w", param, parse_complex), order)
-            elif family == "cayley":
-                b = cayley_power(*_witness_args(text, "mult:cayley,w", param, parse_complex), order)
-            elif family == "exponential":
-                b = parabolic_eigenfunction(*_witness_args(text, "mult:exponential,t", param, float), order)
-            elif family == "sigma-power":
-                (k,) = _witness_args(text, "mult:sigma-power,k", param, int)
-                b = _sigma_power_series(_interior_fixed_point(classify(phi).fixed_points), k, order)
-            else:
-                raise ValueError(f"unknown multiplication family {family!r}")
-            X = multiplication_matrix(b, space, order).relabel(f"M[{family},{param}]")
-        else:
-            raise ValueError(f"unknown witness {text!r}")
+        X = build(space, order, *values, phi=phi, params=params)
+        if head.startswith("mult:"):
+            X = multiplication_matrix(X, space, order).relabel(f"M[{head.removeprefix('mult:')},{params}]")
     if not np.isfinite(X.entries).all():
         raise DomainError(
             f"entries of witness {text!r} leave the float range on {space.kind} space "

@@ -27,7 +27,7 @@ from compext import (
     ratio_set,
 )
 from compext.cli import main
-from compext.extspec import RELIABILITY_TOL, CheckRow
+from compext.extspec import RELIABILITY_TOL, WITNESSES, CheckRow
 
 
 def run(argv):
@@ -490,6 +490,14 @@ def test_main_answers_as_a_parser_with_every_command(monkeypatch, argv):
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command: _parser_with_every_command(build_parser))
     assert got == _run_parsed(monkeypatch, argv)
+
+
+@pytest.mark.parametrize("command", ["matrix", "extcheck"])
+def test_witness_help_lists_every_form(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrap, which may break a form at its hyphen
+    rc, out, _ = run([command, "--help"])
+    assert rc == 0
+    assert [form for form in WITNESSES if form not in out] == []
 
 
 def test_main_builds_only_the_command_it_runs(monkeypatch):

@@ -41,7 +41,7 @@ from compext import (
     verify_theorem_suite,
 )
 from compext.cli import main
-from compext.extspec import GRID_SHAPES, _dedup_sorted, _power_members, _rotation_circle
+from compext.extspec import GRID_SHAPES, WITNESSES, _dedup_sorted, _power_members, _rotation_circle
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -710,22 +710,71 @@ def test_direct_sum_flags_are_the_union():
 # witnesses and intertwining residuals
 
 
+HNA1 = standard_form("hyperbolic-na-1", r=0.5)
+LOX = standard_form("loxodromic", a=0.4j, c=0.2)  # interior fixed point 0.2
+# form -> (a text of that form, phi, space, its label); the labels spell
+# shift, sigma-shift and qdiff powers from the parsed integer, the other
+# parameters as written
+WITNESS_SAMPLES = {
+    "identity": ("identity", HNA1, BERGMAN, "I"),
+    "shift:k": ("shift:02", HNA1, BERGMAN, "X_2"),
+    "sigma-shift:c,k": ("sigma-shift:0.2,02", LOX, BERGMAN, "S[sigma,2]"),
+    "qdiff:m": ("qdiff:01", HNA1, FOCK, "D^1"),
+    "qmult-shifted:tau,m": ("qmult-shifted:.5,01", LinearFractionalMap(0.5, 1, 0, 1), FOCK, "(X-.5)^01"),
+    "mult:monomial,k": ("mult:monomial,03", HNA1, BERGMAN, "M[monomial,03]"),
+    "mult:binomial,w": ("mult:binomial,1+1i", HNA1, BERGMAN, "M[binomial,1+1i]"),
+    "mult:cayley,w": ("mult:cayley,2i", HNA1, BERGMAN, "M[cayley,2i]"),
+    "mult:exponential,t": ("mult:exponential,1.50", HNA1, BERGMAN, "M[exponential,1.50]"),
+    "mult:sigma-power,k": ("mult:sigma-power,2", LOX, BERGMAN, "M[sigma-power,2]"),
+}
+
+
 def test_build_witness_grammar():
-    phi = standard_form("hyperbolic-na-1", r=0.5)
-    for text in ("identity", "shift:2", "qdiff:1", "mult:binomial,1+1i",
-                 "mult:monomial,3", "mult:cayley,2i", "mult:exponential,1.5"):
-        sp = FOCK if text.startswith(("qdiff",)) else BERGMAN
-        X = build_witness(text, phi, sp, 12)
-        assert X.order == 12
-    lox = standard_form("loxodromic", a=0.4j, c=0.2)
-    X = build_witness("sigma-shift:0.2,2", lox, BERGMAN, 12)
-    assert X.order == 12
-    X = build_witness("mult:sigma-power,2", lox, BERGMAN, 12)
-    assert X.order == 12
-    X = build_witness("qmult-shifted:0.5,1", LinearFractionalMap(0.5, 1, 0, 1), FOCK, 12)
-    assert X.order == 12
+    # one sample per form of the table, in its order: a new form needs a sample
+    assert list(WITNESS_SAMPLES) == list(WITNESSES)
     with pytest.raises(ValueError):
-        build_witness("nonsense:1", phi, BERGMAN, 12)
+        build_witness("nonsense:1", HNA1, BERGMAN, 12)
+
+
+@pytest.mark.parametrize("form", WITNESS_SAMPLES)
+def test_build_witness_label(form):
+    text, phi, space, label = WITNESS_SAMPLES[form]
+    X = build_witness(text, phi, space, 12)
+    assert (X.order, X.space, X.label) == (12, space, label)
+
+
+def _without_last_parameter(text: str) -> str:
+    return text[: max(text.rfind(","), text.rfind(":"))]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_without_last_parameter(text), f"bad witness {_without_last_parameter(text)!r}: expected {form}",
+                     id=f"missing-{form}")
+        for form, (text, *_) in WITNESS_SAMPLES.items()
+        if form != "identity"
+    ]
+    + [
+        pytest.param("shift:x", "bad witness 'shift:x': expected shift:k", id="bad-integer"),
+        pytest.param("mult:exponential,x", "bad witness 'mult:exponential,x': expected mult:exponential,t",
+                     id="bad-real"),
+        pytest.param("sigma-shift:1,2,3", "bad witness 'sigma-shift:1,2,3': expected sigma-shift:c,k",
+                     id="extra-parameter"),
+        pytest.param("sigma-shift:zz,1", "bad complex literal 'zz'", id="bad-complex"),
+        pytest.param("mult:bogus,1", "unknown multiplication family 'bogus'", id="unknown-family"),
+        pytest.param("mult", "unknown multiplication family ''", id="no-family"),
+        pytest.param("identity:", "unknown witness 'identity:'", id="identity-with-colon"),
+        pytest.param("identity:junk", "unknown witness 'identity:junk'", id="identity-with-parameter"),
+        pytest.param("nonsense:1", "unknown witness 'nonsense:1'", id="unknown-witness"),
+    ],
+)
+def test_build_witness_error_paths(text, message):
+    # each is a plain ValueError, which the CLI turns into exit 2
+    with pytest.raises(ValueError) as exc:
+        build_witness(text, LOX, FOCK, 8)
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, DomainError)
 
 
 def test_identity_witness_has_zero_residual_at_one():

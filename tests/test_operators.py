@@ -39,6 +39,7 @@ from compext import (
     sigma_shift_matrix,
     standard_form,
 )
+from compext.extspec import WITNESSES, _split
 from compext.operators import monomial_support
 import oracle
 
@@ -173,6 +174,15 @@ WITNESS_CASES = [
     pytest.param(text, SpaceSpec("fock", alpha=0.5), id=f"fock-{text}")
     for text in ("qdiff:2", "qmult-shifted:1+1i,3")
 ]
+
+
+def test_the_oracle_covers_every_multiplier_and_fock_witness():
+    # a form added to WITNESSES fails here until the oracle and WITNESS_CASES
+    # cover it; identity and shift are exact, and sigma_shift_entries checks
+    # sigma-shift
+    heads = {_split(form)[0] for form in WITNESSES}
+    assert {f"mult:{family}" for family in oracle._MULTIPLIERS} == {h for h in heads if h.startswith("mult:")}
+    assert {_split(case.values[0])[0] for case in WITNESS_CASES} == heads - {"identity", "shift", "sigma-shift"}
 
 
 @pytest.mark.parametrize("order", [32, 64])

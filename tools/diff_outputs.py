@@ -62,18 +62,20 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # known to settle their Sylvester values by inverse iteration (ztrsyl
 # solves), at n = 24 and at n = 128, the probe's largest order (every other
 # request settles them by the certificate, exact or dense route) and two
-# witness labels, in Matrix Market and in JSON; the entries of six
-# more witness kinds in Matrix Market (the pools compare witnesses only
-# through one extcheck residual each); then one request per failure path:
+# witness labels, in Matrix Market and in JSON; the entries of eight
+# more witness kinds in Matrix Market, so that every form of the witness
+# table has its label compared (the pools compare witnesses only through one
+# extcheck residual each); then one request per failure path:
 # twelve domain errors (three of them witness entries past the float range,
 # one a sigma-power witness whose binomial coefficients pass it, one the
 # residual A X - lambda X A past it from a finite witness and lambda) and an
-# unmet --require-prediction (exit 1), an unknown witness, three malformed
-# witness parameter lists, an empty grid and two grids past the float range
-# (a disk whose radii rmax * k overflow, a circle whose step 2 * rmax does;
-# both exited 0 with Infinity and NaN in the JSON before make_grid checked
-# them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
-# errors and seven exit-2 requests are what show that every error message and
+# unmet --require-prediction (exit 1), an unknown witness, an unknown
+# multiplication family, four malformed witness parameter lists (one a bad
+# integer), a bad complex literal in a witness, an empty grid and two grids
+# past the float range (a disk whose radii rmax * k overflow, a circle whose
+# step 2 * rmax does; both exited 0 with Infinity and NaN in the JSON before
+# make_grid checked them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
+# errors and ten exit-2 requests are what show that every error message and
 # exit code survives a change to the error classes; the order-256 matrix JSON,
 # 3.9 MB of entries in the column writer; last, three ratio_distance inputs the
 # pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
@@ -122,6 +124,8 @@ OFF_POOL = [
     ["matrix", "--phi=0.5,0.1,0,1", "--n", "16", "--witness", "mult:sigma-power,2", "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "sigma-shift:0.2,2", "--format", "mm"],
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--space", "fock", "--witness", "qdiff:2", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "identity", "--format", "mm"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "shift:3", "--format", "mm"],
     ["matrix", "--phi=2,0,0,1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qdiff:1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:9"],
@@ -136,9 +140,12 @@ OFF_POOL = [
     ["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness", "mult:sigma-power,100000"],
     ["extcheck", "--phi=1i,0,0,1", "--space", "bergman", "--n", "9", "--witness", "mult:cayley,100i", "--lam=1e300"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "mult:bogus,1"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:0.2"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:x"],
+    ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:zz,1"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "1e308", "--points", "16"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"],
