@@ -6,8 +6,9 @@ command it runs, so a run builds one command's options.  Every JSON
 document echoes, under "config", the options its command parsed (the parser
 is their only list), so feeding them back to compext reproduces the run;
 output is byte-stable across runs with the same inputs, except for the
-timestamp field.  This module alone decides how results become JSON and
-CSV: one _plain pass turns each document into plain JSON values (dataclasses,
+timestamp field.  extspec decides every verdict: witness_row whether a
+witness passes, reliable which eigenvalues count.  This module only formats:
+one _plain pass turns each document into plain JSON values (dataclasses,
 complex numbers, numpy scalars and non-finite floats included), json.dumps
 writes it, and the column writer (_Block, _csv) writes the arrays: extscan
 rows, eigs arrays and matrix entries.  The JSON is strict (RFC 8259): a
@@ -47,10 +48,11 @@ from .extspec import (
     UnresolvedClassError,
     build_witness,
     ext_scan,
-    intertwining_residual,
     predicted_ext,
     ratio_set,
+    reliable,
     verify_theorem_suite,
+    witness_row,
 )
 from .lft import (
     DomainError,
@@ -292,7 +294,7 @@ def cmd_classify(args) -> int:
 
 def cmd_matrix(args) -> int:
     space = _space(args)
-    if args.witness:
+    if args.witness is not None:
         A = build_witness(args.witness, args.phi, space, args.n)
     else:
         A = composition_matrix(args.phi, space, args.n)
@@ -308,8 +310,7 @@ def cmd_eigs(args) -> int:
     A = composition_matrix(args.phi, space, args.n)
     w, err = A.eig_reliability
     order = np.lexsort((w.imag, w.real))
-    w, err = w[order], err[order]
-    reliable = err <= RELIABILITY_TOL * np.abs(w)
+    w, err, trusted = w[order], err[order], reliable(A, RELIABILITY_TOL)[order]
     try:
         ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
         ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
@@ -318,8 +319,8 @@ def cmd_eigs(args) -> int:
     result = {
         "eigenvalues": _complex_block(w),
         "error_estimates": _Block(err),
-        "reliable": _Block(reliable),
-        "reliable_count": np.count_nonzero(reliable),
+        "reliable": _Block(trusted),
+        "reliable_count": np.count_nonzero(trusted),
         "ratio_set": ratio_info,
     }
     _respond(args, result)
@@ -327,21 +328,9 @@ def cmd_eigs(args) -> int:
 
 
 def cmd_extcheck(args) -> int:
-    space = _space(args)
-    A = composition_matrix(args.phi, space, args.n)
-    X = build_witness(args.witness, args.phi, space, args.n)
-    lam = args.lam
-    res = intertwining_residual(A, X, lam, args.margin)
-    passed = res <= args.threshold
-    result = {
-        "witness": args.witness,
-        "lambda": lam,
-        "margin": args.margin,
-        "residual": res,
-        "threshold": args.threshold,
-        "passed": bool(passed),
-    }
-    _respond(args, result)
+    A = composition_matrix(args.phi, _space(args), args.n)
+    row = witness_row(A, args.phi, "extcheck", args.witness, args.lam, args.margin, args.threshold)
+    _respond(args, {key: value for key, value in _fields(row).items() if key != "check"})
     return 0
 
 
@@ -408,7 +397,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_WITNESS_HELP = "a witness, complex parameters written x+yi: " + " | ".join(WITNESSES)
+_WITNESS_HELP = "a witness, complex parameters written x+yi:\n" + "\n".join(WITNESSES)
 
 
 def _add_matrix(p: argparse.ArgumentParser):
@@ -464,7 +453,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, func in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=argparse.RawTextHelpFormatter)
         if name == command:
             _add_common(p)
             add_arguments(p)

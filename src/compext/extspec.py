@@ -170,6 +170,12 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(reps[keep])
 
 
+def reliable(A: OperatorMatrix, tol: float) -> np.ndarray:
+    """Which eigenvalues mu of A.eig_reliability to trust: those whose error estimate is at most tol |mu|."""
+    w, err = A.eig_reliability
+    return err <= tol * np.abs(w)
+
+
 def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.ndarray:
     """The distinct eigenvalue ratios mu_i / mu_j of the truncation, to 1e-9
     (see _dedup_sorted), sorted by (re, im).  For a rotation z -> w z these
@@ -186,8 +192,8 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
       perturbation-theory error estimate is at most t |mu_j|.  This is the
       only usable mode for the hyperbolic/parabolic composition truncations,
       whose smallest singular values underflow; raises
-      SingularTruncationError when no eigenvalue survives.  The eigenvalues
-      and estimates are A.eig_reliability, computed once per truncation.
+      SingularTruncationError when no eigenvalue survives.  The kept
+      eigenvalues are those that reliable(A, t) marks.
     """
     if reliability_tol is None:
         smin = float(A.svdvals[-1])
@@ -199,9 +205,7 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
             )
         mu = np.diag(A.entries) if A.is_diagonal else np.linalg.eigvals(A.entries)
     else:
-        w, err = A.eig_reliability
-        keep = err <= reliability_tol * np.abs(w)
-        mu = w[keep]
+        mu = A.eig_reliability[0][reliable(A, reliability_tol)]
         if mu.size == 0:
             raise SingularTruncationError(
                 "no eigenvalue of the truncation passes the reliability filter"
@@ -971,6 +975,16 @@ class VerifyReport:
         return all(r.passed for r in self.rows) and all(r.passed for r in self.scan_rows)
 
 
+def witness_row(
+    C: OperatorMatrix, phi: LinearFractionalMap, check: str, text: str, lam: complex, margin: int, threshold: float
+) -> VerifyRow:
+    """The witness that text names, on C's space and order, read as the
+    residual of C X - lam X C (intertwining_residual) against threshold."""
+    X = build_witness(text, phi, C.space, C.order)
+    res = intertwining_residual(C, X, lam, margin)
+    return VerifyRow(check, text, complex(lam), margin, res, threshold, res <= threshold)
+
+
 def verify_theorem_suite(
     phi: LinearFractionalMap,
     space: SpaceSpec,
@@ -1002,11 +1016,7 @@ def verify_theorem_suite(
     label, mult, fixed_points = _resolve(phi, space)
     recipe = _RECIPES[label]
     C = composition_matrix(phi, space, order)
-    rows = []
-    for check, text, lam, margin, threshold in recipe.rows(phi, mult, fixed_points, order):
-        X = build_witness(text, phi, space, order)
-        res = intertwining_residual(C, X, lam, margin)
-        rows.append(VerifyRow(check, text, complex(lam), margin, res, threshold, res <= threshold))
+    rows = [witness_row(C, phi, *row) for row in recipe.rows(phi, mult, fixed_points, order)]
     grid, candidates, scan_check = recipe.scan(mult, order, scan_points)
     scan_rows = scan_check(ext_scan(C, grid, candidates=candidates, seed=seed))
     return VerifyReport(str(phi), space, order, label, rows, scan_rows, recipe.predict(mult))

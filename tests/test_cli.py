@@ -23,8 +23,10 @@ from compext import (
     build_witness,
     cli,
     composition_matrix,
+    format_lft,
     operators,
     ratio_set,
+    standard_form,
 )
 from compext.cli import main
 from compext.extspec import RELIABILITY_TOL, WITNESSES, CheckRow
@@ -213,6 +215,43 @@ def test_extcheck_failing_witness_still_exits_zero():
     )
     assert rc == 0
     assert json.loads(out)["result"]["passed"] is False
+
+
+# one standard symbol per resolved (space, class) pair, by its class label
+VERIFY_SYMBOLS = {
+    "fock-rotation": (LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), "fock"),
+    "fock-affine-contraction": (LinearFractionalMap(0.5, 1, 0, 1), "fock"),
+    "elliptic-automorphism": (standard_form("elliptic-automorphism", w=np.exp(2j * np.pi / 5)), "bergman"),
+    "hyperbolic-automorphism": (standard_form("hyperbolic-automorphism", r=0.5), "bergman"),
+    "hyperbolic-na-1": (standard_form("hyperbolic-na-1", r=0.5), "bergman"),
+    "hyperbolic-na-3": (standard_form("hyperbolic-na-3", a=0.5, c=0.2), "bergman"),
+    "loxodromic": (standard_form("loxodromic", a=0.5j, c=0.2), "bergman"),
+    "parabolic-automorphism": (standard_form("parabolic-automorphism", a=2j), "bergman"),
+}
+
+
+@pytest.mark.parametrize("label", VERIFY_SYMBOLS)
+def test_extcheck_reproduces_every_verify_row(label):
+    # each verify row, re-read by extcheck with the same witness, lambda,
+    # margin and threshold, gives the same six values, byte for byte.  lambda
+    # goes as x+yi text that keeps the sign of a zero imaginary part, which
+    # format_complex drops
+    phi, space = VERIFY_SYMBOLS[label]
+    symbol = ["--phi=" + format_lft(phi), "--space", space, "--n", "16"]
+    rc, out, _ = run(["verify"] + symbol + ["--points", "16"])
+    assert rc in (0, 1)
+    result = json.loads(out)["result"]
+    assert result["class"] == label
+    rows = result["rows"]
+    assert rows
+    for row in rows:
+        re_lam, im_lam = row["lambda"]
+        rc, out, _ = run(["extcheck"] + symbol + [
+            "--witness", row["witness"], f"--lam={re_lam!r}{im_lam:+}i",
+            "--margin", str(row["margin"]), f"--threshold={row['threshold']!r}"])
+        assert rc == 0
+        want = {key: value for key, value in row.items() if key != "check"}
+        assert json.dumps(json.loads(out)["result"], sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +533,7 @@ def test_main_answers_as_a_parser_with_every_command(monkeypatch, argv):
 
 @pytest.mark.parametrize("command", ["matrix", "extcheck"])
 def test_witness_help_lists_every_form(monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "1000")  # no line wrap, which may break a form at its hyphen
+    monkeypatch.setenv("COLUMNS", "80")  # a form must not break at its hyphen
     rc, out, _ = run([command, "--help"])
     assert rc == 0
     assert [form for form in WITNESSES if form not in out] == []
@@ -736,6 +775,9 @@ _FOCK_7000 = ["--phi=0.9,2,0,1", "--space", "fock", "--alpha", "7000", "--n", "2
         pytest.param(_EXT + ["bogus:1"], 2, "error: unknown witness 'bogus:1'", id="unknown-witness"),
         pytest.param(_EXT + ["identity:junk"], 2, "error: unknown witness 'identity:junk'",
                      id="identity-with-parameter"),
+        # an empty witness is a witness text, as in extcheck, not the absence of one
+        pytest.param(["matrix", _P, "--n", "8", "--witness", "", "--format", "mm"], 2,
+                     "error: unknown witness ''", id="empty-witness-matrix"),
         # a witness parameter outside its range is a domain error, as shift:9 is
         pytest.param(_EXT_48 + ["mult:monomial,100"], 1, "error: need 0 <= k < order, got k=100, order=48",
                      id="monomial-degree-past-order"),

@@ -71,11 +71,12 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # residual A X - lambda X A past it from a finite witness and lambda) and an
 # unmet --require-prediction (exit 1), an unknown witness, an unknown
 # multiplication family, four malformed witness parameter lists (one a bad
-# integer), a bad complex literal in a witness, an empty grid and two grids
-# past the float range (a disk whose radii rmax * k overflow, a circle whose
-# step 2 * rmax does; both exited 0 with Infinity and NaN in the JSON before
+# integer), a bad complex literal in a witness, an empty matrix witness
+# (--witness "", which exited 0 with C_phi before cmd_matrix told an empty
+# witness from none), an empty grid and two grids past the float range (a
+# disk whose radii rmax * k overflow, a circle whose step 2 * rmax does; both exited 0 with Infinity and NaN in the JSON before
 # make_grid checked them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
-# errors and ten exit-2 requests are what show that every error message and
+# errors and eleven exit-2 requests are what show that every error message and
 # exit code survives a change to the error classes; the order-256 matrix JSON,
 # 3.9 MB of entries in the column writer; last, three ratio_distance inputs the
 # pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
@@ -146,6 +147,7 @@ OFF_POOL = [
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:x"],
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:zz,1"],
+    ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "", "--format", "mm"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "1e308", "--points", "16"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"],
