@@ -15,9 +15,10 @@ rows, eigs arrays and matrix entries.  The JSON is strict (RFC 8259): a
 non-finite float is null there, and nan, inf or -inf in the CSV.
 
 Exit codes: 0 success; 1 a DomainError (inadmissible symbol, wrong space,
-Fock norms or matrix entries out of float range, a singular truncation: its
-one subclass SingularTruncationError, ...), a failed verify, or an unresolved
-class under extscan --require-prediction; 2 a plain ValueError, usage or
+Fock norms or matrix entries out of float range, ...; no command lets its
+one subclass SingularTruncationError reach main, as an empty ratio set is a
+value), a failed verify, or an unresolved class under extscan
+--require-prediction; 2 a plain ValueError, usage or
 parse error (an empty grid or one with a non-finite radius, radius ratio,
 point or step; checked at parse time: a degenerate --phi, a complex literal
 past the float range in --phi or --lam, a non-finite --alpha or --threshold,
@@ -44,7 +45,6 @@ from .extspec import (
     SYLVESTER_THRESHOLD,
     WITNESSES,
     GridSpec,
-    SingularTruncationError,
     UnresolvedClassError,
     build_witness,
     ext_scan,
@@ -179,16 +179,9 @@ def _tokens(column: np.ndarray, spelling: dict) -> list:
 
 
 def _join(columns: list, head: str, cell_sep: str, row_sep: str, tail: str) -> str:
-    """Nonempty token columns of one length as text, row by row: head, the
-    rows separated by row_sep, the cells of a row by cell_sep, then tail."""
-    k, n = len(columns), len(columns[0])
-    seps = ([row_sep] + [cell_sep] * (k - 1)) * n  # the text before each cell
-    seps[0] = head
-    text = [""] * (2 * k * n)
-    text[::2] = seps
-    for j, column in enumerate(columns):  # the cells, row-major
-        text[2 * j + 1 :: 2 * k] = column
-    return "".join(text) + tail
+    """Token columns of one length as text, row by row: head, the rows
+    separated by row_sep, the cells of a row by cell_sep, then tail."""
+    return head + row_sep.join(map(cell_sep.join, zip(*columns))) + tail
 
 
 class _Block:
@@ -311,11 +304,10 @@ def cmd_eigs(args) -> int:
     w, err = A.eig_reliability
     order = np.lexsort((w.imag, w.real))
     w, err, trusted = w[order], err[order], reliable(A, RELIABILITY_TOL)[order]
-    try:
-        ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
-        ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
-    except SingularTruncationError as exc:
-        ratio_info = {"count": 0, "sample": [], "note": str(exc)}
+    ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+    ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
+    if ratios.size == 0:
+        ratio_info["note"] = "no eigenvalue of the truncation passes the reliability filter"
     result = {
         "eigenvalues": _complex_block(w),
         "error_estimates": _Block(err),

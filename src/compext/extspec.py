@@ -61,7 +61,9 @@ from .spaces import SpaceSpec
 
 
 class SingularTruncationError(DomainError):
-    """Ratio set is meaningless: the truncation is numerically singular."""
+    """Strict ratio_set's refusal: the truncation is numerically singular, so
+    the ratios of all its eigenvalues are noise.  The filtered mode never
+    raises it; ext_scan falls back to that mode, so no command ends on it."""
 
 
 class UnresolvedClassError(ValueError):
@@ -191,9 +193,12 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
     * filtered (reliability_tol=t): keeps eigenvalue mu_j only when its
       perturbation-theory error estimate is at most t |mu_j|.  This is the
       only usable mode for the hyperbolic/parabolic composition truncations,
-      whose smallest singular values underflow; raises
-      SingularTruncationError when no eigenvalue survives.  The kept
-      eigenvalues are those that reliable(A, t) marks.
+      whose smallest singular values underflow.  The kept eigenvalues are
+      those that reliable(A, t) marks; when none survives the ratio set is
+      the empty complex array.
+
+    A diagonal truncation (A.is_diagonal) reads its eigenvalues from
+    A.eig_reliability, its diagonal, in either mode.
     """
     if reliability_tol is None:
         smin = float(A.svdvals[-1])
@@ -203,13 +208,9 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
                 "eigenvalue ratios of this truncation are noise "
                 "(pass reliability_tol to filter instead)"
             )
-        mu = np.diag(A.entries) if A.is_diagonal else np.linalg.eigvals(A.entries)
+        mu = A.eig_reliability[0] if A.is_diagonal else np.linalg.eigvals(A.entries)
     else:
         mu = A.eig_reliability[0][reliable(A, reliability_tol)]
-        if mu.size == 0:
-            raise SingularTruncationError(
-                "no eigenvalue of the truncation passes the reliability filter"
-            )
     ratios = (mu[:, None] / mu[None, :]).ravel()
     return _dedup_sorted(ratios, 1e-9)
 
@@ -360,7 +361,7 @@ class SylvesterProbe:
             raise DomainError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
         self.norm_a = float(A.svdvals[0])
         a = A.entries
-        self.mu = np.diag(a) if A.is_diagonal else None
+        self.mu = A.eig_reliability[0] if A.is_diagonal else None
         self.dense = self.mu is None and n <= 16
         if self.dense:
             self.a = a
@@ -778,9 +779,10 @@ def ext_scan(
     smallest ratio distance ("all" for every point; default: all points for
     order <= 48, else 50; none above order MAX_PROBE_ORDER).  Ratios use the
     strict mode of ratio_set when the truncation allows it, falling back to
-    the reliability filter at RELIABILITY_TOL (recorded in notes) -- the
-    fallback is the normal path for hyperbolic and parabolic symbols, whose
-    truncations are exponentially singular.  The report holds what the scan
+    the reliability filter at RELIABILITY_TOL -- the normal path for
+    hyperbolic and parabolic symbols, whose truncations are exponentially
+    singular.  The notes say which: the filtered set, or, when it is empty,
+    that every ratio distance is +inf.  The report holds what the scan
     measured; the caller keeps what it passed in.
     """
     lam, step = make_grid(grid)
@@ -792,15 +794,13 @@ def ext_scan(
     try:
         ratios = ratio_set(A)
     except SingularTruncationError:
-        try:
-            ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
-            notes.append(
-                "ratio set from reliability-filtered eigenvalues "
-                f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"
-            )
-        except SingularTruncationError:
-            ratios = np.array([], dtype=complex)
-            notes.append("no reliable eigenvalues; ratio distances are +inf")
+        ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+        notes.append(
+            "ratio set from reliability-filtered eigenvalues "
+            f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"
+            if ratios.size
+            else "no reliable eigenvalues; ratio distances are +inf"
+        )
 
     rd = ratio_distance(lam, ratios)
 

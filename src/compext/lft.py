@@ -353,12 +353,14 @@ def parse_complex(text: str) -> complex:
 
 
 def format_complex(z: complex) -> str:
+    """z in the form parse_complex reads back bit for bit: a +0.0 imaginary
+    part is left out, a -0.0 one written as -0.0i."""
     z = complex(z)
     re_s = repr(z.real)
     im = z.imag
-    if im == 0:
+    if im == 0 and math.copysign(1.0, im) > 0:
         return re_s
-    sign = "+" if im >= 0 else "-"
+    sign = "+" if im > 0 else "-"
     return f"{re_s}{sign}{repr(abs(im))}i"
 
 

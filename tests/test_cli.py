@@ -25,6 +25,7 @@ from compext import (
     composition_matrix,
     format_lft,
     operators,
+    parse_lft,
     ratio_set,
     standard_form,
 )
@@ -394,6 +395,12 @@ def _replay_argv(config: dict) -> list:
     return argv
 
 
+def _bits(phi: str) -> list:
+    """The coefficients of phi as hex floats, so that a sign of zero counts."""
+    f = parse_lft(phi)
+    return [(z.real.hex(), z.imag.hex()) for z in (f.a, f.b, f.c, f.d)]
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--phi", "1,0.5,0.5,1"],
     ["matrix", "--phi", "0.5,0.1,0,1", "--n", "8", "--format", "json", "--witness", "shift:2"],
@@ -403,12 +410,18 @@ def _replay_argv(config: dict) -> list:
     ["extscan", "--phi", "i,0,0,1", "--space", "fock", "--n", "12", "--grid", "annulus",
      "--rmin", "0.5", "--rmax", "2", "--points", "32", "--candidates", "3", "--seed", "4"],
     ["verify", "--phi", "i,0,0,1", "--space", "fock", "--n", "16", "--points", "16", "--seed", "5"],
+    # -0i and -0 parse to zeros with their sign bit set
+    pytest.param(["extcheck", "--phi", ".5i,-0i,-0,1", "--n", "8", "--lam=i", "--witness", "mult:cayley,.5i"],
+                 id="signed-zeros"),
 ], ids=lambda argv: argv[0])
 def test_every_config_echo_replays_its_run(argv):
-    # the echo is the parsed command line: fed back, it reproduces the run
+    # the echo is the parsed command line: fed back, it reproduces the run,
+    # and its phi reads back to the same coefficients, bit for bit
     stamp = re.compile(r'"timestamp": "[^"]*"')
     rc, out, err = run(argv)
-    replay = _replay_argv(json.loads(out)["config"])
+    config = json.loads(out)["config"]
+    assert _bits(config["phi"]) == _bits(argv[argv.index("--phi") + 1])
+    replay = _replay_argv(config)
     rc2, out2, err2 = run(replay)
     assert (rc2, err2) == (rc, err), replay
     assert stamp.sub("", out2) == stamp.sub("", out)

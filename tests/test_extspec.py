@@ -41,7 +41,7 @@ from compext import (
     verify_theorem_suite,
 )
 from compext.cli import main
-from compext.extspec import GRID_SHAPES, WITNESSES, _dedup_sorted, _power_members, _rotation_circle
+from compext.extspec import GRID_SHAPES, RELIABILITY_TOL, WITNESSES, _dedup_sorted, _power_members, _rotation_circle
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -99,6 +99,14 @@ def test_ratio_set_reliability_filter_drops_noise_eigenvalues():
     A = _op(np.diag([1.0, 0.5, 0.0]))
     rs = ratio_set(A, reliability_tol=1e-6)
     np.testing.assert_allclose(sorted(rs.real), [0.5, 1.0, 2.0], atol=1e-12)
+
+
+def test_ratio_set_with_no_reliable_eigenvalue_is_empty():
+    # on Fock 0.1 z + 3 with alpha = 10 at n = 8 no eigenvalue passes the
+    # filter: the empty set is a value, not an error
+    C = composition_matrix(LinearFractionalMap(0.1, 3, 0, 1), SpaceSpec("fock", alpha=10), 8)
+    rs = ratio_set(C, reliability_tol=RELIABILITY_TOL)
+    assert rs.shape == (0,) and rs.dtype == np.complex128
 
 
 def test_reliable_ratios_of_affine_symbol_are_powers():

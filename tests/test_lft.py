@@ -409,13 +409,12 @@ def test_parse_complex_keeps_the_sign_of_zero():
 @example(complex(-1e308, 1e308))
 @example(complex(-1.7976931348623157e308, -0.0))
 @example(complex(-0.0, 0.0))
+@example(complex(0.0, -0.0))
+@example(complex(-0.0, -0.0))
 def test_format_parse_complex_round_trip(z):
-    # format_complex writes no imaginary part when it is zero, so a -0.0 there
-    # reads back as 0.0; every other bit survives, the real part's sign of zero
-    # included
+    # every bit survives, the sign of a zero real or imaginary part included
     w = parse_complex(format_complex(z))
-    want = complex(z.real, z.imag or 0.0)
-    assert (w.real.hex(), w.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert (w.real.hex(), w.imag.hex()) == (z.real.hex(), z.imag.hex())
 
 
 def test_parse_format_lft_round_trip():

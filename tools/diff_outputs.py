@@ -39,6 +39,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -265,8 +266,11 @@ def _diff(a, b, path: str, found: dict) -> None:
 
 
 def _worst(x, y):
-    """The larger difference; None (not numeric) dominates."""
-    return None if x is None or y is None else max(x, y)
+    """The larger difference; None (not numeric) dominates, then nan (a
+    number against nan), which max would drop when it comes second."""
+    if x is None or y is None:
+        return None
+    return max(x, y) if x == x and y == y else math.nan
 
 
 def _matches_reference(workloads, req, ref, rec: dict) -> bool:
