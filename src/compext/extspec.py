@@ -218,6 +218,8 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
 _BLOCK = 2**16  # differences per abs temporary in ratio_distance (1 MiB complex)
 _TILE = 32  # grid points measured together
 _STRIP = 512  # grid points per strip of neighbouring real parts
+_NEIGHBOURS = 3  # ratios measured on each side of a point's argument
+_SAFE = (1e-100, 1e100)  # moduli at which the argument bound's arithmetic is safe
 _EPS = float(np.finfo(float).eps)
 _TINY = 5e-324  # the smallest subnormal
 
@@ -242,33 +244,101 @@ def ratio_distance(lam, ratios) -> np.ndarray:
     np.abs(lam[:, None] - ratios[None, :]).min(axis=1), and +inf for an empty
     ratio set.
 
-    Only the ratios that can be nearest are measured.  The points are sorted
-    by real part into strips of _STRIP, each strip by imaginary part, and
-    walked in tiles of _TILE.  A tile's candidates are the ratios inside its
-    bounding box widened by w on each side: a searchsorted slice of the
-    ratios sorted by (re, im), then a mask on the imaginary part (skipped
-    when it would keep half the slice or more, as any superset will do);
-    w starts a quarter above the previous tile's largest nearest distance.
-    A ratio left out differs from every point of the tile by more than w in
-    its real or its imaginary part alone (the box's bounds are rounded, but a
-    ratio is a float too, so none within w of the tile falls outside them),
-    and complex abs is never below either part.  So when the tile's largest
-    distance to its candidates lies below w by a few ulps (relative, and
-    absolute for subnormals), the minimum over the same abs values is
-    unchanged.  Otherwise w grows to that distance plus the margin and the
-    tile is measured again; the whole set is the last resort.  An input of
-    one tile (at most _TILE points, where no earlier tile gives w) or of one
-    block (lam.size * ratios.size <= _BLOCK), or one that holds a nan or an
-    infinity, is measured against the whole set without sorting.  Every abs
-    temporary holds at most _BLOCK differences, so the temporaries stay near
-    1.5 MiB."""
+    Only the ratios that can be nearest are measured, in two passes.  The
+    first measures each point against the _NEIGHBOURS ratios on each side of
+    its argument (the ratios in their order by np.angle, taken round the
+    circle) and keeps the result where a lower bound on every other ratio
+    certifies it.  The second, a tile walk, measures the points left.  An
+    input of one tile (at most _TILE points), of one block (lam.size *
+    ratios.size <= _BLOCK) or of at most 2 _NEIGHBOURS ratios, or one that
+    holds a nan or an infinity, is measured against the whole set without
+    sorting.
+
+    The bound.  Every ratio q outside a point's window lies at least delta
+    from it in argument, delta being the smaller of the angles to the two
+    ratios just outside the window (these two angles and the window's span
+    make up one turn, so delta <= pi), and |q| lies in [lo, hi], the range
+    of the set.  So |lam - q|^2 >= (rho - m cos delta)^2 + (m sin delta)^2
+    with m = |lam|, and the bound is the right side at rho = m cos delta
+    clamped to [lo, hi].  The bound moves by at most the error in m, lo or
+    hi, and by at most hi times the error in delta; those errors are ulps,
+    and sin, cos, clip and hypot add ulps of m + hi more, so the computed
+    bound lies above the exact one by far less than 1e-12 (m + hi) plus a
+    relative 1e-12.  A computed |lam - q| lies within two ulps of the exact
+    one.  So where the window's smallest distance lies below the bound less
+    both margins, every abs left out is larger, and the minimum over the
+    same abs values is unchanged.  The bound is trusted only where m, lo and
+    hi lie in _SAFE: there no product, square or hypot under- or overflows,
+    and the margin is a normal number.  Every other point goes to the tile
+    walk.
+
+    The tile walk.  The points are sorted by real part into strips of
+    _STRIP, each strip by imaginary part, and walked in tiles of _TILE.  A
+    tile's candidates are the ratios inside its bounding box widened by w on
+    each side: a searchsorted slice of the ratios sorted by (re, im), then a
+    mask on the imaginary part (skipped when it would keep half the slice or
+    more, as any superset will do); w starts a quarter above the previous
+    tile's largest nearest distance.  A ratio left out differs from every
+    point of the tile by more than w in its real or its imaginary part alone
+    (the box's bounds are rounded, but a ratio is a float too, so none within
+    w of the tile falls outside them), and complex abs is never below either
+    part.  So when the tile's largest distance to its candidates lies below w
+    by a few ulps (relative, and absolute for subnormals), the minimum over
+    the same abs values is unchanged.  Otherwise w grows to that distance
+    plus the margin and the tile is measured again; the whole set is the
+    last resort.
+
+    Every abs temporary holds at most _BLOCK differences, so the temporaries
+    stay near 1.5 MiB."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ratios = np.atleast_1d(np.asarray(ratios, dtype=complex))
     if ratios.size == 0:
         return np.full(lam.shape, np.inf)
-    if (lam.size <= _TILE or lam.size * ratios.size <= _BLOCK
+    if (lam.size <= _TILE or lam.size * ratios.size <= _BLOCK or ratios.size <= 2 * _NEIGHBOURS
             or not (np.isfinite(lam).all() and np.isfinite(ratios).all())):
         return _nearest(lam, ratios)
+    out, rest = _by_argument(lam, ratios)
+    if rest.size:
+        out[rest] = _walk(lam[rest], ratios)
+    return out
+
+
+def _by_argument(lam: np.ndarray, ratios: np.ndarray) -> tuple:
+    """(out, rest): each point's distance to the nearest of the 2k ratios
+    next to it in argument, k = _NEIGHBOURS, and the indices of the points
+    where the bound of ratio_distance does not certify it as the distance to
+    the whole set."""
+    k = _NEIGHBOURS
+    theta = np.angle(ratios)
+    order = np.argsort(theta)
+    ts = theta[order]
+    # the sorted set with its last and first k + 1 ratios repeated a turn
+    # away on either side, so that no window wraps: the window of the point
+    # that sorts at p is [p + 1, p + 2k], and the ratios just outside it are
+    # at p and p + 2k + 1
+    t = np.concatenate((ts[-k - 1 :] - 2 * np.pi, ts, ts[: k + 1] + 2 * np.pi))
+    rs = ratios[np.concatenate((order[-k - 1 :], order, order[: k + 1]))]
+    alpha = np.angle(lam)
+    pos = ts.searchsorted(alpha)
+    out = np.empty(lam.size)
+    for i in range(0, lam.size, _BLOCK):
+        z, p, part = lam[i : i + _BLOCK], pos[i : i + _BLOCK], out[i : i + _BLOCK]
+        part[:] = np.abs(z - rs[p + 1])
+        for j in range(2, 2 * k + 1):
+            np.minimum(part, np.abs(z - rs[p + j]), out=part)
+    rho = np.abs(ratios)
+    lo, hi = float(rho.min()), float(rho.max())
+    m = np.abs(lam)
+    delta = np.minimum(alpha - t[pos], t[pos + 2 * k + 1] - alpha)
+    near = m * np.cos(delta)  # the modulus nearest to lam at angle delta
+    bound = np.hypot(np.clip(near, lo, hi) - near, m * np.sin(delta))
+    sure = ((out < bound * (1 - 1e-12) - 1e-12 * (m + hi))
+            & (np.minimum(m, lo) >= _SAFE[0]) & (np.maximum(m, hi) <= _SAFE[1]))
+    return out, np.flatnonzero(~sure)
+
+
+def _walk(lam: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """The tile walk of ratio_distance, for finite points and ratios."""
     rs = np.sort(ratios)  # by (re, im): a slice of it is a range of real parts
     rank = np.empty(lam.size, dtype=np.intp)
     rank[np.argsort(lam.real, kind="stable")] = np.arange(lam.size)

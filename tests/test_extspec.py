@@ -204,36 +204,114 @@ def test_ratio_distance_is_the_formula_bit_for_bit(n_lam, n_rat, lam_scale, rat_
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _rotation_powers(turns):
+    return cmath.exp(2j * math.pi * turns) ** np.arange(-255, 256)
+
+
 def test_ratio_distance_full_scale_grids():
     # every grid shape at the CLI's 4096 points against the two ratio-set
     # shapes of the spectral-limit workload: a rotation's w^k, |k| < 256, on
-    # the unit circle, and a scattered parabolic-like set, moduli 0.05..11
-    w = cmath.exp(2j * math.pi * (math.sqrt(5) - 1) / 2)
-    powers = w ** np.arange(-255, 256)
+    # the unit circle (three angles), and a scattered parabolic-like set,
+    # moduli 0.05..11
     rng = np.random.default_rng(11)
     scattered = np.exp(rng.uniform(math.log(0.05), math.log(11), 8000) + 2j * math.pi * rng.random(8000))
-    for shape in GRID_SHAPES:
-        lam, _ = make_grid(GridSpec(shape, 4096))
-        for ratios in (powers, scattered):
-            assert np.array_equal(ratio_distance(lam, ratios), _naive_distance(lam, ratios)), shape
+    sets = [_rotation_powers(turns) for turns in ((math.sqrt(5) - 1) / 2, 0.137035, -0.41)] + [scattered]
+    # each shape at its defaults, and the spectral-limit pool's annulus
+    for spec in [GridSpec(shape, 4096) for shape in GRID_SHAPES] + [GridSpec("annulus", 4096, rmin=0.5, rmax=2.0)]:
+        lam, _ = make_grid(spec)
+        for ratios in sets:
+            assert np.array_equal(ratio_distance(lam, ratios), _naive_distance(lam, ratios)), spec
+
+
+def test_rotation_scans_measure_few_differences(monkeypatch):
+    # the 4096-point disk against the 511 ratios w^k of a rotation: each point
+    # is measured against the ratios next to its argument, and the tile walk
+    # only where the bound leaves one, so far fewer than the 2,093,056
+    # differences of the formula are taken
+    import compext.extspec as extspec
+
+    counted = []
+    nearest = extspec._nearest
+
+    def counting(lam, ratios):
+        counted.append(lam.size * ratios.size)
+        return nearest(lam, ratios)
+
+    monkeypatch.setattr(extspec, "_nearest", counting)
+    lam, _ = make_grid(GridSpec("disk", 4096))
+    ratios = _rotation_powers((math.sqrt(5) - 1) / 2)
+    ratio_distance(lam, ratios)
+    window = lam.size * 2 * extspec._NEIGHBOURS
+    assert sum(counted) + window <= lam.size * ratios.size // 6
+
+
+def _assert_formula(lam, ratios):
+    got = ratio_distance(lam, ratios)
+    want = np.concatenate([_formula(lam[i : i + 512], ratios) for i in range(0, lam.size, 512)])
+    assert np.array_equal(got, want)
+
+
+def _edge_case(name):
+    """(points, ratios) of one case the argument pass must get bit for bit."""
+    powers = _rotation_powers((math.sqrt(5) - 1) / 2)
+    disk, _ = make_grid(GridSpec("disk", 4096))
+    circle, _ = make_grid(GridSpec("circle", 4096))
+    rng = np.random.default_rng(3)
+    if name.startswith("pi"):
+        # arguments of exactly +pi and -pi: -x + 0.0j and -x - 0.0j
+        sr, sp = (0.0 if sign == "+" else -0.0 for sign in name[2:])
+        ratios = np.concatenate((powers, [complex(-1, sr)]))
+        ends = np.array([complex(-x, sp) for x in np.linspace(0.01, 3, 64)])
+        return np.concatenate((disk, ends)), ratios
+    if name == "moduli-1+-1e-12":
+        return np.concatenate((disk, circle)), powers * (1 + 1e-12 * rng.choice([-1, 1], powers.size))
+    if name == "near-0":
+        return 1e-3 * np.concatenate((disk, rng.random(64) * np.exp(2j * math.pi * rng.random(64)))), powers
+    if name == "ring-through-ratios":
+        return np.concatenate((circle, powers, powers * (1 + 1e-15))), powers
+    if name == "three-ratios":
+        # fewer ratios than a window holds; past one block only at 21846 points
+        return np.concatenate([r * disk for r in range(1, 7)]), powers[:3]
+    if name == "duplicated-ratios":
+        return disk, np.concatenate((powers, powers, powers[:7], _rotation_powers(0.37)))
+    if name == "concentric-rings":
+        # one on the other's angles, one between them
+        return np.concatenate((disk, 2 * disk)), np.concatenate((powers, 1.5 * powers, 0.5 * powers * cmath.exp(0.003j)))
+    # every sixth of 512 equally spaced ratios moved out to radius 1.05: on
+    # that circle a moved ratio is nearest while three nearer in argument sit
+    # on the inner ring
+    ring = np.exp(2j * math.pi * np.arange(512) / 512)
+    ring[::6] *= 1.05
+    return 1.05 * circle, ring
+
+
+@pytest.mark.parametrize("name", ["pi++", "pi+-", "pi-+", "pi--", "moduli-1+-1e-12", "near-0",
+                                  "ring-through-ratios", "three-ratios", "duplicated-ratios", "concentric-rings",
+                                  "nearest-third-by-argument"])
+def test_ratio_distance_by_argument_edge_cases(name):
+    _assert_formula(*_edge_case(name))
 
 
 def test_ratio_distance_temporaries_stay_capped():
     # numpy reports its buffers to tracemalloc; every abs temporary holds at
     # most 2**16 differences (1.5 MiB with the complex differences), so the
     # peak stays under 2 MiB even where a tile's candidates are most of the
-    # set (the annulus lies far outside the ratios)
+    # set (the annulus lies far outside the ratios), and for a rotation's
+    # ratio set, which the argument pass measures
     rng = np.random.default_rng(5)
-    ratios = np.exp(rng.uniform(math.log(0.05), math.log(11), 11557) + 2j * math.pi * rng.random(11557))
-    for spec in (GridSpec("disk", 4096), GridSpec("annulus", 4096, rmin=3.0, rmax=40.0)):
-        lam, _ = make_grid(spec)
-        tracemalloc.start()
-        try:
-            ratio_distance(lam, ratios)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20, (spec.shape, peak)
+    scattered = np.exp(rng.uniform(math.log(0.05), math.log(11), 11557) + 2j * math.pi * rng.random(11557))
+    rotation = _rotation_powers((math.sqrt(5) - 1) / 2)
+    for ratios in (scattered, rotation):
+        for spec in (GridSpec("disk", 4096), GridSpec("annulus", 4096, rmin=3.0, rmax=40.0),
+                     GridSpec("annulus", 4096, rmin=0.5, rmax=2.0)):
+            lam, _ = make_grid(spec)
+            tracemalloc.start()
+            try:
+                ratio_distance(lam, ratios)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (ratios.size, spec, peak)
 
 
 # values on a 0.05 lattice, or anywhere, so that many pairs fall within

@@ -79,11 +79,14 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # make_grid checked them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
 # errors and eleven exit-2 requests are what show that every error message and
 # exit code survives a change to the error classes; the order-256 matrix JSON,
-# 3.9 MB of entries in the column writer; last, three ratio_distance inputs the
+# 3.9 MB of entries in the column writer; last, four ratio_distance inputs the
 # pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
 # decades (the reliability filter keeps 8 ratios, 1e-8 to 1e6: one block), a
 # Bergman rotation scanned on an annulus far outside its ratio set (wide
-# candidate boxes in the tiles) and a circle of subnormal radius 1e-320; and
+# candidate boxes in the tiles), a circle of subnormal radius 1e-320, and a
+# Fock spiral (0.5+0.3i)z + 0.2 at n = 64 on a 4096-point disk, whose 71
+# ratios span 3.7e-9 to 1.8e7, so that the argument bound certifies about
+# 300 points and the tile walk measures the rest; and
 # a scan with --candidates 0 on a Fock contraction whose truncation is far
 # from singular, so no rank-one certificate applies and no probe is built
 # (its Sylvester column is all null); and an empty ratio set: on Fock
@@ -158,6 +161,7 @@ OFF_POOL = [
     ["extscan", "--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "256", "--grid", "annulus",
      "--rmin", "3", "--rmax", "40", "--points", "4096"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e-320", "--points", "16"],
+    ["extscan", "--phi=0.5+0.3i,0.2,0,1", "--space", "fock", "--n", "64", "--grid", "disk", "--points", "4096"],
     ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "24", "--points", "16", "--candidates", "0"],
     ["eigs", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8"],
     ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
