@@ -11,12 +11,11 @@ ratio set {mu_i / mu_j}.  Two numerical probes are provided:
   * SylvesterProbe -- smallest singular value of X -> A X - lambda X A,
     normalized by ||A|| (1 + |lambda|).
 
-Both probes are scanned over grids by ext_scan, which settles each Sylvester
-value by a rank-one certificate when the truncation is that close to singular,
-else by one of the probe's three routes (see SylvesterProbe for all four).
-The reported value is an upper bound on the true value, exact on the exact
-and dense routes -- apart from the 0.0 the iteration returns when a solve
-overflows.
+Both probes are scanned over grids by ext_scan.  The probe settles each
+Sylvester value by the first of its routes that applies to the truncation:
+certificate, exact, dense or iteration (see SylvesterProbe).  The reported
+value is an upper bound on the true value, exact on the exact and dense
+routes -- apart from the 0.0 the iteration returns when a solve overflows.
 """
 
 from __future__ import annotations
@@ -285,8 +284,11 @@ def ratio_distance(lam, ratios) -> np.ndarray:
     part.  So when the tile's largest distance to its candidates lies below w
     by a few ulps (relative, and absolute for subnormals), the minimum over
     the same abs values is unchanged.  Otherwise w grows to that distance
-    plus the margin and the tile is measured again; the whole set is the
-    last resort.
+    plus the margin and the tile is measured again, which always certifies:
+    each point's first nearest ratio lies within the new w, so no distance
+    grows and the largest stays below w by more than the margin.  A distance
+    that overflows to inf makes w inf, and then that pass measures the whole
+    set.
 
     Every abs temporary holds at most _BLOCK differences, so the temporaries
     stay near 1.5 MiB."""
@@ -366,9 +368,6 @@ def _walk(lam: np.ndarray, ratios: np.ndarray) -> np.ndarray:
             if top * (1 + 4 * _EPS) + 4 * _TINY < w:
                 break
             w = top * (1 + 8 * _EPS) + 8 * _TINY
-        else:
-            d = _nearest(tile, rs)
-            top = float(d.max())
         out[idx] = d
         w = 1.25 * top  # a quarter wider than the last tile needed spares most second passes
     return out
@@ -393,53 +392,60 @@ def __getattr__(name: str):
 class SylvesterProbe:
     """Normalized sigma_min of X -> A X - lambda X A, reusable across lambdas.
 
-    A probe takes the first route that applies to A and builds only what that
-    route reads:
+    A probe takes the first route that applies to A, names it in `route`, and
+    builds only what that route reads:
 
-      exact      A is diagonal (A.is_diagonal: the rotations' truncations; see
-                 operators.monomial_support), with entries mu.
-                 The operator is then diagonal too, with entries
-                 mu_i - lambda mu_j, so sigma_min is min |mu_i - lambda mu_j|:
-                 O(n^2) per lambda and exact to roundoff.
-      dense      order <= 16: SVD of the n^2 x n^2 Kronecker matrix.
-      iteration  a complex Schur form A = Q T Q^H, computed once, then per
-                 lambda at most ITERATION_STEPS steps of inverse power
-                 iteration on the lifted normal equations from a start drawn
-                 from `seed`, each step two triangular Sylvester solves
-                 (ztrsyl).  The estimate is an upper bound accurate to a small
-                 factor -- ample against thresholds here, which sit many orders
-                 away from the values they test -- and 0.0 when a solve
-                 overflows.
+      certificate  sigma_min(A)/||A|| is at or below SYLVESTER_THRESHOLD.
+                   X = v u^H built from A's smallest right and left singular
+                   vectors gives ||A X - lambda X A|| <= sigma_min(A)(1+|lambda|),
+                   so the value at every lambda is the certified bound
+                   sigma_min(A)/||A|| (0.0 for a zero A), and every lambda
+                   flags.  No Schur form or eigenvalue is computed.
+      exact        A is diagonal (A.is_diagonal: the rotations' truncations;
+                   see operators.monomial_support), with entries mu.  The
+                   operator is then diagonal too, with entries
+                   mu_i - lambda mu_j, so sigma_min is min |mu_i - lambda mu_j|:
+                   O(n^2) per lambda and exact to roundoff.
+      dense        order <= 16: SVD of the n^2 x n^2 Kronecker matrix.
+      iteration    a complex Schur form A = Q T Q^H, computed once, then per
+                   lambda at most ITERATION_STEPS steps of inverse power
+                   iteration on the lifted normal equations from a start drawn
+                   from `seed`, each step two triangular Sylvester solves
+                   (ztrsyl).  The estimate is an upper bound accurate to a
+                   small factor -- ample against thresholds here, which sit
+                   many orders away from the values they test -- and 0.0 when
+                   a solve overflows.
 
-    A normal A that is not diagonal takes the dense route at order <= 16 and
-    the iteration above it.
-
-    One closed form needs no probe at all: when sigma_min(A)/||A|| is at or
-    below SYLVESTER_THRESHOLD, X = v u^H built from A's smallest right and
-    left singular vectors gives ||A X - lambda X A|| <= sigma_min(A)(1+|lambda|),
-    so every lambda flags with the certified bound sigma_min(A)/||A||.
-    ext_scan applies that certificate before it builds a probe.  Truncations
-    of the hyperbolic and parabolic composition operators are exponentially
-    close to singular and always take it: there the probe cannot tell lambdas
-    apart, the candidate-limiting default exists because of this, and scan
-    output should be read as candidate localization, not as membership proof.
+    So a near-singular A reads the certificate bound even where it is
+    diagonal or small enough for the exact or dense value.  Truncations of
+    the hyperbolic and parabolic composition operators are exponentially
+    close to singular and always take the certificate: there the probe cannot
+    tell lambdas apart, ext_scan's candidate-limiting default exists because
+    of this, and scan output should be read as candidate localization, not as
+    membership proof.
     """
 
     def __init__(self, A: OperatorMatrix, seed: int = 0):
         n = A.order
         if n > MAX_PROBE_ORDER:
             raise DomainError(f"order {n} > {MAX_PROBE_ORDER}: the lifted problem has order {n * n}")
-        self.norm_a = float(A.svdvals[0])
-        a = A.entries
-        self.mu = A.eig_reliability[0] if A.is_diagonal else None
-        self.dense = self.mu is None and n <= 16
-        if self.dense:
-            self.a = a
+        smin, smax = A.svdvals[-1], A.svdvals[0]
+        self.norm_a = float(smax)
+        if smin <= SYLVESTER_THRESHOLD * smax:
+            self.route = "certificate"
+            self.bound = float(smin / smax) if smax > 0 else 0.0
+        elif A.is_diagonal:
+            self.route = "exact"
+            self.mu = A.eig_reliability[0]
+        elif n <= 16:
+            self.route = "dense"
+            self.a = A.entries
             self.eye = np.eye(n)
-        elif self.mu is None:
+        else:
+            self.route = "iteration"
             import scipy.linalg  # loaded on first use, as in _eig_with_reliability
 
-            self.t, _ = scipy.linalg.schur(a, output="complex")
+            self.t, _ = scipy.linalg.schur(A.entries, output="complex")
             rng = np.random.default_rng(seed)
             v0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             self.v0 = v0 / np.linalg.norm(v0)
@@ -457,13 +463,13 @@ class SylvesterProbe:
 
     def sigma_min(self, lam: complex) -> float:
         """sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|)), by the probe's route."""
+        if self.route == "certificate":
+            return self.bound
         lam = complex(lam)
         scale = self.norm_a * (1.0 + abs(lam))
-        if scale == 0:
-            return 0.0
-        if self.mu is not None:
+        if self.route == "exact":
             return float(np.abs(self.mu[:, None] - lam * self.mu[None, :]).min()) / scale
-        if self.dense:
+        if self.route == "dense":
             m = np.kron(self.eye, self.a) - lam * np.kron(self.a.T, self.eye)
             return float(np.linalg.svd(m, compute_uv=False)[-1]) / scale
 
@@ -522,7 +528,8 @@ def make_grid(spec: GridSpec):
     """Return (points, step): a grid that never contains 0, and the largest
     nearest-neighbor spacing, which scan thresholds are measured against.
     A grid whose points or step leave the float range (a radius near the
-    float maximum) is a ValueError.
+    float maximum), or that holds 0 (a radius so small that a point
+    underflows), is a ValueError.
 
     circle   -- spec.points equally spaced on |z| = rmax
     annulus  -- log-spaced rings between rmin and rmax, ring count balancing
@@ -554,6 +561,8 @@ def make_grid(spec: GridSpec):
             step = max(spec.rmax / n_r, 2 * spec.rmax * math.sin(math.pi / n_t))
     if not (math.isfinite(step) and np.isfinite(pts).all()):
         raise ValueError(f"{spec.shape} grid leaves the float range at rmax = {spec.rmax:g}")
+    if np.any(pts == 0):
+        raise ValueError("grid must exclude 0")
     return pts, float(step)
 
 
@@ -626,6 +635,12 @@ def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
     The hardy case is deliberately unresolved here: the point-spectrum facts
     this module records as metadata originate there, and turning them into
     extended-spectrum predictions is exactly the open part.
+
+    The elliptic recipe's witness rows, shift:k and mult:monomial,k,
+    intertwine rotations about 0 only.  A conjugated elliptic automorphism
+    (interior fixed point c != 0) is predicted here, but verify_theorem_suite
+    fails those rows on it until witnesses centred at c exist (ROADMAP item
+    2(c)).
     """
     label, mult, _ = _resolve(phi, space)
     return _RECIPES[label].predict(mult)
@@ -709,12 +724,11 @@ def _disk_metadata(r: complex) -> dict:
 
 
 def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
-    """Scan check: every flagged point within one grid step of the target set."""
+    """Scan check: every flagged point within one grid step of the target
+    set, which holds 1 (w^0 or m^0, inside every recipe's window)."""
     fl = report.flagged_points()
     if fl.size == 0:
         return CheckRow(name, False, math.inf, "no points flagged at all")
-    if targets.size == 0:
-        return CheckRow(name, False, math.inf, "empty target set")
     worst = float(ratio_distance(fl, targets).max())
     return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
 
@@ -847,8 +861,10 @@ def ext_scan(
 
     The Sylvester probe runs on the `candidates` grid points with the
     smallest ratio distance ("all" for every point; default: all points for
-    order <= 48, else 50; none above order MAX_PROBE_ORDER).  Ratios use the
-    strict mode of ratio_set when the truncation allows it, falling back to
+    order <= 48, else 50; none above order MAX_PROBE_ORDER).  One probe,
+    built when there is a point to probe, settles every value by its route:
+    certificate, exact, dense or iteration (see SylvesterProbe).  Ratios use
+    the strict mode of ratio_set when the truncation allows it, falling back to
     the reliability filter at RELIABILITY_TOL -- the normal path for
     hyperbolic and parabolic symbols, whose truncations are exponentially
     singular.  The notes say which: the filtered set, or, when it is empty,
@@ -856,8 +872,6 @@ def ext_scan(
     measured; the caller keeps what it passed in.
     """
     lam, step = make_grid(grid)
-    if np.any(lam == 0):
-        raise ValueError("grid must exclude 0")
     notes = []
     rt = 0.999 * step
 
@@ -887,11 +901,7 @@ def ext_scan(
         else:
             k = min(int(candidates), lam.size)
             chosen = np.sort(np.argsort(rd, kind="stable")[:k])
-        smin, smax = A.svdvals[-1], A.svdvals[0]
-        if smin <= SYLVESTER_THRESHOLD * smax:
-            # rank-one certificate (see SylvesterProbe): every lambda flags
-            sylv[chosen] = smin / smax if smax > 0 else 0.0
-        elif chosen.size:
+        if chosen.size:
             probe = SylvesterProbe(A, seed=seed)
             for i in chosen:
                 sylv[i] = probe.sigma_min(lam[i])
@@ -1075,8 +1085,10 @@ def verify_theorem_suite(
     ext_scan, and the recipe's check reads it into the scan rows.  These are
     strict localization statements and genuinely fail for the hyperbolic and
     parabolic automorphism classes, where finite sections cannot see the
-    predicted unit circle.  Raises UnresolvedClassError for classes/spaces
-    with no resolved prediction.
+    predicted unit circle.  The elliptic rows, shift:k and mult:monomial,k,
+    intertwine rotations about 0 only, so they fail on a conjugated elliptic
+    automorphism (interior fixed point c != 0; see predicted_ext).  Raises
+    UnresolvedClassError for classes/spaces with no resolved prediction.
 
     What a scan row can show: a truncation's extended eigenvalues are exactly
     its eigenvalue ratios, since X -> C X - lambda X C is singular iff

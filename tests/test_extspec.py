@@ -274,6 +274,11 @@ def _edge_case(name):
         return np.concatenate([r * disk for r in range(1, 7)]), powers[:3]
     if name == "duplicated-ratios":
         return disk, np.concatenate((powers, powers, powers[:7], _rotation_powers(0.37)))
+    if name == "past-float-range":
+        # every distance overflows to inf, so each tile's second pass measures
+        # the whole set and still leaves its largest distance at w = inf
+        jitter = 1e306 * (rng.random(4116) + 1j * rng.random(4116))
+        return 1e308 + jitter[:4096], -1e308 - jitter[4096:]
     if name == "concentric-rings":
         # one on the other's angles, one between them
         return np.concatenate((disk, 2 * disk)), np.concatenate((powers, 1.5 * powers, 0.5 * powers * cmath.exp(0.003j)))
@@ -286,10 +291,12 @@ def _edge_case(name):
 
 
 @pytest.mark.parametrize("name", ["pi++", "pi+-", "pi-+", "pi--", "moduli-1+-1e-12", "near-0",
-                                  "ring-through-ratios", "three-ratios", "duplicated-ratios", "concentric-rings",
-                                  "nearest-third-by-argument"])
+                                  "ring-through-ratios", "three-ratios", "duplicated-ratios", "past-float-range",
+                                  "concentric-rings", "nearest-third-by-argument"])
 def test_ratio_distance_by_argument_edge_cases(name):
-    _assert_formula(*_edge_case(name))
+    # past-float-range: the formula overflows too, and the bound's margin is inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_formula(*_edge_case(name))
 
 
 def test_ratio_distance_temporaries_stay_capped():
@@ -493,7 +500,7 @@ def test_iteration_flags_complex_singular_lambda_like_dense_oracle(ztrsyl_calls)
     w = np.exp(2j * np.pi / 7)
     M = _nonnormal_with_eigenvalues(w ** np.arange(20), coupling=1e-12, seed=1)
     probe = SylvesterProbe(_op(M), seed=0)
-    assert probe.mu is None and not probe.dense
+    assert probe.route == "iteration"
     for lam in (w, w**2, w**3):  # exactly singular: lam = mu_{k+j} / mu_j
         assert _dense_sigma_min(M, lam) <= 1e-13
         assert probe.sigma_min(lam) <= 1e-12
@@ -509,7 +516,7 @@ def test_normal_route_is_exact(space, ztrsyl_calls):
     w = np.exp(2j * np.pi / 7)
     C = composition_matrix(LinearFractionalMap(w, 0, 0, 1), space, 24)
     probe = SylvesterProbe(C)
-    assert probe.mu is not None
+    assert probe.route == "exact"
     for lam in (w**2, w**-3, 0.3 + 0.7j, 1.1 * np.exp(0.4j)):
         assert probe.sigma_min(lam) == pytest.approx(_dense_sigma_min(C.entries, lam), abs=1e-12)
     assert not ztrsyl_calls
@@ -527,12 +534,48 @@ def test_only_the_iteration_computes_a_schur_form(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", schur)
     rotation = composition_matrix(LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, 48)
-    assert SylvesterProbe(rotation).mu is not None
-    assert SylvesterProbe(_diagonalizable(np.arange(1.0, 17.0), seed=2)).dense
+    assert SylvesterProbe(rotation).route == "exact"
+    assert SylvesterProbe(_diagonalizable(np.arange(1.0, 17.0), seed=2)).route == "dense"
     assert not calls
     probe = SylvesterProbe(composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), FOCK, 24))
-    assert probe.mu is None and not probe.dense
+    assert probe.route == "iteration"
     assert len(calls) == 1
+
+
+# one section per route of the probe
+_ROUTE_SECTIONS = {
+    "certificate": lambda: composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 24),
+    "exact": lambda: composition_matrix(LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, 24),
+    "dense": lambda: _diagonalizable(np.arange(1.0, 17.0), seed=2),
+    "iteration": lambda: composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), FOCK, 24),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTE_SECTIONS))
+def test_scan_reads_every_sylvester_value_from_the_probe(route):
+    A = _ROUTE_SECTIONS[route]()
+    probe = SylvesterProbe(A, seed=0)
+    assert probe.route == route
+    rep = ext_scan(A, GridSpec("annulus", 16, rmin=0.5, rmax=2.0), candidates=5)
+    chosen = np.flatnonzero(~np.isnan(rep.sylvester))
+    assert chosen.size == 5
+    assert np.array_equal(rep.sylvester[chosen], [probe.sigma_min(z) for z in rep.lam[chosen]])
+
+
+def test_certificate_route_reads_the_bound_at_every_lambda(monkeypatch):
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "schur", None)  # the certificate computes no Schur form
+    C = _ROUTE_SECTIONS["certificate"]()
+    probe = SylvesterProbe(C)
+    for lam in (0.3 + 0.7j, -2.0 + 0.5j, 1.0, 0.0):
+        assert probe.sigma_min(lam) == C.svdvals[-1] / C.svdvals[0]
+    # a zero matrix reads 0.0; diag(1, 1e-7) reads its bound 1e-7 even though
+    # it is diagonal, where the exact route would give |1e-7 - 2e-7| / 3 at 2
+    for entries, want in ((np.zeros((8, 8)), 0.0), (np.diag([1.0, 1e-7]), 1e-7)):
+        probe = SylvesterProbe(_op(entries))
+        assert probe.route == "certificate"
+        assert probe.sigma_min(2.0) == probe.sigma_min(0.3 + 0.7j) == want
 
 
 def test_singular_certificate_bounds_dense_sigma_min(ztrsyl_calls):
@@ -601,6 +644,9 @@ def test_disk_grid_excludes_origin():
     pts, step = make_grid(GridSpec("disk", 600, rmax=1.0))
     assert np.abs(pts).min() > 0
     assert np.abs(pts).max() <= 1.0 + 1e-12
+    # the inner rings of the smallest subnormal radius underflow to 0
+    with pytest.raises(ValueError, match="grid must exclude 0"):
+        make_grid(GridSpec("disk", 16, rmax=5e-324))
 
 
 def test_grid_validation():

@@ -104,7 +104,9 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # an exact zero whose sign is compared; and three argparse errors (exit 2,
 # empty stdout) whose stderr shows that main parses as one parser holding
 # every command would: an option before the command, an unrecognized
-# trailing word and -- before the command
+# trailing word and -- before the command; last, a disk of the smallest
+# subnormal radius, whose inner rings underflow to 0, which make_grid refuses
+# (exit 2)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -176,6 +178,7 @@ OFF_POOL = [
     ["--phi=0.5,0,0,1", "classify"],
     ["classify", "--phi=0.5,0,0,1", "extra"],
     ["--", "classify", "--phi=0.5,0,0,1"],
+    ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "5e-324", "--points", "16"],
 ]
 
 
