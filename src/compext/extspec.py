@@ -100,7 +100,11 @@ def intertwining_residual(
     its matrix is monomial (operators.monomial_support): ||A|| and ||X||
     through op_norm, the block directly.  For a rotation with a shift:k,
     mult:monomial, qdiff:k or identity witness all three are monomial (the
-    products' zeros are exact zeros), so no SVD runs.
+    products' zeros are exact zeros), so no SVD runs.  Every other norm is
+    LAPACK's, on a copy lifted by an exact power of two
+    (operators.singular_values): the blocks of graded truncations hold
+    entries hundreds of decades below their largest, which would otherwise
+    take LAPACK into subnormal arithmetic.
 
     Raises DomainError when an entry of the kept block leaves the float
     range.
@@ -172,9 +176,12 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
 
 
 def reliable(A: OperatorMatrix, tol: float) -> np.ndarray:
-    """Which eigenvalues mu of A.eig_reliability to trust: those whose error estimate is at most tol |mu|."""
+    """Which eigenvalues mu of A.eig_reliability to trust: the nonzero ones
+    whose error estimate is at most tol |mu|.  A zero mu is never trusted: its
+    test reads 0 <= 0 when the estimate is 0 (a diagonal A's is eps ||A||, so
+    a zero matrix's is), and it would put 0/0 ratios in ratio_set."""
     w, err = A.eig_reliability
-    return err <= tol * np.abs(w)
+    return (err <= tol * np.abs(w)) & (w != 0)
 
 
 def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.ndarray:

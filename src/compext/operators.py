@@ -67,7 +67,9 @@ class OperatorMatrix:
         (the entries are read-only, so the cache cannot go stale).  A monomial
         truncation (see monomial_support: a rotation's C, the shift:k,
         mult:monomial, qdiff:k and identity witnesses) reads them off its
-        entries; every other one takes LAPACK's SVD (see singular_values)."""
+        entries; every other one takes LAPACK's SVD of a copy lifted by an
+        exact power of two, which keeps a graded truncation out of subnormal
+        arithmetic (see singular_values)."""
         sv = singular_values(self.entries, self.monomial)
         sv.flags.writeable = False
         return sv
@@ -103,13 +105,35 @@ def monomial_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return None if repeated or not np.isfinite(a[rows, cols]).all() else (rows, cols)
 
 
+_LIFT = 450  # binary exponent a dense SVD input is lifted to, below LAPACK's 2^459
+
+
 def singular_values(a: np.ndarray, support: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """Singular values of a in descending order, given support =
     monomial_support(a).  A monomial a has orthogonal columns, each with at
     most one nonzero, so its singular values are the moduli of its nonzeros
-    (its column maxima) and zeros; every other a takes LAPACK's SVD."""
+    (its column maxima) and zeros; every other a takes LAPACK's SVD.
+
+    That SVD runs on a lifted copy, 2^k a, and its values are scaled back by
+    2^-k, both exactly (np.ldexp on the real and imaginary parts).  k brings
+    the largest part to [2^449, 2^450), just inside the range that xGESDD
+    leaves unscaled (it rescales a largest entry outside [2^-459, 2^459]
+    itself), and is 0 when that part is already at or above 2^449.  Graded
+    truncations (a Fock C_{wz+b}, a Bergman affine contraction, their
+    residual blocks) hold entries hundreds of decades below their largest,
+    and the lift keeps LAPACK's reduction of them out of subnormal
+    arithmetic, which costs several times a normal one.  A zero or
+    non-finite a goes to LAPACK as it is, so its values, or LAPACK's error,
+    are unchanged."""
     if support is None:
-        return np.linalg.svd(a, compute_uv=False)
+        lifted = np.array(a, order="C")  # a copy, whatever a's strides
+        parts = lifted.view(lifted.real.dtype)  # the real and imaginary parts
+        peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))  # nan or inf if an entry is
+        k = _LIFT - math.frexp(peak)[1] if 0 < peak < math.inf else 0
+        if k <= 0:
+            return np.linalg.svd(a, compute_uv=False)
+        np.ldexp(parts, k, out=parts)
+        return np.ldexp(np.linalg.svd(lifted, compute_uv=False), -k)
     sv = np.zeros(min(a.shape))
     sv[: support[0].size] = np.sort(np.abs(a[support]))[::-1]
     return sv
@@ -183,7 +207,9 @@ def direct_sum(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
 def op_norm(A: OperatorMatrix) -> float:
     """Largest singular value of the truncation, A.svdvals[0]: the largest
     modulus of its entries when A is monomial (monomial_support), else
-    LAPACK's."""
+    LAPACK's, on a copy of A lifted by an exact 2^k and scaled back
+    (singular_values), so that the SVD of a graded truncation stays out of
+    subnormal arithmetic."""
     return float(A.svdvals[0])
 
 

@@ -743,7 +743,7 @@ def test_every_off_pool_json_output_is_strict():
                 if text and not text.startswith("%%MatrixMarket"):
                     json.loads(text, parse_constant=_refuse)
                     documents += 1
-    assert documents == 27  # the other requests write Matrix Market text or fail
+    assert documents == 28  # the other requests write Matrix Market text or fail
 
 
 # ---------------------------------------------------------------------------

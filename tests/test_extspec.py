@@ -41,7 +41,16 @@ from compext import (
     verify_theorem_suite,
 )
 from compext.cli import main
-from compext.extspec import GRID_SHAPES, RELIABILITY_TOL, WITNESSES, _dedup_sorted, _power_members, _rotation_circle
+from compext.extspec import (
+    GRID_SHAPES,
+    RELIABILITY_TOL,
+    WITNESSES,
+    _by_argument,
+    _dedup_sorted,
+    _power_members,
+    _rotation_circle,
+    reliable,
+)
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -107,6 +116,18 @@ def test_ratio_set_with_no_reliable_eigenvalue_is_empty():
     C = composition_matrix(LinearFractionalMap(0.1, 3, 0, 1), SpaceSpec("fock", alpha=10), 8)
     rs = ratio_set(C, reliability_tol=RELIABILITY_TOL)
     assert rs.shape == (0,) and rs.dtype == np.complex128
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_matrix_has_no_reliable_eigenvalue():
+    # its error estimates are eps ||A|| = 0, so err <= tol |mu| reads 0 <= 0;
+    # a zero eigenvalue is never trusted, so no 0/0 ratio is made
+    Z = _op(np.zeros((8, 8)))
+    assert not reliable(Z, RELIABILITY_TOL).any()
+    assert ratio_set(Z, reliability_tol=1e-6).shape == (0,)
+    rep = ext_scan(Z, GridSpec("circle", 16, rmax=1.0))
+    assert np.all(rep.ratio_dist == np.inf)
+    assert "no reliable eigenvalues; ratio distances are +inf" in rep.notes
 
 
 def test_reliable_ratios_of_affine_symbol_are_powers():
@@ -297,6 +318,19 @@ def test_ratio_distance_by_argument_edge_cases(name):
     # past-float-range: the formula overflows too, and the bound's margin is inf - inf
     with np.errstate(over="ignore", invalid="ignore"):
         _assert_formula(*_edge_case(name))
+
+
+@pytest.mark.parametrize("points, ratios", [(1e-120, 1e-120), (1e120, 1e120), (1e-310, 1.0)],
+                         ids=["ratios-of-modulus-1e-120", "ratios-of-modulus-1e120", "subnormal-points"])
+def test_argument_bound_is_trusted_only_in_the_safe_range(points, ratios):
+    # white box: outside _SAFE the bound's products, squares and margin may
+    # under- or overflow, so the argument pass certifies no point and the
+    # tile walk measures them all, bit for bit the formula
+    disk, _ = make_grid(GridSpec("disk", 4096))
+    lam, rs = points * disk, ratios * np.exp(2j * math.pi * np.arange(64) / 64)
+    _, rest = _by_argument(lam, rs)
+    assert np.array_equal(rest, np.arange(lam.size))
+    _assert_formula(lam, rs)
 
 
 def test_ratio_distance_temporaries_stay_capped():

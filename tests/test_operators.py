@@ -40,7 +40,7 @@ from compext import (
     standard_form,
 )
 from compext.extspec import WITNESSES, _split
-from compext.operators import monomial_support
+from compext.operators import monomial_support, singular_values
 import oracle
 
 HARDY = SpaceSpec("hardy")
@@ -694,6 +694,87 @@ def test_matmul_requires_matching_shapes():
     B = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), HARDY, 6)
     with pytest.raises(DomainError, match="orders 4 and 6 differ"):
         matmul(A, B)
+
+
+# ---------------------------------------------------------------------------
+# dense truncations: LAPACK's SVD on a copy lifted by an exact power of two
+
+
+def _graded_inputs():
+    """Graded pool truncations at N = 256, whose entries fall by hundreds of
+    decades, as pytest params: a Fock C_{wz+b} with its qmult-shifted
+    witness's residual block, and a Bergman hyperbolic-na-3 C with its
+    sigma-power witness's."""
+    cases = [
+        ("fock-qmult-shifted", LinearFractionalMap(0.5134245814149371 + 0.07549246468288481j,
+                                                   0.525573 + 0.927267j, 0, 1),
+         FOCK, "qmult-shifted:0.7660366772497926+2.0245515066660937i,1", 0.5134245814149371 + 0.07549246468288481j, 1),
+        ("bergman-hyperbolic-na-3", LinearFractionalMap(0.448424, -0.04859912123455994 - 0.13097748250025606j, 0, 1),
+         BERGMAN, "mult:sigma-power,3", 0.09017092918316902, 3),
+    ]
+    for name, phi, space, witness, lam, margin in cases:
+        C = composition_matrix(phi, space, 256)
+        X = build_witness(witness, phi, space, 256)
+        R = C.entries @ X.entries - lam * (X.entries @ C.entries)
+        yield pytest.param(C.entries, id=f"{name}-C")
+        # a strided view, as intertwining_residual's block is
+        yield pytest.param(R[: 256 - margin, : 256 - margin], id=f"{name}-block")
+
+
+def _lapack(a):
+    return np.linalg.svd(a, compute_uv=False)
+
+
+@pytest.mark.parametrize("a", list(_graded_inputs()))
+def test_lifted_svd_is_lapack_bit_for_bit_on_graded_truncations(a):
+    assert np.abs(a[a != 0]).min() < 1e-100 * np.abs(a).max()  # graded
+    assert np.array_equal(singular_values(a, None), _lapack(a))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 2.0**470, 1e-310], ids=["1e-300", "2^470", "subnormal"])
+def test_lifted_svd_agrees_with_lapack_at_any_scale(scale):
+    # below 2^-459 and above 2^459 xGESDD rescales the input itself; a
+    # subnormal largest entry needs a lift by more than 2^1023
+    rng = np.random.default_rng(7)
+    a = (rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))) * scale
+    got, want = singular_values(a, None), _lapack(a)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * want[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_lifted_svd_of_zero_and_non_finite_input_is_lapacks():
+    z = np.zeros((6, 6), dtype=complex)
+    assert np.array_equal(singular_values(z, None), np.zeros(6))
+    rng = np.random.default_rng(8)
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 1)):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a[2, 3] = bad
+        try:
+            want = _lapack(a)
+        except np.linalg.LinAlgError as exc:
+            with pytest.raises(type(exc)):
+                singular_values(a, None)
+        else:
+            assert np.array_equal(singular_values(a, None), want, equal_nan=True)
+
+
+def test_lapack_receives_a_lifted_copy(monkeypatch):
+    # white box: every finite dense input reaches LAPACK with its largest
+    # entry in [2^449, 2^459), inside the range xGESDD leaves unscaled
+    seen, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.abs(a).max())
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(9)
+    inputs = [param.values[0] for param in _graded_inputs()]
+    inputs += [(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))) * s for s in (1e-310, 1e-300, 1.0)]
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for a in inputs:
+        singular_values(a, None)
+    assert len(seen) == len(inputs)
+    assert all(2.0**449 <= peak < 2.0**459 for peak in seen)
 
 
 # ---------------------------------------------------------------------------

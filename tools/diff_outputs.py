@@ -106,7 +106,11 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # every command would: an option before the command, an unrecognized
 # trailing word and -- before the command; last, a disk of the smallest
 # subnormal radius, whose inner rings underflow to 0, which make_grid refuses
-# (exit 2)
+# (exit 2); and an extcheck at n = 256 whose witness (X - tau I)^3 with
+# tau = 1e47, and so its kept block, have largest entries near 2^468, above
+# the 2^459 past which xGESDD rescales its input itself, so that
+# singular_values passes them to LAPACK unlifted (a sigma-shift witness
+# reaches only 2^346 at n = 256, even with |c| = 0.999)
 OFF_POOL = [
     ["classify", "--phi=1,0,0,1"],
     ["classify", "--phi=0.5,0.25,0,1"],
@@ -179,6 +183,8 @@ OFF_POOL = [
     ["classify", "--phi=0.5,0,0,1", "extra"],
     ["--", "classify", "--phi=0.5,0,0,1"],
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "5e-324", "--points", "16"],
+    ["extcheck", "--phi=0.5,0.1,0,1", "--space", "fock", "--n", "256", "--witness", "qmult-shifted:1e47,3",
+     "--lam=0.125", "--margin", "3"],
 ]
 
 
