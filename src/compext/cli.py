@@ -41,7 +41,6 @@ import numpy as np
 
 from .extspec import (
     GRID_SHAPES,
-    RELIABILITY_TOL,
     SYLVESTER_THRESHOLD,
     WITNESSES,
     GridSpec,
@@ -173,8 +172,7 @@ def _tokens(column: np.ndarray, spelling: dict) -> list:
     pass, with each word in spelling replaced by its spelling."""
     text = str(column.tolist())[1:-1]
     for word, spelled in spelling.items():
-        if word in text:
-            text = text.replace(word, spelled)
+        text = text.replace(word, spelled)
     return text.split(", ")
 
 
@@ -303,8 +301,8 @@ def cmd_eigs(args) -> int:
     A = composition_matrix(args.phi, space, args.n)
     w, err = A.eig_reliability
     order = np.lexsort((w.imag, w.real))
-    w, err, trusted = w[order], err[order], reliable(A, RELIABILITY_TOL)[order]
-    ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+    w, err, trusted = w[order], err[order], reliable(A)[order]
+    ratios = ratio_set(A, filtered=True)
     ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
     if ratios.size == 0:
         ratio_info["note"] = "no eigenvalue of the truncation passes the reliability filter"

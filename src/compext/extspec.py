@@ -175,16 +175,17 @@ def _dedup_sorted(values: np.ndarray, tol: float) -> np.ndarray:
     return np.sort(reps[keep])
 
 
-def reliable(A: OperatorMatrix, tol: float) -> np.ndarray:
+def reliable(A: OperatorMatrix) -> np.ndarray:
     """Which eigenvalues mu of A.eig_reliability to trust: the nonzero ones
-    whose error estimate is at most tol |mu|.  A zero mu is never trusted: its
-    test reads 0 <= 0 when the estimate is 0 (a diagonal A's is eps ||A||, so
-    a zero matrix's is), and it would put 0/0 ratios in ratio_set."""
+    whose error estimate is at most RELIABILITY_TOL |mu|.  A zero mu is never
+    trusted: its test reads 0 <= 0 when the estimate is 0 (a diagonal A's is
+    eps ||A||, so a zero matrix's is), and it would put 0/0 ratios in
+    ratio_set."""
     w, err = A.eig_reliability
-    return (err <= tol * np.abs(w)) & (w != 0)
+    return (err <= RELIABILITY_TOL * np.abs(w)) & (w != 0)
 
 
-def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.ndarray:
+def ratio_set(A: OperatorMatrix, *, filtered: bool = False) -> np.ndarray:
     """The distinct eigenvalue ratios mu_i / mu_j of the truncation, to 1e-9
     (see _dedup_sorted), sorted by (re, im).  For a rotation z -> w z these
     are the powers w^k, |k| < N: 2N - 1 values when those powers are
@@ -192,36 +193,34 @@ def ratio_set(A: OperatorMatrix, *, reliability_tol: float | None = None) -> np.
 
     Two modes:
 
-    * strict (reliability_tol=None): requires sigma_min(A) > 1e-12 and uses
-      every eigenvalue; raises SingularTruncationError otherwise.
+    * strict (the default): requires sigma_min(A) > 1e-12 and uses every
+      eigenvalue; raises SingularTruncationError otherwise.
       This is the right mode for honest small matrices.
 
-    * filtered (reliability_tol=t): keeps eigenvalue mu_j only when its
-      perturbation-theory error estimate is at most t |mu_j|.  This is the
-      only usable mode for the hyperbolic/parabolic composition truncations,
-      whose smallest singular values underflow.  The kept eigenvalues are
-      those that reliable(A, t) marks; when none survives the ratio set is
-      the empty complex array.
+    * filtered (filtered=True): keeps the eigenvalues that reliable(A)
+      marks.  This is the only usable mode for the hyperbolic/parabolic
+      composition truncations, whose smallest singular values underflow.
+      When no eigenvalue survives the ratio set is the empty complex array.
 
     A diagonal truncation (A.is_diagonal) reads its eigenvalues from
     A.eig_reliability, its diagonal, in either mode.
     """
-    if reliability_tol is None:
+    if not filtered:
         smin = float(A.svdvals[-1])
         if smin <= 1e-12:
             raise SingularTruncationError(
                 f"sigma_min = {smin:.3e} <= 1.000e-12; "
                 "eigenvalue ratios of this truncation are noise "
-                "(pass reliability_tol to filter instead)"
+                "(pass filtered=True to filter instead)"
             )
         mu = A.eig_reliability[0] if A.is_diagonal else np.linalg.eigvals(A.entries)
     else:
-        mu = A.eig_reliability[0][reliable(A, reliability_tol)]
+        mu = A.eig_reliability[0][reliable(A)]
     ratios = (mu[:, None] / mu[None, :]).ravel()
     return _dedup_sorted(ratios, 1e-9)
 
 
-_BLOCK = 2**16  # differences per abs temporary in ratio_distance (1 MiB complex)
+_BLOCK = 2**16  # differences per abs temporary in _nearest (1 MiB complex)
 _TILE = 32  # grid points measured together
 _STRIP = 512  # grid points per strip of neighbouring real parts
 _NEIGHBOURS = 3  # ratios measured on each side of a point's argument
@@ -297,8 +296,9 @@ def ratio_distance(lam, ratios) -> np.ndarray:
     that overflows to inf makes w inf, and then that pass measures the whole
     set.
 
-    Every abs temporary holds at most _BLOCK differences, so the temporaries
-    stay near 1.5 MiB."""
+    An abs temporary of the argument pass holds one difference per point;
+    every other holds at most _BLOCK, so at the CLI's 4096 points the
+    temporaries stay near 1.5 MiB."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ratios = np.atleast_1d(np.asarray(ratios, dtype=complex))
     if ratios.size == 0:
@@ -329,12 +329,9 @@ def _by_argument(lam: np.ndarray, ratios: np.ndarray) -> tuple:
     rs = ratios[np.concatenate((order[-k - 1 :], order, order[: k + 1]))]
     alpha = np.angle(lam)
     pos = ts.searchsorted(alpha)
-    out = np.empty(lam.size)
-    for i in range(0, lam.size, _BLOCK):
-        z, p, part = lam[i : i + _BLOCK], pos[i : i + _BLOCK], out[i : i + _BLOCK]
-        part[:] = np.abs(z - rs[p + 1])
-        for j in range(2, 2 * k + 1):
-            np.minimum(part, np.abs(z - rs[p + j]), out=part)
+    out = np.abs(lam - rs[pos + 1])
+    for j in range(2, 2 * k + 1):
+        np.minimum(out, np.abs(lam - rs[pos + j]), out=out)
     rho = np.abs(ratios)
     lo, hi = float(rho.min()), float(rho.max())
     m = np.abs(lam)
@@ -546,26 +543,21 @@ def make_grid(spec: GridSpec):
     n = spec.points
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.shape == "circle":
-            angles = 2 * np.pi * np.arange(n) / n
-            pts = spec.rmax * np.exp(1j * angles)
-            step = 2 * spec.rmax * math.sin(math.pi / n)
+            radii, gap = np.array([spec.rmax]), 0.0
         elif spec.shape == "annulus":
-            span = math.log(spec.rmax / spec.rmin) if spec.rmax > spec.rmin else 0.0
-            n_r = max(1, round(math.sqrt(n * span / (2 * math.pi)))) if span > 0 else 1
-            n_t = max(2, math.ceil(n / n_r))
+            n_r = max(1, round(math.sqrt(n * math.log(spec.rmax / spec.rmin) / (2 * math.pi))))
             radii = np.geomspace(spec.rmin, spec.rmax, n_r)
-            angles = 2 * np.pi * np.arange(n_t) / n_t
-            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-            radial_gap = float(np.diff(radii).max()) if n_r > 1 else 0.0
-            chord = 2 * spec.rmax * math.sin(math.pi / n_t)
-            step = max(radial_gap, chord)
+            gap = float(np.diff(radii).max()) if n_r > 1 else 0.0
         else:  # disk
             n_r = max(1, round(math.sqrt(n / 4)))
-            n_t = max(2, math.ceil(n / n_r))
             radii = spec.rmax * np.arange(1, n_r + 1) / n_r
-            angles = 2 * np.pi * np.arange(n_t) / n_t
-            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-            step = max(spec.rmax / n_r, 2 * spec.rmax * math.sin(math.pi / n_t))
+            gap = spec.rmax / n_r
+        # rings of n_t equally spaced points each; step the larger of the
+        # radial gap and the chord between neighbours on the outer ring
+        n_t = max(2, math.ceil(n / radii.size))
+        angles = 2 * np.pi * np.arange(n_t) / n_t
+        pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        step = max(gap, 2 * spec.rmax * math.sin(math.pi / n_t))
     if not (math.isfinite(step) and np.isfinite(pts).all()):
         raise ValueError(f"{spec.shape} grid leaves the float range at rmax = {spec.rmax:g}")
     if np.any(pts == 0):
@@ -730,14 +722,15 @@ def _disk_metadata(r: complex) -> dict:
     return {"point_spectrum_disk_radius": r.real**-0.5, "point_spectrum_source": "hardy"}
 
 
-def _scan_near_set(report: ExtScanReport, targets: np.ndarray, name: str) -> CheckRow:
-    """Scan check: every flagged point within one grid step of the target
-    set, which holds 1 (w^0 or m^0, inside every recipe's window)."""
+def _scan_near(report: ExtScanReport, name: str, distance: Callable, suffix: str = "") -> CheckRow:
+    """Scan check: every flagged point within one grid step of the target,
+    distance(flags) giving each flag's distance to it.  A target set of
+    powers is never empty: it holds 1 (w^0 or m^0, inside every window)."""
     fl = report.flagged_points()
     if fl.size == 0:
         return CheckRow(name, False, math.inf, "no points flagged at all")
-    worst = float(ratio_distance(fl, targets).max())
-    return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points")
+    worst = float(distance(fl).max())
+    return CheckRow(name, worst <= report.step, worst, f"{fl.size} flagged points{suffix}")
 
 
 def _rotation_circle(w, order, points):
@@ -747,7 +740,7 @@ def _rotation_circle(w, order, points):
     near = np.unique(np.round(w ** np.arange(-(order - 1), order), 12))
 
     def check(rep):
-        return [_scan_near_set(rep, near, "scan-flags-near-powers")]
+        return [_scan_near(rep, "scan-flags-near-powers", lambda fl: ratio_distance(fl, near))]
 
     return GridSpec("circle", points or 504, rmax=1.0), None, check
 
@@ -759,7 +752,7 @@ def _power_annulus(m, order, points):
 
     def check(rep):
         targets = _power_members(m, grid.rmin, grid.rmax, rep.step)
-        return [_scan_near_set(rep, targets, "scan-flags-near-powers")]
+        return [_scan_near(rep, "scan-flags-near-powers", lambda fl: ratio_distance(fl, targets))]
 
     # sigma_min of these truncations is exponentially small (on fock the
     # truncation is triangular with entries w^n), so probing every grid
@@ -773,13 +766,8 @@ def _unit_circle_annulus(m, order, points):
     |lambda| = 1."""
 
     def check(rep):
-        fl = rep.flagged_points()
-        if fl.size == 0:
-            worst, detail = math.inf, "no points flagged at all"
-        else:
-            worst = float(np.abs(np.abs(fl) - 1.0).max())
-            detail = f"{fl.size} flagged points; worst distance from |lambda|=1"
-        return [CheckRow("scan-flags-on-unit-circle", worst <= rep.step, worst, detail)]
+        return [_scan_near(rep, "scan-flags-on-unit-circle", lambda fl: np.abs(np.abs(fl) - 1.0),
+                           "; worst distance from |lambda|=1")]
 
     return GridSpec("annulus", points or 1500, rmin=0.2, rmax=5.0), 50, check
 
@@ -885,7 +873,7 @@ def ext_scan(
     try:
         ratios = ratio_set(A)
     except SingularTruncationError:
-        ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+        ratios = ratio_set(A, filtered=True)
         notes.append(
             "ratio set from reliability-filtered eigenvalues "
             f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"

@@ -225,11 +225,7 @@ def classify(f: LinearFractionalMap) -> Classification:
     fps = fixed_points(f)
     if len(fps) == 1:
         # parabolic: the unique fixed point of a self-map lies on the circle
-        kind = (
-            "parabolic-automorphism"
-            if is_automorphism_of_disk(f)
-            else "parabolic-non-automorphism"
-        )
+        kind = "parabolic-automorphism" if is_automorphism_of_disk(f) else "parabolic-non-automorphism"
         return Classification(kind, fps, 1.0 + 0j)
 
     # two fixed points: find the attracting one (|phi'| <= 1, ties broken
@@ -245,24 +241,27 @@ def classify(f: LinearFractionalMap) -> Classification:
 
     if abs(abs(lam) - 1.0) <= CLASSIFY_TOL:
         # elliptic rotation about an interior fixed point
-        return Classification("elliptic-automorphism", (p_att, p_rep), lam)
-
-    att_on_circle = abs(abs(p_att) - 1.0) <= CLASSIFY_TOL
-    rep_on_circle = abs(abs(p_rep) - 1.0) <= CLASSIFY_TOL
-
-    if att_on_circle:
-        if is_automorphism_of_disk(f):
-            return Classification("hyperbolic-automorphism", (p_att, p_rep), lam)
+        kind = "elliptic-automorphism"
+    elif abs(abs(p_att) - 1.0) <= CLASSIFY_TOL:
         # a non-automorphism self-map touches the circle in at most one
-        # fixed point, so the repelling one is strictly outside
-        return Classification("hyperbolic-na-1", (p_att, p_rep), lam)
+        # fixed point, so the repelling one of na-1 is strictly outside
+        kind = "hyperbolic-automorphism" if is_automorphism_of_disk(f) else "hyperbolic-na-1"
+    elif abs(abs(p_rep) - 1.0) <= CLASSIFY_TOL:
+        # attracting point strictly inside the disk from here on
+        kind = "hyperbolic-na-2"
+    elif abs(lam.imag) <= CLASSIFY_TOL * abs(lam) and lam.real > 0:
+        kind = "hyperbolic-na-3"
+    else:
+        kind = "loxodromic"
+    return Classification(kind, (p_att, p_rep), lam)
 
-    # attracting point strictly inside the disk
-    if rep_on_circle:
-        return Classification("hyperbolic-na-2", (p_att, p_rep), lam)
-    if abs(lam.imag) <= CLASSIFY_TOL * abs(lam) and lam.real > 0:
-        return Classification("hyperbolic-na-3", (p_att, p_rep), lam)
-    return Classification("loxodromic", (p_att, p_rep), lam)
+
+# the classes standard_form builds from one r in (0, 1): r -> (a, b, c, d)
+_R_FORMS = {
+    "hyperbolic-automorphism": lambda r: (1, r, r, 1),
+    "hyperbolic-na-1": lambda r: (r, 1 - r, 0, 1),
+    "hyperbolic-na-2": lambda r: (r, 0, -(1 - r), 1),
+}
 
 
 def standard_form(kind: str, **params) -> LinearFractionalMap:
@@ -285,21 +284,11 @@ def standard_form(kind: str, **params) -> LinearFractionalMap:
         if abs(abs(w) - 1.0) > 1e-12 or abs(w - 1.0) <= 1e-12:
             raise DomainError("need |w| = 1 and w != 1")
         return LinearFractionalMap(w, 0, 0, 1)
-    if kind == "hyperbolic-automorphism":
+    if kind in _R_FORMS:
         r = float(params["r"])
         if not 0 < r < 1:
             raise DomainError("need 0 < r < 1")
-        return LinearFractionalMap(1, r, r, 1)
-    if kind == "hyperbolic-na-1":
-        r = float(params["r"])
-        if not 0 < r < 1:
-            raise DomainError("need 0 < r < 1")
-        return LinearFractionalMap(r, 1 - r, 0, 1)
-    if kind == "hyperbolic-na-2":
-        r = float(params["r"])
-        if not 0 < r < 1:
-            raise DomainError("need 0 < r < 1")
-        return LinearFractionalMap(r, 0, -(1 - r), 1)
+        return LinearFractionalMap(*_R_FORMS[kind](r))
     if kind in ("parabolic-automorphism", "parabolic-non-automorphism"):
         a = complex(params["a"])
         if kind == "parabolic-automorphism":

@@ -166,15 +166,11 @@ def _eig_with_reliability(A: OperatorMatrix):
     return w, err
 
 
-def _check_compatible(A: OperatorMatrix, B: OperatorMatrix):
+def matmul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     if A.order != B.order:
         raise DomainError(f"orders {A.order} and {B.order} differ")
     if A.space != B.space:
         raise DomainError(f"spaces {A.space} and {B.space} differ")
-
-
-def matmul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    _check_compatible(A, B)
     label = f"({A.label})({B.label})" if A.label and B.label else ""
     return OperatorMatrix(A.space, A.order, A.entries @ B.entries, label)
 

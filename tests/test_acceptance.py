@@ -161,7 +161,7 @@ def test_c2_affine_fock():
         )
     clauses.append(("shifted-mult residuals <= 1e-9", worst <= 1e-9, worst))
 
-    rs = ratio_set(C, reliability_tol=1e-6)
+    rs = ratio_set(C, filtered=True)
     expo = np.round(np.log2(np.abs(rs)))
     dist = np.abs(rs - 2.0**expo).max()
     clauses.append(("ratios within 1e-8 of powers of 2", dist <= 1e-8, float(dist)))

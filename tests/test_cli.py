@@ -679,7 +679,7 @@ def test_eigs_json_matches_the_reference_route(phi, space):
     order = np.lexsort((w.imag, w.real))
     w, err = w[order], err[order]
     reliable = err <= RELIABILITY_TOL * np.abs(w)
-    ratios = ratio_set(A, reliability_tol=RELIABILITY_TOL)
+    ratios = ratio_set(A, filtered=True)
     doc = json.loads(out)
     doc["result"] = {
         "eigenvalues": w,

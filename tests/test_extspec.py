@@ -43,8 +43,8 @@ from compext import (
 from compext.cli import main
 from compext.extspec import (
     GRID_SHAPES,
-    RELIABILITY_TOL,
     WITNESSES,
+    _BLOCK,
     _by_argument,
     _dedup_sorted,
     _power_members,
@@ -106,7 +106,7 @@ def test_ratio_set_singular_truncation_raises():
 
 def test_ratio_set_reliability_filter_drops_noise_eigenvalues():
     A = _op(np.diag([1.0, 0.5, 0.0]))
-    rs = ratio_set(A, reliability_tol=1e-6)
+    rs = ratio_set(A, filtered=True)
     np.testing.assert_allclose(sorted(rs.real), [0.5, 1.0, 2.0], atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_ratio_set_with_no_reliable_eigenvalue_is_empty():
     # on Fock 0.1 z + 3 with alpha = 10 at n = 8 no eigenvalue passes the
     # filter: the empty set is a value, not an error
     C = composition_matrix(LinearFractionalMap(0.1, 3, 0, 1), SpaceSpec("fock", alpha=10), 8)
-    rs = ratio_set(C, reliability_tol=RELIABILITY_TOL)
+    rs = ratio_set(C, filtered=True)
     assert rs.shape == (0,) and rs.dtype == np.complex128
 
 
@@ -123,8 +123,8 @@ def test_zero_matrix_has_no_reliable_eigenvalue():
     # its error estimates are eps ||A|| = 0, so err <= tol |mu| reads 0 <= 0;
     # a zero eigenvalue is never trusted, so no 0/0 ratio is made
     Z = _op(np.zeros((8, 8)))
-    assert not reliable(Z, RELIABILITY_TOL).any()
-    assert ratio_set(Z, reliability_tol=1e-6).shape == (0,)
+    assert not reliable(Z).any()
+    assert ratio_set(Z, filtered=True).shape == (0,)
     rep = ext_scan(Z, GridSpec("circle", 16, rmax=1.0))
     assert np.all(rep.ratio_dist == np.inf)
     assert "no reliable eigenvalues; ratio distances are +inf" in rep.notes
@@ -134,7 +134,7 @@ def test_reliable_ratios_of_affine_symbol_are_powers():
     # triangular truncation: raw eigenvalue ratios drift, but the reliable
     # subset reproduces integer powers of the derivative exactly
     C = composition_matrix(LinearFractionalMap(0.5, 1, 0, 1), FOCK, 32)
-    rs = ratio_set(C, reliability_tol=1e-6)
+    rs = ratio_set(C, filtered=True)
     assert rs.size == 25  # 13 reliable eigenvalues, exponents -12..12
     expo = np.round(np.log2(np.abs(rs))).astype(int)
     assert expo.min() == -12 and expo.max() == 12
@@ -333,6 +333,71 @@ def test_argument_bound_is_trusted_only_in_the_safe_range(points, ratios):
     _assert_formula(lam, rs)
 
 
+def _window_case(alpha, delta, band):
+    """(point, ratios, lower, upper): the point e^{i alpha}, and ratios for
+    which the argument bound at it reads sin(delta), as _by_argument computes
+    it: the ratio just outside the point's window above sits at the bound's
+    minimizer cos(delta) e^{i(alpha + delta)}, the one below at twice the
+    angle, the window's others at modulus 0.3.  The window's nearest ratio
+    is placed at the middle of band(bound, d, margin) = (lower, upper), d
+    being the computed distance to the minimizer and margin the absolute
+    one, 1e-12 (|point| + the largest modulus)."""
+    lam = cmath.exp(1j * alpha)
+    q_out = math.cos(delta) * cmath.exp(1j * (alpha + delta))
+    turns = delta * np.array([0.25, 0.5, -0.25, -0.5, -0.75, -2.0])
+    far = -np.exp(1j * (alpha + np.linspace(-0.5, 0.5, 17)))  # far in argument, at modulus 1
+    rs = np.concatenate((0.3 * np.exp(1j * (alpha + turns)), [q_out], far))
+    bound = abs(lam) * float(np.sin(np.angle(q_out) - np.angle(lam)))
+    margin = 1e-12 * (abs(lam) + float(np.abs(rs).max()))
+    lower, upper = band(bound, abs(lam - q_out), margin)
+    # the window's nearest, a little above the point in argument
+    nearest = lam - (lower + upper) / 2 * cmath.exp(1j * (alpha - 0.1))
+    return lam, np.append(rs, nearest), lower, upper
+
+
+_MARGIN_BANDS = {
+    # a window distance that the bound less the absolute margin alone would certify
+    "relative": (0.0, 0.5, lambda bound, d, margin: (bound * (1 - 1e-12) - margin, bound - margin)),
+    # one that the bound less the relative margin alone would certify
+    "absolute": (0.0, 0.5, lambda bound, d, margin: (bound - margin, bound * (1 - 1e-12))),
+    # found by a search over alpha: the computed angle of the point is off
+    # by an ulp of 2.6, which at delta = 1e-4 puts the computed bound 13,405
+    # ulps above the computed distance to the minimizer; a bound with no
+    # margin would certify the window's nearest, which is not the nearest
+    "no-margin-certifies-a-wrong-minimum": (2.600154193064055, 1e-4, lambda bound, d, margin: (d, bound)),
+}
+
+
+@pytest.mark.parametrize("name", list(_MARGIN_BANDS))
+def test_argument_bound_margins_leave_their_bands_to_the_tile_walk(name):
+    # white box: the point's window distance lies in a band that the margins
+    # of the bound keep uncertified, so the argument pass leaves the point to
+    # the tile walk, and ratio_distance stays bit for bit the formula
+    point, rs, lower, upper = _window_case(*_MARGIN_BANDS[name])
+    disk, _ = make_grid(GridSpec("disk", 4096))
+    lam = np.append(disk, point)
+    out, rest = _by_argument(lam, rs)
+    assert lower < out[-1] < upper
+    assert rest[-1] == lam.size - 1
+    _assert_formula(lam, rs)
+    if name.startswith("no-margin"):
+        assert _formula(lam[-1:], rs)[0] < out[-1]  # the window's nearest is not the nearest
+
+
+def test_ratio_distance_past_one_block_of_points():
+    # more points than one _BLOCK, which the argument pass once measured in
+    # chunks: a rotation's ratios, where the window certifies most points,
+    # and a dense set, where the tile walk measures most
+    lam, _ = make_grid(GridSpec("annulus", 70000, rmin=0.5, rmax=2.0))
+    assert lam.size > _BLOCK
+    rng = np.random.default_rng(7)
+    dense = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+    for ratios, certified in ((_rotation_powers(0.137035), True), (dense, False)):
+        _, rest = _by_argument(lam, ratios)
+        assert (rest.size < lam.size // 2) == certified
+        _assert_formula(lam, ratios)
+
+
 def test_ratio_distance_temporaries_stay_capped():
     # numpy reports its buffers to tracemalloc; every abs temporary holds at
     # most 2**16 differences (1.5 MiB with the complex differences), so the
@@ -420,7 +485,7 @@ def test_rotation_ratio_set_has_two_n_minus_one_values(space):
     rs = ratio_set(C)
     assert rs.size == 511
     assert np.abs(np.abs(rs) - 1.0).max() < 1e-12
-    assert ratio_set(C, reliability_tol=1e-6).size == 511
+    assert ratio_set(C, filtered=True).size == 511
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import compext.cli  # noqa: F401 -- the tracer wraps functions of every layer, cli included
 from compext import extspec
-from compext.lft import LinearFractionalMap
+from compext.lft import LinearFractionalMap, standard_form
+from compext.operators import composition_matrix
 from compext.spaces import SpaceSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -64,3 +65,24 @@ def test_tracer_sees_the_factories_and_series_of_every_witness():
             extspec.build_witness(text, phi, space, 8)
             groups = {span[3] for span in tracer.spans[start:]}
             assert groups & {"operators.factories", "series"} == want, text
+
+
+def test_tracer_counts_strict_failures_without_the_keyword():
+    # the tracer counts a SingularTruncationError from strict ratio_set; only
+    # strict mode raises it, so a filtered call adds nothing
+    tracing = _load_tracing()
+    singular = composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), SpaceSpec("bergman"), 48)
+    rotation = composition_matrix(LinearFractionalMap(1j, 0, 0, 1), SpaceSpec("bergman"), 48)
+    assert not singular.is_diagonal
+    calls = (
+        lambda: extspec.ext_scan(singular, extspec.GridSpec("circle", 16)),  # strict, then filtered
+        lambda: extspec.ratio_set(singular, filtered=True),
+        lambda: extspec.ratio_set(rotation),  # strict, and the rotation's section is invertible
+    )
+    added = []
+    with tracing.Tracer() as tracer:
+        for call in calls:
+            before = tracer.counts["extspec.ratio_set.strict_failures"]
+            call()
+            added.append(tracer.counts["extspec.ratio_set.strict_failures"] - before)
+    assert added == [1, 0, 0]

@@ -54,146 +54,180 @@ MASK = "<masked>"
 EXAMPLES = 2  # differing requests listed per command
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 
-# the identity (null multiplier), an affine map (null fixed point), a
-# non-self-map, matrix JSON, an unresolved class, a prediction without a base,
-# skipped probes in JSON rows and in the CSV, verify at its default scan
-# sizes, one request per scan kind (rotation circle, power annulus,
-# unit-circle annulus, closed disk), an irrational Fock rotation (w = e^{2i}
-# at N = 128, whose scan flags lie near w^k, |k| < N, only), the two scans
-# known to settle their Sylvester values by inverse iteration (ztrsyl
-# solves), at n = 24 and at n = 128, the probe's largest order (every other
-# request settles them by the certificate, exact or dense route) and two
-# witness labels, in Matrix Market and in JSON; the entries of eight
-# more witness kinds in Matrix Market, so that every form of the witness
-# table has its label compared (the pools compare witnesses only through one
-# extcheck residual each); then one request per failure path:
-# twelve domain errors (three of them witness entries past the float range,
-# one a sigma-power witness whose binomial coefficients pass it, one the
-# residual A X - lambda X A past it from a finite witness and lambda) and an
-# unmet --require-prediction (exit 1), an unknown witness, an unknown
-# multiplication family, four malformed witness parameter lists (one a bad
-# integer), a bad complex literal in a witness, an empty matrix witness
-# (--witness "", which exited 0 with C_phi before cmd_matrix told an empty
-# witness from none), an empty grid and two grids past the float range (a
-# disk whose radii rmax * k overflow, a circle whose step 2 * rmax does; both exited 0 with Infinity and NaN in the JSON before
-# make_grid checked them) (exit 2) and an unresolved class (exit 3) -- these twelve domain
-# errors and eleven exit-2 requests are what show that every error message and
-# exit code survives a change to the error classes; the order-256 matrix JSON,
-# 3.9 MB of entries in the column writer; last, four ratio_distance inputs the
-# pools lack: a Fock contraction whose eigenvalues 0.01^k span hundreds of
-# decades (the reliability filter keeps 8 ratios, 1e-8 to 1e6: one block), a
-# Bergman rotation scanned on an annulus far outside its ratio set (wide
-# candidate boxes in the tiles), a circle of subnormal radius 1e-320, and a
-# Fock spiral (0.5+0.3i)z + 0.2 at n = 64 on a 4096-point disk, whose 71
-# ratios span 3.7e-9 to 1.8e7, so that the argument bound certifies about
-# 300 points and the tile walk measures the rest; and
-# a scan with --candidates 0 on a Fock contraction whose truncation is far
-# from singular, so no rank-one certificate applies and no probe is built
-# (its Sylvester column is all null); and an empty ratio set: on Fock
-# 0.1z + 3 with alpha = 10 at n = 8 no eigenvalue is reliable, which only
-# these two requests reach (eigs's ratio_set note; extscan's "no reliable
-# eigenvalues" branch, its "no ratio ranking" note for --candidates 3 and
-# ratio_distance's return for an empty set); and three requests whose --phi,
-# --lam and witness parameters spell complex literals as -0, -0i, a bare i,
-# .5i and 1e-3-2.5e2i, so that the parsed values and their config echo are
-# compared too; and two sigma-shift witnesses at n = 130 in Matrix Market,
-# every entry's repr compared, whose change of basis passes binomials above
-# 2^53 (j >= 57) and powers of c past exponent 100 (CPython's polar branch):
-# one on Bergman with c = 0.6+0.2i and k = 3, and one on Hardy with
-# c = -0.3-0i, a -0.0 imaginary part, so that every entry's imaginary part is
-# an exact zero whose sign is compared; and three argparse errors (exit 2,
-# empty stdout) whose stderr shows that main parses as one parser holding
-# every command would: an option before the command, an unrecognized
-# trailing word and -- before the command; last, a disk of the smallest
-# subnormal radius, whose inner rings underflow to 0, which make_grid refuses
-# (exit 2); and an extcheck at n = 256 whose witness (X - tau I)^3 with
-# tau = 1e47, and so its kept block, have largest entries near 2^468, above
-# the 2^459 past which xGESDD rescales its input itself, so that
-# singular_values passes them to LAPACK unlifted (a sigma-shift witness
-# reaches only 2^346 at n = 256, even with |c| = 0.999)
+# Requests the pools lack, each with what it reaches; one request per failure
+# path shows that every error message and exit code survives a change.
 OFF_POOL = [
+    # the identity: a null multiplier
     ["classify", "--phi=1,0,0,1"],
+    # an affine map: a null fixed point (infinity)
     ["classify", "--phi=0.5,0.25,0,1"],
+    # a non-self-map
     ["classify", "--phi=2,0,0,1"],
+    # matrix JSON
     ["matrix", "--phi=0.5i,0.1,0.2,1", "--n", "8", "--format", "json"],
+    # an unresolved class (no prediction on hardy)
     ["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "16", "--points", "32"],
+    # a prediction without a base (unit circle)
     ["extscan", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16", "--points", "32"],
+    # skipped probes (order 160 > 128) in the JSON rows
     ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16"],
+    # skipped probes in the CSV
     ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "160", "--points", "16", "--out", OUT],
+    # verify at its default scan sizes: the rotation circle
     ["verify", "--phi=0.7071067811865476+0.7071067811865475i,0,0,1", "--space", "fock", "--n", "16"],
+    # the power annulus
     ["verify", "--phi=0.5,0.1,0,1", "--space", "bergman", "--n", "16"],
+    # the unit-circle annulus, whose scan row fails: a finite section cannot see the circle
     ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "16"],
+    # the closed disk
     ["verify", "--phi=0.5,0.5,0,1", "--space", "bergman", "--n", "16"],
+    # an irrational Fock rotation, w = e^{2i}, whose flags lie near w^k, |k| < N, only
     ["verify", "--phi=-0.41614691548307164+0.9092973907000532i,0,0,1", "--space", "fock", "--n", "128"],
+    # Sylvester values settled by inverse iteration (ztrsyl solves) at n = 24
     ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
+    # and at n = 128, the probe's largest order; every other request takes the certificate, exact or
+    # dense route
     ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "128", "--points", "16"],
+    # a witness label in Matrix Market
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:0.5,2", "--format", "mm"],
+    # a witness label in JSON
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "mult:binomial,1+1i", "--format", "json"],
+    # the entries and label of a mult:monomial witness (the pools compare witnesses only through one
+    # extcheck residual each)
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:monomial,3", "--format", "mm"],
+    # of a mult:cayley witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:cayley,1i", "--format", "mm"],
+    # of a mult:exponential witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "mult:exponential,1.0", "--format", "mm"],
+    # of a mult:sigma-power witness
     ["matrix", "--phi=0.5,0.1,0,1", "--n", "16", "--witness", "mult:sigma-power,2", "--format", "mm"],
+    # of a sigma-shift witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--witness", "sigma-shift:0.2,2", "--format", "mm"],
+    # of a qdiff witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "16", "--space", "fock", "--witness", "qdiff:2", "--format", "mm"],
+    # of the identity witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "identity", "--format", "mm"],
+    # of a shift witness
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "shift:3", "--format", "mm"],
+    # domain error, exit 1: a non-self-map
     ["matrix", "--phi=2,0,0,1"],
+    # domain error: a qdiff witness off Fock space
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qdiff:1"],
+    # domain error: a shift past the order
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:9"],
+    # domain error: a sigma-shift centre outside the disk
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:2,1"],
+    # domain error: a margin that keeps nothing
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "identity", "--margin", "8"],
+    # domain error: a negative exponential parameter
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "mult:exponential,-1"],
+    # domain error: Fock norms past the float range
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--alpha", "0.01", "--n", "256"],
+    # exit 1: an unmet --require-prediction
     ["extscan", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8", "--points", "16", "--require-prediction"],
+    # domain error: witness entries past the float range, in Matrix Market
     ["matrix", "--phi=0.5,0,0,1", "--n", "64", "--witness", "mult:binomial,1e300", "--format", "mm"],
+    # domain error: the same witness under extcheck
     ["extcheck", "--phi=0.5,0,0,1", "--n", "64", "--lam", "1", "--witness", "mult:binomial,1e300"],
+    # domain error: qmult-shifted entries past the float range
     ["matrix", "--phi=0.5,0,0,1", "--space", "fock", "--n", "8", "--witness", "qmult-shifted:5,1000", "--format", "json"],
+    # domain error: a sigma-power witness whose binomial coefficients pass the float range and whose
+    # entries underflow to a zero operator
     ["extcheck", "--phi=0.5,0.1,0,1", "--n", "256", "--lam", "1", "--witness", "mult:sigma-power,100000"],
+    # domain error: the residual A X - lambda X A past the float range from a finite witness and
+    # lambda
     ["extcheck", "--phi=1i,0,0,1", "--space", "bergman", "--n", "9", "--witness", "mult:cayley,100i", "--lam=1e300"],
+    # exit 2: an unknown witness
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "bogus:1"],
+    # an unknown multiplication family
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "mult:bogus,1"],
+    # a malformed witness parameter list
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:0.2"],
+    # a malformed witness parameter list
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "qmult-shifted:0.5"],
+    # a malformed witness parameter list
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:"],
+    # a malformed witness parameter list: a bad integer
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "shift:x"],
+    # a bad complex literal in a witness
     ["extcheck", "--phi=0.5,0,0,1", "--n", "8", "--lam", "1", "--witness", "sigma-shift:zz,1"],
+    # an empty matrix witness, which exited 0 with C_phi before cmd_matrix told an empty witness
+    # from none
     ["matrix", "--phi=0.5,0,0,1", "--n", "8", "--witness", "", "--format", "mm"],
+    # an empty grid
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "annulus", "--rmin", "2", "--rmax", "1", "--points", "16"],
+    # a disk whose radii rmax * k overflow; it exited 0 with Infinity and NaN in the JSON before
+    # make_grid checked
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "1e308", "--points", "16"],
+    # a circle whose step 2 rmax overflows; the same
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e308", "--points", "16"],
+    # exit 3: an unresolved class
     ["verify", "--phi=1,0.5,0.5,1", "--space", "hardy", "--n", "8"],
+    # the order-256 matrix JSON, 3.9 MB of entries in the column writer
     ["matrix", "--phi=1,0.5,0.5,1", "--n", "256", "--format", "json"],
+    # ratio_distance: a Fock contraction whose eigenvalues 0.01^k span hundreds of decades; the
+    # reliability filter keeps 8 ratios, 1e-8 to 1e6, one block
     ["extscan", "--phi=0.01,0,0,1", "--space", "fock", "--n", "256", "--grid", "disk", "--points", "4096"],
+    # ratio_distance: a Bergman rotation scanned on an annulus far outside its ratio set, wide
+    # candidate boxes in the tiles
     ["extscan", "--phi=0.6+0.8i,0,0,1", "--space", "bergman", "--n", "256", "--grid", "annulus",
      "--rmin", "3", "--rmax", "40", "--points", "4096"],
+    # ratio_distance: a circle of subnormal radius 1e-320
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "circle", "--rmax", "1e-320", "--points", "16"],
+    # ratio_distance: a Fock spiral whose 71 ratios span 3.7e-9 to 1.8e7; the argument bound
+    # certifies about 300 points and the tile walk measures the rest
     ["extscan", "--phi=0.5+0.3i,0.2,0,1", "--space", "fock", "--n", "64", "--grid", "disk", "--points", "4096"],
+    # --candidates 0 on a Fock contraction far from singular: no rank-one certificate applies, no
+    # probe is built, the Sylvester column is all null
     ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "24", "--points", "16", "--candidates", "0"],
+    # an empty ratio set (no eigenvalue reliable on Fock 0.1z + 3, alpha = 10): eigs's ratio_set
+    # note
     ["eigs", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8"],
+    # the same under extscan: its "no reliable eigenvalues" branch, the "no ratio ranking" note for
+    # --candidates 3 and ratio_distance's return for an empty set
     ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
      "--candidates", "3"],
+    # complex literals -0, .5i and 1e-3-2.5e2i in --phi, and their config echo
     ["classify", "--phi=-0,.5i,1e-3-2.5e2i,i"],
+    # complex literals -0i, -0 and bare i in --phi and --lam, .5i in a witness
     ["extcheck", "--phi=.5i,-0i,-0,1", "--n", "8", "--lam=i", "--witness", "mult:cayley,.5i"],
+    # complex literals in --phi and a witness parameter
     ["matrix", "--phi=i,-0,-0i,1", "--n", "8", "--witness", "mult:binomial,1e-3-2.5e2i", "--format", "json"],
+    # a sigma-shift change of basis at n = 130 passing binomials above 2^53 (j >= 57) and powers of
+    # c = 0.6+0.2i past exponent 100 (CPython's polar branch), each entry's repr compared
     ["matrix", "--phi=0.5,0,0,1", "--space", "bergman", "--n", "130", "--witness", "sigma-shift:0.6+0.2i,3",
      "--format", "mm"],
+    # the same on Hardy with c = -0.3-0i: every entry's imaginary part an exact zero whose sign is
+    # compared
     ["matrix", "--phi=0.5,0,0,1", "--space", "hardy", "--n", "130", "--witness", "sigma-shift:-0.3-0i,2",
      "--format", "mm"],
+    # argparse error (exit 2, empty stdout), as one parser holding every command gives: an option
+    # before the command
     ["--phi=0.5,0,0,1", "classify"],
+    # argparse error: an unrecognized trailing word
     ["classify", "--phi=0.5,0,0,1", "extra"],
+    # argparse error: -- before the command
     ["--", "classify", "--phi=0.5,0,0,1"],
+    # a disk of the smallest subnormal radius, whose inner rings underflow to 0: make_grid refuses
+    # it (exit 2)
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "5e-324", "--points", "16"],
+    # an extcheck at n = 256 whose witness (X - tau I)^3, tau = 1e47, and kept block have largest
+    # entries near 2^468, above the 2^459 past which xGESDD rescales its input itself, so
+    # singular_values passes them to LAPACK unlifted (a sigma-shift witness reaches only 2^346 at n
+    # = 256, even with |c| = 0.999)
     ["extcheck", "--phi=0.5,0.1,0,1", "--space", "fock", "--n", "256", "--witness", "qmult-shifted:1e47,3",
      "--lam=0.125", "--margin", "3"],
 ]
 
 
-def run_tree(src: str, requests: list, results: str) -> None:
-    """Send each request through compext.cli.main and write the raw outputs."""
-    sys.path.insert(0, src)
+def responses(requests: list):
+    """Send each request through compext.cli.main, importing it first, and
+    yield its output as a record: the exit code (or the exception it raised,
+    as text), stdout, stderr and the files its --out wrote.  The {out}
+    placeholder becomes a file in a temporary directory, whose path is
+    masked in the record."""
     from compext.cli import main
 
-    records = []
     with tempfile.TemporaryDirectory() as tmp:
         out_path = os.path.join(tmp, "out.json")
         for argv in requests:
@@ -213,8 +247,13 @@ def run_tree(src: str, requests: list, results: str) -> None:
                     files[name] = Path(path).read_text()
                     os.remove(path)
             rec = {"rc": rc, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
-            records.append(json.loads(json.dumps(rec).replace(tmp, MASK)))
-    Path(results).write_text(json.dumps(records))
+            yield json.loads(json.dumps(rec).replace(tmp, MASK))
+
+
+def run_tree(src: str, requests: list, results: str) -> None:
+    """Send each request from the tree at src and write the raw outputs."""
+    sys.path.insert(0, src)
+    Path(results).write_text(json.dumps(list(responses(requests))))
 
 
 def _number(text: str):

@@ -4,10 +4,11 @@
 
 Sends every request that tools/diff_outputs.py sends (the pools of
 bench/workloads.py, then its OFF_POOL list) through compext.cli.main in this
-process, under a sys.settrace hook that is installed before compext is
-imported, so module-level statements count as executed too.  It then prints,
-for each module of src/compext, how many of its statements no request
-executed, followed by the source of each.  A simple statement counts as
+process, by that tool's runner (diff_outputs.responses), under a
+sys.settrace hook that is installed before compext is imported, so
+module-level statements count as executed too.  It then prints, for each
+module of src/compext, how many of its statements no request executed,
+followed by the source of each.  A simple statement counts as
 executed when any of its lines ran, a compound one (def, if, for, with, ...)
 when its header did; a statement that compiles to no code (a docstring, say)
 is not counted.  It takes no options; the requests' own output is discarded.
@@ -17,11 +18,8 @@ A run takes about a minute on one core.
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import os
 import sys
-import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -56,9 +54,10 @@ def statements(path: Path) -> list:
     return sorted(spans)
 
 
-def run_requests(requests: list, placeholder: str) -> dict:
-    """Send each request through compext.cli.main under a line trace; the
-    lines each compext file executed."""
+def executed_lines(requests: list, send) -> dict:
+    """Send the requests with send (diff_outputs.responses) under a line
+    trace; the lines each compext file executed.  The trace is installed
+    before send imports compext."""
     executed = defaultdict(set)
     prefix = str(PACKAGE) + os.sep
 
@@ -72,17 +71,8 @@ def run_requests(requests: list, placeholder: str) -> dict:
 
     sys.settrace(hook)
     try:
-        from compext.cli import main
-
-        with tempfile.TemporaryDirectory() as tmp:
-            out_path = os.path.join(tmp, "out.json")
-            for argv in requests:
-                argv = [out_path if a == placeholder else a for a in argv]
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    try:
-                        main(argv)
-                    except SystemExit:
-                        pass
+        for _ in send(requests):
+            pass
     finally:
         sys.settrace(None)
     return executed
@@ -97,7 +87,7 @@ def main() -> int:
 
     requests = [list(req.argv) for w in workloads.WORKLOADS for req in workloads.pool(w)]
     requests += diff_outputs.OFF_POOL
-    executed = run_requests(requests, diff_outputs.OUT)
+    executed = executed_lines(requests, diff_outputs.responses)
     print(f"{len(requests)} requests")
     for path in sorted(PACKAGE.glob("*.py")):
         ran = executed.get(str(path), set())
