@@ -38,7 +38,9 @@ from .lft import (
 )
 from .operators import (
     OperatorMatrix,
+    _complex_schur,
     _eig_with_reliability,  # noqa: F401 -- bench/tracing.py wraps the eig layer by this name
+    _lapack,
     basis_shift_matrix,
     composition_matrix,
     matrix_power,
@@ -105,6 +107,17 @@ def intertwining_residual(
     (operators.singular_values): the blocks of graded truncations hold
     entries hundreds of decades below their largest, which would otherwise
     take LAPACK into subnormal arithmetic.
+
+    The last bits of the residual depend on the operand order of the
+    product with lambda, which numpy's temporary elision picks:
+    `complex(lam) * (X @ A)` runs as multiply(lam, Q) while Q is below
+    256 KiB (order < 128) and, from order 128 on, in place as
+    multiply(Q, lam).  numpy's complex multiply is not bit-commutative (the
+    two orders differ on random matrices of order 32, 128 and 256), so a
+    rewrite that changes the order moves residuals by an ulp or so: row-slab
+    products (X[:keep] @ A)[:, :keep] moved 86 extcheck and 7 verify
+    residuals of the benchmark pools by up to 1.1e-16, and with the
+    multiply's operands put in the order above they moved none.
 
     Raises DomainError when an entry of the kept block leaves the float
     range.
@@ -382,13 +395,12 @@ def _walk(lam: np.ndarray, ratios: np.ndarray) -> np.ndarray:
 
 
 def __getattr__(name: str):
-    """`lapack` (scipy.linalg.lapack) is imported on first access and kept as
-    a module global, which tests and tracers may rebind; importing scipy.linalg
-    with the package would more than double the cost of `import compext`."""
+    """`lapack`, the LAPACK wrappers operators._lapack() loads (scipy's
+    _flapack extension, without importing scipy.linalg), is resolved on first
+    access and kept as a module global, which tests and tracers may rebind;
+    loading it with the package would put scipy in every `import compext`."""
     if name == "lapack":
-        from scipy.linalg import lapack
-
-        globals()["lapack"] = lapack
+        globals()["lapack"] = lapack = _lapack()
         return lapack
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -447,9 +459,7 @@ class SylvesterProbe:
             self.eye = np.eye(n)
         else:
             self.route = "iteration"
-            import scipy.linalg  # loaded on first use, as in _eig_with_reliability
-
-            self.t, _ = scipy.linalg.schur(A.entries, output="complex")
+            self.t = _complex_schur(A.entries)
             rng = np.random.default_rng(seed)
             v0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             self.v0 = v0 / np.linalg.norm(v0)

@@ -21,7 +21,9 @@ eigenvalue tests exercise.
 
 from __future__ import annotations
 
+import importlib.machinery
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -139,6 +141,52 @@ def singular_values(a: np.ndarray, support: tuple[np.ndarray, np.ndarray] | None
     return sv
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_flapack = None  # scipy's LAPACK wrappers, once _lapack() has loaded them
+
+
+def _flapack_path() -> str | None:
+    """The file of scipy's LAPACK extension, scipy/linalg/_flapack with the
+    first suffix this interpreter loads extensions by, or None."""
+    import scipy  # the top-level package only, about 20 ms
+
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    return next((base + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(base + s)), None)
+
+
+def _lapack():
+    """scipy's f2py LAPACK wrappers, the functions scipy.linalg.eig and
+    schur call, loaded on first use and kept.
+
+    The extension file is loaded by itself, so scipy/linalg/__init__.py never
+    runs: that import takes about 200 ms and 27 MB, most of it scipy's
+    array-API layer, against 2.5 ms and 2.7 MB for the extension.  Its
+    single-phase init enters it in sys.modules.  Unless scipy.linalg made
+    that entry, it is removed again, so that a later `import scipy.linalg`
+    loads and binds its own _flapack, which shares these function objects
+    (with the entry left in place, scipy.linalg would lack that attribute).
+    When the file is missing or fails to load, scipy.linalg.lapack serves:
+    it holds the same functions and only imports more slowly."""
+    global _flapack
+    if _flapack is None:
+        path, present = _flapack_path(), _FLAPACK in sys.modules
+        if path is not None:
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            try:
+                module = loader.create_module(importlib.machinery.ModuleSpec(_FLAPACK, loader, origin=path))
+                loader.exec_module(module)
+                _flapack = module
+            except (ImportError, OSError):
+                pass
+            if not present:
+                sys.modules.pop(_FLAPACK, None)
+        if _flapack is None:
+            from scipy.linalg import lapack
+
+            _flapack = lapack
+    return _flapack
+
+
 def _eig_with_reliability(A: OperatorMatrix):
     """Eigenvalues plus a forward-error estimate for each one.
 
@@ -150,20 +198,50 @@ def _eig_with_reliability(A: OperatorMatrix):
     vectors as eigenvector pairs, rcond_j = 1, so it is read off directly:
     LAPACK returns the same values, in the same order.
     Read it through OperatorMatrix.eig_reliability, which computes it once.
-    scipy.linalg is imported here, not with the package: most commands never
-    need it, and it costs more than the rest of the import together.
+
+    Every other A takes LAPACK's zgeev with left and right vectors, called as
+    scipy.linalg.eig(a, left=True, right=True) calls it on complex128 input
+    (the same finiteness check, work-size query, arguments and errors), so
+    the bits are scipy's.  The wrappers come from _lapack(), which loads
+    them without importing scipy.linalg: most commands never need LAPACK, and
+    that import costs more than the rest of the process's imports together.
     """
     eps = np.finfo(float).eps
     if A.is_diagonal:
         return np.diag(A.entries).copy(), np.full(A.order, eps * A.svdvals[0])
-    import scipy.linalg
-
-    w, vl, vr = scipy.linalg.eig(A.entries, left=True, right=True)
+    lapack = _lapack()
+    a = np.asarray_chkfinite(A.entries)
+    work, info = lapack.zgeev_lwork(a.shape[0], compute_vl=1, compute_vr=1)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    w, vl, vr, info = lapack.zgeev(a, lwork=int(work.real), compute_vl=1, compute_vr=1, overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"eig algorithm (geev) did not converge (only eigenvalues with order >= {info} have converged)"
+        )
     overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
     rcond = overlap / np.where(norms == 0, 1.0, norms)
     err = np.where(rcond > 0, eps * A.svdvals[0] / np.where(rcond == 0, 1.0, rcond), np.inf)
     return w, err
+
+
+def _complex_schur(a: np.ndarray) -> np.ndarray:
+    """T of the complex Schur form a = Q T Q^H: LAPACK's zgees, called as
+    scipy.linalg.schur(a, output="complex") calls it on complex128 input (a
+    work-size query, then the unsorted factorization), with the wrappers
+    from _lapack()."""
+    lapack = _lapack()
+    a = np.asarray_chkfinite(a)
+    lwork = int(lapack.zgees(lambda x: None, a, lwork=-1)[-2][0].real)
+    t, *_, info = lapack.zgees(lambda x: None, a, lwork=lwork, overwrite_a=0, sort_t=0)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t
 
 
 def matmul(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:

@@ -622,16 +622,16 @@ def test_normal_route_is_exact(space, ztrsyl_calls):
 
 
 def test_only_the_iteration_computes_a_schur_form(monkeypatch):
-    import scipy.linalg
+    import compext.extspec as extspec
 
     calls = []
-    real = scipy.linalg.schur
+    real = extspec._complex_schur
 
     def schur(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", schur)
+    monkeypatch.setattr(extspec, "_complex_schur", schur)
     rotation = composition_matrix(LinearFractionalMap(np.exp(2j * np.pi / 7), 0, 0, 1), FOCK, 48)
     assert SylvesterProbe(rotation).route == "exact"
     assert SylvesterProbe(_diagonalizable(np.arange(1.0, 17.0), seed=2)).route == "dense"
@@ -662,9 +662,9 @@ def test_scan_reads_every_sylvester_value_from_the_probe(route):
 
 
 def test_certificate_route_reads_the_bound_at_every_lambda(monkeypatch):
-    import scipy.linalg
+    import compext.extspec as extspec
 
-    monkeypatch.setattr(scipy.linalg, "schur", None)  # the certificate computes no Schur form
+    monkeypatch.setattr(extspec, "_complex_schur", None)  # the certificate computes no Schur form
     C = _ROUTE_SECTIONS["certificate"]()
     probe = SylvesterProbe(C)
     for lam in (0.3 + 0.7j, -2.0 + 0.5j, 1.0, 0.0):

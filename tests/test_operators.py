@@ -5,6 +5,7 @@ Taylor coefficients of the symbol by FFT on a circle, powers by
 numpy.polynomial multiplication, then the norm rescaling.
 """
 import math
+import sys
 import time
 
 import numpy as np
@@ -40,7 +41,8 @@ from compext import (
     standard_form,
 )
 from compext.extspec import WITNESSES, _split
-from compext.operators import monomial_support, singular_values
+import compext.operators as operators
+from compext.operators import _complex_schur, _eig_with_reliability, monomial_support, singular_values
 import oracle
 
 HARDY = SpaceSpec("hardy")
@@ -665,6 +667,78 @@ def test_rotation_eig_reliability_is_the_scipy_route_bit_for_bit(space, order):
         assert A.is_diagonal
         got, want = A.eig_reliability, _scipy_eig_route(A)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _random_nonnormal(n: int = 40) -> OperatorMatrix:
+    rng = np.random.default_rng(11)
+    entries = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -2)
+    return OperatorMatrix(BERGMAN, n, entries)
+
+
+# dense sections that take LAPACK's zgeev: the dense Bergman automorphisms, a
+# graded hyperbolic-na-3 section (a pool symbol, entries falling by hundreds
+# of decades at N = 256) and a random non-normal matrix
+_DENSE_SECTIONS = [
+    pytest.param(lambda n=n, kind=kind, p=p: composition_matrix(standard_form(kind, **p), BERGMAN, n),
+                 id=f"{kind}-{n}")
+    for kind, p in (("hyperbolic-automorphism", {"r": 0.5}), ("parabolic-automorphism", {"a": 2j}))
+    for n in (48, 128, 256)
+] + [
+    pytest.param(lambda: composition_matrix(
+        LinearFractionalMap(0.448424, -0.04859912123455994 - 0.13097748250025606j, 0, 1), BERGMAN, 256),
+        id="graded-hyperbolic-na-3-256"),
+    pytest.param(_random_nonnormal, id="random-nonnormal"),
+]
+
+
+@pytest.mark.parametrize("section", _DENSE_SECTIONS)
+def test_eig_reliability_is_the_scipy_route_bit_for_bit(section):
+    A = section()
+    assert not A.is_diagonal
+    got, want = _eig_with_reliability(A), _scipy_eig_route(A)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("section", [
+    lambda: composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), FOCK, 24),  # the probe's iteration route
+    lambda: composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 128),
+    _random_nonnormal,
+], ids=["fock-affine-24", "hyperbolic-automorphism-128", "random-nonnormal"])
+def test_complex_schur_is_scipy_schur_bit_for_bit(section):
+    a = section().entries
+    assert np.array_equal(_complex_schur(a), scipy.linalg.schur(a, output="complex")[0])
+
+
+def test_lapack_falls_back_to_scipy_linalg_with_the_same_bits(monkeypatch):
+    A = composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 48)
+    assert operators._lapack().zgeev is scipy.linalg.lapack.zgeev
+    want_eig, want_t = _eig_with_reliability(A), _complex_schur(A.entries)
+    monkeypatch.setattr(operators, "_flapack", None)
+    monkeypatch.setattr(operators, "_flapack_path", lambda: None)  # no extension file found
+    assert operators._lapack() is scipy.linalg.lapack
+    got_eig, got_t = _eig_with_reliability(A), _complex_schur(A.entries)
+    assert np.array_equal(got_eig[0], want_eig[0]) and np.array_equal(got_eig[1], want_eig[1])
+    assert np.array_equal(got_t, want_t)
+
+
+def test_loading_the_extension_leaves_scipy_linalg_as_it_was(monkeypatch):
+    own = sys.modules["scipy.linalg._flapack"]  # scipy.linalg is loaded in this process
+    monkeypatch.setattr(operators, "_flapack", None)
+    assert operators._lapack().zgeev is own.zgeev
+    assert sys.modules["scipy.linalg._flapack"] is own is scipy.linalg._flapack
+
+
+def test_non_finite_entries_raise_scipys_value_error():
+    entries = np.eye(6, dtype=complex) + np.triu(np.ones((6, 6)), 1)
+    entries[2, 4] = np.nan
+    A = OperatorMatrix(BERGMAN, 6, entries)
+    with pytest.raises(ValueError) as want:
+        scipy.linalg.eig(A.entries, left=True, right=True)
+    with pytest.raises(ValueError) as got:
+        _eig_with_reliability(A)
+    assert str(got.value) == str(want.value) == "array must not contain infs or NaNs"
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _complex_schur(A.entries)
 
 
 @pytest.mark.parametrize("space", [HARDY, BERGMAN, FOCK], ids=lambda sp: sp.kind)

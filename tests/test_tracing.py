@@ -86,3 +86,18 @@ def test_tracer_counts_strict_failures_without_the_keyword():
             call()
             added.append(tracer.counts["extspec.ratio_set.strict_failures"] - before)
     assert added == [1, 0, 0]
+
+
+def test_tracer_counts_the_iteration_routes_solves_through_the_lapack_seam():
+    # the probe's iteration route calls ztrsyl through extspec.lapack, which
+    # the tracer replaces with a counting proxy; its Schur form is computed
+    # beside that seam and counts no solve
+    tracing = _load_tracing()
+    section = composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), SpaceSpec("fock"), 24)
+    with tracing.Tracer() as tracer:
+        probe = extspec.SylvesterProbe(section)
+        assert probe.route == "iteration" and tracer.counts["extspec.probe.solves"] == 0
+        probe.sigma_min(0.5 + 0.5j)
+        solves = tracer.counts["extspec.probe.solves"]
+    assert solves > 0
+    assert not isinstance(extspec.lapack, tracing._CountingLapack)  # restored on uninstall
