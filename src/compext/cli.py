@@ -8,11 +8,12 @@ is their only list), so feeding them back to compext reproduces the run;
 output is byte-stable across runs with the same inputs, except for the
 timestamp field.  extspec decides every verdict: witness_row whether a
 witness passes, reliable which eigenvalues count.  This module only formats:
-one _plain pass turns each document into plain JSON values (dataclasses,
-complex numbers, numpy scalars and non-finite floats included), json.dumps
-writes it, and the column writer (_Block, _csv) writes the arrays: extscan
-rows, eigs arrays and matrix entries.  The JSON is strict (RFC 8259): a
-non-finite float is null there, and nan, inf or -inf in the CSV.
+one walk, _dumps, writes each document as json.dumps(sort_keys=True,
+indent=2) writes its plain form (dataclasses, complex numbers, numpy scalars
+and arrays included), and the column writer (_array, _csv) writes the
+arrays: extscan rows, eigs arrays and matrix entries.  The JSON is strict
+(RFC 8259): a non-finite float is null there, and nan, inf or -inf in the
+CSV.
 
 Exit codes: 0 success; 1 a DomainError (inadmissible symbol, wrong space,
 Fock norms or matrix entries out of float range, ...; no command lets its
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from collections.abc import Callable
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -139,26 +140,6 @@ def _fields(obj) -> dict:
     return out
 
 
-def _plain(obj):
-    """obj as plain JSON values, at any depth: a dataclass as _fields(obj), a
-    complex number as [re, im], a numpy scalar as its Python value, a tuple
-    as a list and a non-finite float as None, since null is the one JSON
-    spelling of nan, inf and -inf that RFC 8259 allows."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(value) for value in obj]
-    if isinstance(obj, complex):
-        return _plain([obj.real, obj.imag])
-    if isinstance(obj, np.generic):
-        return _plain(obj.item())
-    if dataclasses.is_dataclass(obj):
-        return _plain(_fields(obj))
-    return obj
-
-
 # How a column's words read in the text: str(list) writes floats with
 # float.__repr__, as json and the CSV f-string do, non-finite ones as nan, inf
 # and -inf, and flags as True and False.  "-inf" comes first, so that null
@@ -182,64 +163,67 @@ def _join(columns: list, head: str, cell_sep: str, row_sep: str, tail: str) -> s
     return head + row_sep.join(map(cell_sep.join, zip(*columns))) + tail
 
 
-class _Block:
-    """Float or bool columns of one length that _dumps writes as one array
-    (non-finite floats as null): one column as a flat list, several as rows
-    of one entry per column."""
-
-    def __init__(self, *columns: np.ndarray):
-        self.columns = columns
-
-    def json(self, indent: str) -> str:
-        """The array as json.dumps(indent=2) writes it on a line at indent."""
-        if not self.columns[0].size:
-            return "[]"
-        columns = [_tokens(column, _JSON) for column in self.columns]
-        inner = indent + "  "
-        if len(columns) == 1:
-            return _join(columns, f"[\n{inner}", "", f",\n{inner}", f"\n{indent}]")
-        row, cell = f"{inner}[\n{inner}  ", f",\n{inner}  "
-        return _join(columns, f"[\n{row}", cell, f"\n{inner}],\n{row}", f"\n{inner}]\n{indent}]")
-
-
-def _complex_block(a: np.ndarray) -> _Block:
-    """A complex array as its flat row-major list of [re, im] pairs."""
+def _array(a: np.ndarray, indent: str) -> str:
+    """A float, bool, complex or record array as json.dumps(indent=2) writes
+    its list on a line at indent (non-finite floats as null): a record
+    array's records as rows of their fields, a complex array as its flat
+    row-major list of [re, im] pairs, any other as its flat row-major list."""
+    if not a.size:
+        return "[]"
     flat = a.ravel()
-    return _Block(flat.real, flat.imag)
+    if flat.dtype.names:
+        columns = [flat[name] for name in flat.dtype.names]
+    else:
+        columns = [flat.real, flat.imag] if flat.dtype.kind == "c" else [flat]
+    columns = [_tokens(column, _JSON) for column in columns]
+    inner = indent + "  "
+    if len(columns) == 1:
+        return _join(columns, f"[\n{inner}", "", f",\n{inner}", f"\n{indent}]")
+    row, cell = f"{inner}[\n{inner}  ", f",\n{inner}  "
+    return _join(columns, f"[\n{row}", cell, f"\n{inner}],\n{row}", f"\n{inner}]\n{indent}]")
 
 
-def _csv(header: tuple, columns: tuple) -> str:
-    """Float and bool columns of one length as CSV: the header, then one line
-    per row, flags as 1 and 0 and non-finite floats as nan, inf and -inf."""
-    tokens = [_tokens(column, _CSV) for column in columns]
-    return _join(tokens, ",".join(header) + "\n", ",", "\n", "\n")
+def _csv(rows: np.ndarray) -> str:
+    """A record array of float and bool fields as CSV: the field names, then
+    one line per record, flags as 1 and 0 and non-finite floats as nan, inf
+    and -inf."""
+    names = rows.dtype.names
+    return _join([_tokens(rows[name], _CSV) for name in names], ",".join(names) + "\n", ",", "\n", "\n")
 
 
-_SENTINEL = "\0"  # what json.dumps writes for a block, as the string "\u0000"
-
-
-def _dumps(doc) -> str:
-    """doc as json.dumps(sort_keys=True, indent=2) writes it, with each
-    non-finite float as null (allow_nan=False makes sure) and each _Block in
-    it written by the column writer.  The blocks are met in the order the
-    text holds them; a document without one is not searched."""
-    blocks = []
-
-    def encode(obj):
-        if isinstance(obj, _Block):
-            blocks.append(obj)
-            return _SENTINEL
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-    text = json.dumps(_plain(doc), sort_keys=True, indent=2, allow_nan=False, default=encode)
-    if not blocks:
-        return text
-    pieces = text.split(json.dumps(_SENTINEL))
-    out = [pieces[0]]
-    for block, piece in zip(blocks, pieces[1:], strict=True):
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += [block.json(line[: len(line) - len(line.lstrip(" "))]), piece]
-    return "".join(out)
+def _dumps(obj, indent: str = "") -> str:
+    """obj as json.dumps(sort_keys=True, indent=2) writes its plain form on a
+    line at indent, in one walk: a non-finite float as null, since null is
+    the one spelling of nan, inf and -inf that RFC 8259 allows; an array by
+    _array; a complex number as [re, im]; a numpy scalar as its Python value;
+    and any other object as a dataclass, by _fields."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(key)}: {_dumps(obj[key], inner)}" for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[\n{inner}" + f",\n{inner}".join(_dumps(value, inner) for value in obj) + f"\n{indent}]"
+    if isinstance(obj, np.ndarray):
+        return _array(obj, indent)
+    if isinstance(obj, complex):
+        return _dumps([obj.real, obj.imag], indent)
+    if isinstance(obj, np.generic):
+        return _dumps(obj.item(), indent)
+    return _dumps(_fields(obj), indent)
 
 
 def _write(text: str, out: str | None):
@@ -292,7 +276,7 @@ def cmd_matrix(args) -> int:
     if args.format == "mm":
         _write(operator_to_matrix_market(A), args.out)
     else:
-        _respond(args, _fields(A) | {"entries": _complex_block(A.entries)})
+        _respond(args, A)
     return 0
 
 
@@ -303,13 +287,13 @@ def cmd_eigs(args) -> int:
     order = np.lexsort((w.imag, w.real))
     w, err, trusted = w[order], err[order], reliable(A)[order]
     ratios = ratio_set(A, filtered=True)
-    ratio_info = {"count": ratios.size, "sample": _complex_block(ratios[:64])}
+    ratio_info = {"count": ratios.size, "sample": ratios[:64]}
     if ratios.size == 0:
         ratio_info["note"] = "no eigenvalue of the truncation passes the reliability filter"
     result = {
-        "eigenvalues": _complex_block(w),
-        "error_estimates": _Block(err),
-        "reliable": _Block(trusted),
+        "eigenvalues": w,
+        "error_estimates": err,
+        "reliable": trusted,
         "reliable_count": np.count_nonzero(trusted),
         "ratio_set": ratio_info,
     }
@@ -355,13 +339,14 @@ def cmd_extscan(args) -> int:
         "predicted": predicted,
     }
     columns = (rep.lam.real, rep.lam.imag, rep.ratio_dist, rep.sylvester, rep.flagged)
+    rows = np.rec.fromarrays(columns, names=SCAN_COLUMNS)
     if args.out:
         csv_path = args.out[:-5] if args.out.endswith(".json") else args.out
-        _write(_csv(SCAN_COLUMNS, columns), csv_path + ".grid.csv")
+        _write(_csv(rows), csv_path + ".grid.csv")
     else:
         summary["columns"] = SCAN_COLUMNS
         # the Sylvester value is nan where the probe did not run: null in JSON, nan in CSV
-        summary["rows"] = _Block(*columns)
+        summary["rows"] = rows
     _respond(args, summary)
     return 0
 

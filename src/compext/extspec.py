@@ -648,8 +648,8 @@ def predicted_ext(phi: LinearFractionalMap, space: SpaceSpec) -> PredictedExt:
     The elliptic recipe's witness rows, shift:k and mult:monomial,k,
     intertwine rotations about 0 only.  A conjugated elliptic automorphism
     (interior fixed point c != 0) is predicted here, but verify_theorem_suite
-    fails those rows on it until witnesses centred at c exist (ROADMAP item
-    2(c)).
+    fails those rows on it until witnesses read off its fixed points exist
+    (ROADMAP item 17).
     """
     label, mult, _ = _resolve(phi, space)
     return _RECIPES[label].predict(mult)

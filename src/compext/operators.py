@@ -125,15 +125,12 @@ def singular_values(a: np.ndarray, support: tuple[np.ndarray, np.ndarray] | None
     residual blocks) hold entries hundreds of decades below their largest,
     and the lift keeps LAPACK's reduction of them out of subnormal
     arithmetic, which costs several times a normal one.  A zero or
-    non-finite a goes to LAPACK as it is, so its values, or LAPACK's error,
-    are unchanged."""
+    non-finite a takes k = 0 too, so LAPACK's values or error are a's own."""
     if support is None:
         lifted = np.array(a, order="C")  # a copy, whatever a's strides
         parts = lifted.view(lifted.real.dtype)  # the real and imaginary parts
         peak = max(parts.max(initial=0.0), -parts.min(initial=0.0))  # nan or inf if an entry is
-        k = _LIFT - math.frexp(peak)[1] if 0 < peak < math.inf else 0
-        if k <= 0:
-            return np.linalg.svd(a, compute_uv=False)
+        k = max(_LIFT - math.frexp(peak)[1], 0) if 0 < peak < math.inf else 0
         np.ldexp(parts, k, out=parts)
         return np.ldexp(np.linalg.svd(lifted, compute_uv=False), -k)
     sv = np.zeros(min(a.shape))
@@ -423,9 +420,10 @@ def sigma_shift_matrix(c: complex, k: int, space: SpaceSpec, order: int) -> Oper
     The entries cancel from terms of size (1 + |c|)^order.  On Bergman with
     k = 1 the error relative to each column's largest entry is 2.8e-13 at
     order 24 and 1.6e-8 at order 48 for c = 0.3, and 3.8 at order 48 for
-    c = 0.7.  The closed form of ROADMAP item 2(a) replaces this
-    construction.  The binomials C(j, m), j < order, leave the float range
-    from order 1031 on, which is a DomainError.
+    c = 0.7.  ROADMAP item 17's shift witness X_1, the difference quotient
+    when the second fixed point is infinite, replaces this construction.
+    The binomials C(j, m), j < order, leave the float range from order 1031
+    on, which is a DomainError.
     """
     c = complex(c)
     if abs(c) >= 1.0:

@@ -5,9 +5,12 @@ themselves, so the order-N section is C_phi restricted to an invariant
 subspace, not an approximation of it.  With p = b/(1 - a) the fixed point,
 phi(z) - p = a (z - p), so C_phi (z - p)^j = a^j (z - p)^j exactly: the
 section's eigenvalues are a^j, j < N, and its eigenvectors the coefficient
-vectors of (z - p)^j.  These tests hold composition_matrix and the spectral
-layer to that algebra on the whole section, with no block or margin, at
-orders the 50-digit oracle cannot reach cheaply.
+vectors of (z - p)^j.  The difference quotient Q_p f = (f - f(p))/(z - p)
+lowers degrees, so it maps the section's space into itself too, and
+C_phi Q_p = a^-1 Q_p C_phi holds on it exactly.  These tests hold
+composition_matrix, the spectral layer and intertwining_residual to that
+algebra on the whole section, with no block or margin, at orders the
+50-digit oracle cannot reach cheaply.
 """
 import cmath
 import math
@@ -15,7 +18,15 @@ import math
 import numpy as np
 import pytest
 
-from compext import LinearFractionalMap, SpaceSpec, composition_matrix, op_norm, standard_form
+from compext import (
+    LinearFractionalMap,
+    OperatorMatrix,
+    SpaceSpec,
+    composition_matrix,
+    intertwining_residual,
+    op_norm,
+    standard_form,
+)
 from compext.spaces import monomial_norms
 
 SPACES = (SpaceSpec("hardy"), SpaceSpec("bergman"), SpaceSpec("fock"))
@@ -67,3 +78,26 @@ def test_affine_section_eigenvectors_are_the_powers_of_z_minus_p(space, n, seed)
     lam = phi.a ** np.arange(n)
     residual = np.linalg.norm(C.entries @ V - V * lam, axis=0)
     assert np.all(residual <= 1e-14 * op_norm(C) * np.linalg.norm(V, axis=0))
+
+
+def _difference_quotient(space: SpaceSpec, n: int, p: complex) -> OperatorMatrix:
+    """Q_p on the order-n section: Q_p z^j = sum_{i<j} p^(j-1-i) z^i, in
+    orthonormal coordinates."""
+    i, j = np.indices((n, n))
+    norms = monomial_norms(space, n)
+    Q = np.where(i < j, complex(p) ** np.maximum(j - 1 - i, 0), 0) * norms[:, None] / norms[None, :]
+    return OperatorMatrix(space, n, Q, f"difference-quotient:{p}")
+
+
+# (a, p): phi(z) = a (z - p) + p, a self-map of the disk with fixed point p
+QUOTIENT_SYMBOLS = [(0.6, 0.3), (0.5, 0.5), (0.2, 0.7), (0.5j, 0.2)]
+
+
+@pytest.mark.parametrize("a,p", QUOTIENT_SYMBOLS)
+@pytest.mark.parametrize("n", ORDERS)
+@pytest.mark.parametrize("space", SPACES, ids=lambda space: space.kind)
+def test_difference_quotient_intertwines_the_affine_section(space, n, a, p):
+    C = composition_matrix(LinearFractionalMap(a, p * (1 - a), 0, 1), space, n)
+    Q = _difference_quotient(space, n, p)
+    assert intertwining_residual(C, Q, 1 / a, 0) <= 1e-14
+    assert intertwining_residual(C, Q, 1.1 / a, 0) >= 100 * 1e-14

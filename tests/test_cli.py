@@ -571,16 +571,36 @@ def _null(v: float):
     return v if math.isfinite(v) else None
 
 
+def _nulls(obj):
+    """obj with each float in its dicts, lists and tuples null when it is not
+    finite; other values are left to _reference_encode."""
+    if isinstance(obj, float):
+        return _null(obj)
+    if isinstance(obj, dict):
+        return {key: _nulls(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulls(value) for value in obj]
+    return obj
+
+
 def _reference_encode(obj):
-    """The JSON hook as it was when every array went through json.dumps: an
-    ndarray as its flat row-major list, complex entries as [re, im] pairs,
-    non-finite floats as null."""
+    """The JSON hook as it was when every array went through json.dumps: a
+    record array as rows of its fields, any other ndarray as its flat
+    row-major list, complex entries as [re, im] pairs, a numpy scalar as its
+    Python value, a dataclass as its fields under the names cli._fields
+    gives them, non-finite floats as null."""
     if isinstance(obj, np.ndarray):
+        if obj.dtype.names:
+            return _nulls(obj.tolist())
         flat = obj.ravel()
         if np.iscomplexobj(flat):
-            return [[_null(re), _null(im)] for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
-        return [_null(v) if isinstance(v, float) else v for v in flat.tolist()]
-    return cli._plain(obj)
+            return _nulls(list(zip(flat.real.tolist(), flat.imag.tolist())))
+        return _nulls(flat.tolist())
+    if isinstance(obj, complex):
+        return _nulls([obj.real, obj.imag])
+    if isinstance(obj, np.generic):
+        return _nulls(obj.item())
+    return _nulls(cli._fields(obj))
 
 
 def _reference_dumps(doc) -> str:
@@ -652,22 +672,27 @@ def test_scan_rows_match_the_reference_route_on_any_float64_columns(columns):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.floats(), max_size=10), st.lists(st.floats(), max_size=10))
-def test_column_writer_matches_json_dumps_at_any_depth(xs, ys):
+@given(st.lists(st.floats(), max_size=10), st.lists(st.floats(), max_size=10), st.text(max_size=4))
+def test_column_writer_matches_json_dumps_at_any_depth(xs, ys, text):
     x = np.array(xs, dtype=float)
     z = np.array(xs[: len(ys)], dtype=complex)
     z.imag = ys[: len(z)]
     doc = {
-        "a": {"flat": cli._Block(x)},
-        "b": [1, {"pairs": cli._complex_block(z)}],
-        "flags": cli._Block(x > 0),
-    }
-    reference = {
-        "a": {"flat": [_null(v) for v in xs]},
-        "b": [1, {"pairs": z}],
+        "a": {"flat": x, text: text},
+        "b": [1, {"pairs": z, "grid": z.reshape(-1, 1)}],
         "flags": x > 0,
+        "rows": [np.rec.fromarrays([x, x > 0], names=("x", "flag"))],
     }
-    assert cli._dumps(doc) == _reference_dumps(reference)
+    assert cli._dumps(doc) == _reference_dumps(doc)
+
+
+def test_a_nul_string_beside_an_array_is_written_as_json_dumps_writes_it():
+    # the string "\0" is written "\u0000", which once marked where an array went
+    doc = {"a": "\0", "b": np.array([1.0, 2.0]), "\0": ["\0", np.array([True])]}
+    plain = {"a": "\0", "b": [1.0, 2.0], "\0": ["\0", [True]]}
+    assert cli._dumps(doc) == json.dumps(plain, sort_keys=True, indent=2)
+    rc, out, err = run(["matrix", "--phi=0.5,0,0,1", "--n", "8", "--format", "json", "--out", "\0"])
+    assert (rc, out, err) == (2, "", "error: embedded null byte\n")
 
 
 @pytest.mark.parametrize("phi, space", [("0.5,1,0,1", "fock"), ("1,0.5,0.5,1", "bergman")])
@@ -683,7 +708,7 @@ def test_eigs_json_matches_the_reference_route(phi, space):
     doc = json.loads(out)
     doc["result"] = {
         "eigenvalues": w,
-        "error_estimates": [float(e) if np.isfinite(e) else None for e in err],
+        "error_estimates": err,
         "reliable": reliable,
         "reliable_count": np.count_nonzero(reliable),
         "ratio_set": {"count": ratios.size, "sample": ratios[:64]},
@@ -708,12 +733,12 @@ def _refuse(constant: str):
 
 def test_non_finite_floats_are_null_at_any_depth():
     # verify's worst is inf when a scan flags nothing; scalars, dataclass
-    # fields, complex parts and numpy scalars all write null, as blocks do
+    # fields, complex parts and numpy scalars all write null, as arrays do
     doc = {
         "row": CheckRow("scan", False, math.inf, "no points flagged at all"),
         "scalars": [-math.inf, math.nan, np.float64(math.inf), 0.5],
         "pair": complex(math.nan, -0.0),
-        "block": cli._Block(np.array([1.0, math.inf, -math.inf, math.nan])),
+        "block": np.array([1.0, math.inf, -math.inf, math.nan]),
     }
     assert json.loads(cli._dumps(doc), parse_constant=_refuse) == {
         "row": {"name": "scan", "passed": False, "worst": None, "detail": "no points flagged at all"},
