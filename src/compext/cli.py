@@ -1,13 +1,15 @@
 """Command line surface.
 
 Subcommands: classify, matrix, eigs, extcheck, extscan, verify, one
-COMMANDS entry each; main adds arguments only to the subparser of the
-command it runs, so a run builds one command's options.  Every JSON
-document echoes, under "config", the options its command parsed (the parser
-is their only list), so feeding them back to compext reproduces the run;
-output is byte-stable across runs with the same inputs, except for the
-timestamp field.  extspec decides every verdict: witness_row whether a
-witness passes, reliable which eigenvalues count.  This module only formats:
+COMMANDS entry each; main builds a subparser, with its arguments, only for
+the command it runs (the other commands are names and help strings among
+the top-level choices), so a run builds two parsers and one command's
+options.  Every JSON document echoes, under "config", the options its
+command parsed (the parser is their only list), so feeding them back to
+compext reproduces the run; output is byte-stable across runs with the same
+inputs, except for the timestamp field.  extspec decides every verdict:
+witness_row whether a witness passes, reliable which eigenvalues count.
+This module only formats:
 one walk, _dumps, writes each document as json.dumps(sort_keys=True,
 indent=2) writes its plain form (dataclasses, complex numbers, numpy scalars
 and arrays included), and the column writer (_array, _csv) writes the
@@ -417,19 +419,27 @@ COMMANDS = (
 )
 
 
+def _subparser(build: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """add_subparsers' parser_class: a parser when build is set, else None,
+    a placeholder that holds a command's name among the choices only."""
+    return argparse.ArgumentParser(**kwargs) if build else None
+
+
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The compext parser with one subparser per command, where only
-    command's subparser holds its arguments: the others hold only -h, which
-    is all that the top-level usage, help and "invalid choice" errors read."""
+    """The compext parser with every command among its choices, where only
+    command's choice is a parser, with its arguments: the others are
+    placeholders, as the top-level usage, help and "invalid choice" errors
+    read the names and help strings alone."""
     ap = argparse.ArgumentParser(
         prog="compext",
         description="Extended eigenvalues of composition operators: "
         "truncations, intertwining witnesses, grid scans.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_subparser)
     for name, help_text, add_arguments, func in COMMANDS:
-        p = sub.add_parser(name, help=help_text, formatter_class=argparse.RawTextHelpFormatter)
-        if name == command:
+        p = sub.add_parser(name, help=help_text, build=name == command,
+                           formatter_class=argparse.RawTextHelpFormatter)
+        if p is not None:
             _add_common(p)
             add_arguments(p)
             p.set_defaults(func=func)
@@ -439,7 +449,8 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top level takes no option with a value and no other positional,
-    # so the first word that names a command is the one argparse runs
+    # so the first word that names a command is the one argparse runs, and
+    # the one build_parser gives a parser
     names = {entry[0] for entry in COMMANDS}
     command = next((word for word in argv if word in names), None)
     args = build_parser(command).parse_args(argv)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .lft import DomainError, LinearFractionalMap, is_fock_symbol, is_self_map_of_disk
 from .series import lft_taylor
@@ -291,11 +290,15 @@ def op_norm(A: OperatorMatrix) -> float:
 def _toeplitz(v: np.ndarray, order: int) -> np.ndarray:
     """The order x order lower-triangular Toeplitz matrix of v, T[i, j] =
     v[i - j] for 0 <= i - j < v.size and 0 elsewhere, as a read-only view of
-    one zero-padded copy of v."""
+    one zero-padded copy of v: T[i, j] = padded[order - 1 - i + j], so each
+    row starts one entry before the row above it."""
     m = min(v.size, order)
     padded = np.zeros(2 * order - 1, dtype=v.dtype)
     padded[order - m : order] = v[:m][::-1]
-    return sliding_window_view(padded, order)[::-1]
+    s = padded.itemsize
+    T = np.ndarray((order, order), padded.dtype, padded, (order - 1) * s, (-s, s))
+    T.flags.writeable = False
+    return T
 
 
 _ROW_BLOCK = 64  # rows per product, so that each skips its block's zeros of T

@@ -485,22 +485,23 @@ def test_verify_unresolved_exits_three():
 
 
 # ---------------------------------------------------------------------------
-# the parser: main adds arguments only to the command it runs
+# the parser: main builds a subparser only for the command it runs
 
 
 def _subparsers(ap: argparse.ArgumentParser) -> argparse._SubParsersAction:
     return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def _parser_with_every_command(build_parser) -> argparse.ArgumentParser:
-    """The reference: build_parser's parser with every command's subparser
-    populated from cli.COMMANDS, as one parser for all commands is."""
-    ap = build_parser(None)
-    choices = _subparsers(ap).choices
-    for name, _, add_arguments, func in cli.COMMANDS:
-        cli._add_common(choices[name])
-        add_arguments(choices[name])
-        choices[name].set_defaults(func=func)
+def _parser_with_every_command(top: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The reference: one parser with top's prog and description and a real
+    subparser for every command of cli.COMMANDS, each with its arguments."""
+    ap = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments, func in cli.COMMANDS:
+        p = sub.add_parser(name, help=help_text, formatter_class=argparse.RawTextHelpFormatter)
+        cli._add_common(p)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -521,6 +522,17 @@ def _run_parsed(monkeypatch, argv):
     return rc, re.sub(r'"timestamp": "[^"]*"', "", out), err, parsed
 
 
+# one valid command line per command
+_COMMAND_LINES = {argv[0]: argv for argv in (
+    ["classify", "--phi=0.5,0,0,1"],
+    ["matrix", "--phi=0.5,0.1,0,1", "--n", "8", "--witness", "shift:2"],
+    ["eigs", "--phi=0.5,1,0,1", "--space", "fock", "--n", "8"],
+    ["extcheck", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--witness", "shift:1", "--lam=-i"],
+    ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--points", "16"],
+    ["verify", "--phi=i,0,0,1", "--space", "fock", "--n", "16", "--points", "16"],
+)}
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["-h", "extcheck"], ["bogus"],
     ["classify", "--help"], ["matrix", "--help"], ["eigs", "--help"],
@@ -529,18 +541,12 @@ def _run_parsed(monkeypatch, argv):
     ["--phi=0.5,0,0,1", "classify"], ["--", "classify", "--phi=0.5,0,0,1"],
     # an unrecognized trailing word, an abbreviated option, missing required options
     ["classify", "--phi=0.5,0,0,1", "extra"], ["classify", "--ph=0.5,0,0,1"], ["extcheck", "--phi=1,0,0,1"],
-    # one valid command line per command
-    ["classify", "--phi=0.5,0,0,1"],
-    ["matrix", "--phi=0.5,0.1,0,1", "--n", "8", "--witness", "shift:2"],
-    ["eigs", "--phi=0.5,1,0,1", "--space", "fock", "--n", "8"],
-    ["extcheck", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--witness", "shift:1", "--lam=-i"],
-    ["extscan", "--phi=i,0,0,1", "--space", "fock", "--n", "8", "--points", "16"],
-    ["verify", "--phi=i,0,0,1", "--space", "fock", "--n", "16", "--points", "16"],
+    *_COMMAND_LINES.values(),
 ], ids=" ".join)
 def test_main_answers_as_a_parser_with_every_command(monkeypatch, argv):
     got = _run_parsed(monkeypatch, argv)
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command: _parser_with_every_command(build_parser))
+    reference = _parser_with_every_command(cli.build_parser(None))
+    monkeypatch.setattr(cli, "build_parser", lambda command: reference)
     assert got == _run_parsed(monkeypatch, argv)
 
 
@@ -558,8 +564,31 @@ def test_main_builds_only_the_command_it_runs(monkeypatch):
     monkeypatch.setattr(cli, "_add_common", lambda p: calls.append(p) or add_common(p))
     assert run(["extcheck", "--phi=i,0,0,1", "--n", "8", "--witness", "identity", "--lam", "1"])[0] == 0
     assert len(calls) == 1
-    for name, p in _subparsers(cli.build_parser("extcheck")).choices.items():
-        assert ([a.dest for a in p._actions] == ["help"]) == (name != "extcheck"), name
+    choices = _subparsers(cli.build_parser("extcheck")).choices
+    assert list(choices) == [entry[0] for entry in cli.COMMANDS]
+    assert [name for name, p in choices.items() if isinstance(p, argparse.ArgumentParser)] == ["extcheck"]
+
+
+def _parsers_built(monkeypatch, call):
+    """How many argparse.ArgumentParser objects call() constructs, and what
+    it returns."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        result = call()
+    return len(built), result
+
+
+@pytest.mark.parametrize("command", [entry[0] for entry in cli.COMMANDS])
+def test_main_constructs_two_parsers(monkeypatch, command):
+    # the top level and the running command's subparser, whatever the command
+    built, (rc, _, _) = _parsers_built(monkeypatch, lambda: run(_COMMAND_LINES[command]))
+    assert (built, rc) == (2, 0)
+
+
+def test_a_parser_for_no_command_is_the_top_level_alone(monkeypatch):
+    assert _parsers_built(monkeypatch, lambda: cli.build_parser(None))[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -753,17 +782,18 @@ DIFF_OUTPUTS = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 
 def test_every_off_pool_json_output_is_strict():
     # each JSON document the off-pool requests of tools/diff_outputs.py write,
-    # to stdout or to --out, parses with no NaN, Infinity or -Infinity
+    # to stdout or to --out, parses with no NaN, Infinity or -Infinity; the
+    # help text of the parser's own requests is no document
     spec = importlib.util.spec_from_file_location("diff_outputs", DIFF_OUTPUTS)
     diff_outputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(diff_outputs)
     documents = 0
     for rec in diff_outputs.responses(diff_outputs.OFF_POOL):
         for text in (rec["stdout"], rec["files"].get("out.json")):
-            if text and not text.startswith("%%MatrixMarket"):
+            if text and not text.startswith(("%%MatrixMarket", "usage:")):
                 json.loads(text, parse_constant=_refuse)
                 documents += 1
-    assert documents == 28  # the other requests write Matrix Market text or fail
+    assert documents == 28  # the other requests write Matrix Market text or help, or fail
 
 
 # ---------------------------------------------------------------------------

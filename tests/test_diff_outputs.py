@@ -55,3 +55,11 @@ def test_nan_matches_nan(capsys):
     assert same and out == "extscan: 1 of 1 identical\n"
     same, out = _compare(capsys, _record(), _record(csv=skipped))
     assert not same and "rows[*].sylvester_min_sv: differs in 1 (max |diff| nan)" in out
+
+
+def test_a_line_without_a_command_is_reported_under_none(capsys):
+    # the parser's own requests: no argument at all, or options alone
+    usage = {"rc": 2, "stdout": "", "stderr": "usage: compext [-h]\n", "files": {}}
+    help_text = {"rc": 0, "stdout": "usage: compext [-h]\n\noptions:\n", "stderr": "", "files": {}}
+    same = diff_outputs.compare([[], ["--help"]], [usage, help_text], [usage, help_text])
+    assert same and capsys.readouterr().out == "(none): 2 of 2 identical\n"

@@ -308,6 +308,26 @@ def test_multiplication_is_bit_identical_to_the_column_loop(space, order):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("order", [1, 2, 8, 256])
+@pytest.mark.parametrize("extra", [-1, 0, 3], ids=["shorter", "equal", "longer"])
+def test_toeplitz_is_the_reversed_sliding_window_view(order, extra):
+    # the strided view has the bytes, strides and read-only flag of
+    # sliding_window_view(padded, order)[::-1], the view it replaced
+    rng = np.random.default_rng(order)
+    v = rng.standard_normal(order + extra) + 1j * rng.standard_normal(order + extra)
+    v[::2] = -0.0 + 0.0j
+    m = min(v.size, order)
+    padded = np.zeros(2 * order - 1, dtype=v.dtype)
+    padded[order - m : order] = v[:m][::-1]
+    want = np.lib.stride_tricks.sliding_window_view(padded, order)[::-1]
+    got = operators._toeplitz(v, order)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # shifts
 

@@ -208,6 +208,13 @@ OFF_POOL = [
     ["classify", "--phi=0.5,0,0,1", "extra"],
     # argparse error: -- before the command
     ["--", "classify", "--phi=0.5,0,0,1"],
+    # the parser's own outputs: the missing-command error, the top-level help (before and beside a
+    # command), the "invalid choice" error and a command's help
+    [],
+    ["--help"],
+    ["-h", "extcheck"],
+    ["bogus"],
+    ["extcheck", "--help"],
     # a disk of the smallest subnormal radius, whose inner rings underflow to 0: make_grid refuses
     # it (exit 2)
     ["extscan", "--phi=0.5,0,0,1", "--n", "8", "--grid", "disk", "--rmax", "5e-324", "--points", "16"],
@@ -345,7 +352,8 @@ def compare(requests: list, old: list, new: list, check=None) -> bool:
     whether NEW_TREE's i-th output matches its reference digest."""
     per_cmd = defaultdict(lambda: {"total": 0, "same": 0, "fields": {}, "examples": [], "digest_ok": 0})
     for i, (argv, ra, rb) in enumerate(zip(requests, old, new)):
-        entry = per_cmd[next(a for a in argv if not a.startswith("-"))]  # the command, after any option
+        # the command, after any option; "(none)" for a line without one
+        entry = per_cmd[next((a for a in argv if not a.startswith("-")), "(none)")]
         entry["total"] += 1
         found = {}
         _diff(_normalize(ra), _normalize(rb), "", found)
