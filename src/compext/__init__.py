@@ -20,7 +20,6 @@ from .lft import (
     inverse,
     is_automorphism_of_disk,
     is_fock_symbol,
-    is_inf,
     is_self_map_of_disk,
     multiplier,
     parse_complex,

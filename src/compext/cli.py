@@ -245,7 +245,7 @@ def _respond(args, result):
     """Write the command's JSON document (the options it parsed, a timestamp
     and the result) to --out or stdout; the symbol and lambda are echoed as
     the text they parse back from."""
-    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config = dict(vars(args))
     config["phi"] = format_lft(args.phi)
     if "lam" in config:
         config["lam"] = format_complex(args.lam)
@@ -403,16 +403,13 @@ def _add_verify(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=_bounded_int(0, math.inf, "--seed"), default=0)
 
 
-def _add_nothing(p: argparse.ArgumentParser):
-    pass
-
-
 # (name, help, the function that adds the command's own arguments after
-# _add_common's, the function that runs it), in the order --help lists them
+# _add_common's, or None when it takes none, the function that runs it), in
+# the order --help lists them
 COMMANDS = (
-    ("classify", "dynamical class of a symbol on the disk", _add_nothing, cmd_classify),
+    ("classify", "dynamical class of a symbol on the disk", None, cmd_classify),
     ("matrix", "truncation of C_phi (or a named witness)", _add_matrix, cmd_matrix),
-    ("eigs", "truncation eigenvalues with reliability estimates", _add_nothing, cmd_eigs),
+    ("eigs", "truncation eigenvalues with reliability estimates", None, cmd_eigs),
     ("extcheck", "residual of A X - lambda X A for one witness", _add_extcheck, cmd_extcheck),
     ("extscan", "scan a grid for extended-eigenvalue candidates", _add_extscan, cmd_extscan),
     ("verify", "run every known identity for the symbol's class", _add_verify, cmd_verify),
@@ -436,13 +433,13 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         "truncations, intertwining witnesses, grid scans.",
     )
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_subparser)
-    for name, help_text, add_arguments, func in COMMANDS:
+    for name, help_text, add_arguments, _ in COMMANDS:
         p = sub.add_parser(name, help=help_text, build=name == command,
                            formatter_class=argparse.RawTextHelpFormatter)
         if p is not None:
             _add_common(p)
-            add_arguments(p)
-            p.set_defaults(func=func)
+            if add_arguments is not None:
+                add_arguments(p)
     return ap
 
 
@@ -450,12 +447,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top level takes no option with a value and no other positional,
     # so the first word that names a command is the one argparse runs, and
-    # the one build_parser gives a parser
-    names = {entry[0] for entry in COMMANDS}
-    command = next((word for word in argv if word in names), None)
+    # the one build_parser gives a parser and the one main runs
+    run = {name: func for name, _, _, func in COMMANDS}
+    command = next((word for word in argv if word in run), None)
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return run[command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UnresolvedClassError):

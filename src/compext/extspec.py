@@ -24,7 +24,7 @@ import cmath
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -294,12 +294,11 @@ def ratio_distance(lam, ratios) -> np.ndarray:
     _STRIP, each strip by imaginary part, and walked in tiles of _TILE.  A
     tile's candidates are the ratios inside its bounding box widened by w on
     each side: a searchsorted slice of the ratios sorted by (re, im), then a
-    mask on the imaginary part (skipped when it would keep half the slice or
-    more, as any superset will do); w starts a quarter above the previous
-    tile's largest nearest distance.  A ratio left out differs from every
-    point of the tile by more than w in its real or its imaginary part alone
-    (the box's bounds are rounded, but a ratio is a float too, so none within
-    w of the tile falls outside them), and complex abs is never below either
+    mask on the imaginary part; w starts a quarter above the previous tile's
+    largest nearest distance.  A ratio left out differs from every point of
+    the tile by more than w in its real or its imaginary part alone (the
+    box's bounds are rounded, but a ratio is a float too, so none within w
+    of the tile falls outside them), and complex abs is never below either
     part.  So when the tile's largest distance to its candidates lies below w
     by a few ulps (relative, and absolute for subnormals), the minimum over
     the same abs values is unchanged.  Otherwise w grows to that distance
@@ -375,9 +374,7 @@ def _walk(lam: np.ndarray, ratios: np.ndarray) -> np.ndarray:
             lo = int(rs.searchsorted(complex(x0 - w, -math.inf)))
             hi = int(rs.searchsorted(complex(x1 + w, math.inf), "right"))
             near = rs[lo:hi]
-            inside = (near.imag >= y0 - w) & (near.imag <= y1 + w)
-            if 2 * np.count_nonzero(inside) < near.size:  # else the slice, a superset, saves a copy
-                near = near[inside]
+            near = near[(near.imag >= y0 - w) & (near.imag <= y1 + w)]
             if near.size == 0:  # none in the box: its neighbours by real part bound the distances
                 near = rs[max(lo - 1, 0) : hi + 1]
             d = _nearest(tile, near)
@@ -961,12 +958,12 @@ WITNESSES = {
     "sigma-shift:c,k": ((parse_complex, int), lambda space, order, c, k, **_: sigma_shift_matrix(c, k, space, order)),
     "qdiff:m": (
         (int,),
-        lambda space, order, m, **_: matrix_power(quasi_diff_matrix(space, order), m).relabel(f"D^{m}"),
+        lambda space, order, m, **_: replace(matrix_power(quasi_diff_matrix(space, order), m), label=f"D^{m}"),
     ),
     "qmult-shifted:tau,m": (
         (parse_complex, int),
-        lambda space, order, tau, m, params, **_: matrix_power(shifted_quasi_mult(space, tau, order), m).relabel(
-            "(X-{})^{}".format(*params.split(","))
+        lambda space, order, tau, m, params, **_: replace(
+            matrix_power(shifted_quasi_mult(space, tau, order), m), label="(X-{})^{}".format(*params.split(","))
         ),
     ),
     "mult:monomial,k": ((int,), lambda space, order, k, **_: monomial(k, order)),
@@ -1017,7 +1014,7 @@ def build_witness(text: str, phi: LinearFractionalMap, space: SpaceSpec, order: 
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
         X = build(space, order, *values, phi=phi, params=params)
         if head.startswith("mult:"):
-            X = multiplication_matrix(X, space, order).relabel(f"M[{head.removeprefix('mult:')},{params}]")
+            X = replace(multiplication_matrix(X, space, order), label=f"M[{head.removeprefix('mult:')},{params}]")
     if not np.isfinite(X.entries).all():
         raise DomainError(
             f"entries of witness {text!r} leave the float range on {space.kind} space "

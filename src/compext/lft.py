@@ -41,10 +41,6 @@ class DomainError(ValueError):
 INF = math.inf
 
 
-def is_inf(z) -> bool:
-    return z == INF
-
-
 @dataclass(frozen=True)
 class LinearFractionalMap:
     a: complex
@@ -75,7 +71,7 @@ class LinearFractionalMap:
 
 def apply(f: LinearFractionalMap, z):
     """Evaluate f at a point of the sphere (complex number or INF)."""
-    if is_inf(z):
+    if z == INF:
         if f.c == 0:
             return INF
         return f.a / f.c
@@ -153,7 +149,7 @@ def multiplier(f: LinearFractionalMap, p) -> complex:
     """Derivative of f at a fixed point p; at INF this is the multiplier of
     the conjugated map w -> 1/f(1/w) at 0, which works out to d/a for affine
     maps and c-dependent otherwise."""
-    if is_inf(p):
+    if p == INF:
         # w -> (c + d w)/(a + b w) near w = 0; derivative (a d - b c)/a^2
         if f.a == 0:
             raise ZeroDivisionError("infinity is not a fixed point of this map")

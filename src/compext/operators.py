@@ -9,7 +9,7 @@ Factories:
     composition_matrix    C_phi f = f o phi     (phi linear fractional)
     multiplication_matrix M_b f = b f           (b a polynomial symbol)
     basis_shift_matrix    X_k e_n = e_{n-k}     (monomial backward shift)
-    sigma_shift_matrix    backward shift of sigma-powers, sigma = (z-c)/1
+    sigma_shift_matrix    backward shift of sigma-powers, sigma = z - c
     quasi_diff_matrix     D f = f'/(2 alpha i)          (Fock)
     quasi_mult_matrix     X f = z f                     (Fock)
     shifted_quasi_mult    X - tau I                     (Fock)
@@ -25,7 +25,7 @@ import importlib.machinery
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,9 +83,6 @@ class OperatorMatrix:
         w.flags.writeable = False
         err.flags.writeable = False
         return w, err
-
-    def relabel(self, label: str) -> "OperatorMatrix":
-        return replace(self, label=label)
 
 
 def monomial_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

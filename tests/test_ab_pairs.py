@@ -1,6 +1,10 @@
-"""The gain rule of tools/ab_pairs.py on synthetic pairs: a metric gains when
-NEW wins at least nine tenths of the pairs (ties count for neither side) and
-the medians differ, in NEW's favour, by more than OLD's interquartile range."""
+"""The rules of tools/ab_pairs.py on synthetic pairs.  A metric gains when
+at least ten pairs ran, NEW won at least nine tenths of them (ties count for
+neither side) and the medians differ, in NEW's favour, by more than OLD's
+interquartile range.  It is worse when NEW's median is worse by more than
+the metric's bound (a share of OLD's median), and otherwise unresolved when
+OLD's interquartile range exceeds the bound, unless every NEW run beats
+every OLD run."""
 import importlib.util
 from pathlib import Path
 
@@ -11,8 +15,9 @@ _spec = importlib.util.spec_from_file_location("ab_pairs", AB_PAIRS)
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
 
-RATE = {"name": "requests_per_s", "unit": "1/s", "better": "higher"}
-LATENCY = {"name": "request_p50_ms", "unit": "ms", "better": "lower"}
+# bounds of half OLD's median, 7.25, wider than OLD's IQR
+RATE = {"name": "requests_per_s", "unit": "1/s", "better": "higher", "bound": 0.5}
+LATENCY = {"name": "request_p50_ms", "unit": "ms", "better": "lower", "bound": 0.5}
 # OLD: quartiles 12.25 / 14.5 / 16.75 (inclusive method), so its IQR is 4.5
 OLD = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
 
@@ -63,6 +68,32 @@ def test_gain_rule(metric, by, losses, ties, wins, gain):
     line = _line(metric, OLD, _ahead(metric, by, losses, ties))
     assert f"new won {wins} of 10" in line
     assert line.endswith("; gain") == gain
+
+
+@pytest.mark.parametrize("metric", [RATE, LATENCY], ids=["higher-is-better", "lower-is-better"])
+@pytest.mark.parametrize(
+    "bound, by, verdict",
+    [
+        pytest.param(0.5, -7, None, id="worse-within-the-bound"),
+        pytest.param(0.5, -7.25, None, id="worse-by-exactly-the-bound"),
+        pytest.param(0.5, -8, "worse", id="worse-past-the-bound"),
+        # 0.25 of OLD's median is 3.625, below OLD's IQR
+        pytest.param(0.25, -5, "worse", id="worse-past-a-bound-below-the-iqr"),
+        pytest.param(0.25, 0, "unresolved", id="iqr-above-the-bound"),
+        pytest.param(0.25, 5, "unresolved", id="ahead-but-the-runs-overlap"),
+        pytest.param(0.25, 9, "unresolved", id="ahead-but-one-run-ties"),
+        pytest.param(0.25, 10, None, id="every-new-run-better"),
+    ],
+)
+def test_bound_rule(metric, bound, by, verdict):
+    line = _line(metric | {"bound": bound}, OLD, _ahead(metric, by))
+    marks = line.split("; new won ")[1].split("; ")[1:]
+    assert [mark for mark in marks if mark != "gain"] == ([verdict] if verdict else [])
+
+
+def test_fewer_than_ten_pairs_make_no_gain():
+    line = _line(RATE, OLD[:9], _ahead(RATE, 20)[:9])
+    assert line.endswith("; new won 9 of 9")
 
 
 def test_a_tie_is_no_win_for_either_side():

@@ -497,23 +497,23 @@ def _parser_with_every_command(top: argparse.ArgumentParser) -> argparse.Argumen
     subparser for every command of cli.COMMANDS, each with its arguments."""
     ap = argparse.ArgumentParser(prog=top.prog, description=top.description)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments, func in cli.COMMANDS:
+    for name, help_text, add_arguments, _ in cli.COMMANDS:
         p = sub.add_parser(name, help=help_text, formatter_class=argparse.RawTextHelpFormatter)
         cli._add_common(p)
-        add_arguments(p)
-        p.set_defaults(func=func)
+        if add_arguments is not None:
+            add_arguments(p)
     return ap
 
 
 def _run_parsed(monkeypatch, argv):
-    """run(argv), the timestamp masked, and the options main parsed (func
-    left out): one dict, or none when parsing exits."""
+    """run(argv), the timestamp masked, and the options main parsed: one
+    dict, or none when parsing exits."""
     parsed = []
     parse_args = argparse.ArgumentParser.parse_args
 
     def recording(self, *args, **kwargs):
         ns = parse_args(self, *args, **kwargs)
-        parsed.append({k: v for k, v in vars(ns).items() if k != "func"})
+        parsed.append(dict(vars(ns)))
         return ns
 
     with monkeypatch.context() as m:
@@ -793,7 +793,7 @@ def test_every_off_pool_json_output_is_strict():
             if text and not text.startswith(("%%MatrixMarket", "usage:")):
                 json.loads(text, parse_constant=_refuse)
                 documents += 1
-    assert documents == 28  # the other requests write Matrix Market text or help, or fail
+    assert documents == 29  # the other requests write Matrix Market text or help, or fail
 
 
 # ---------------------------------------------------------------------------

@@ -661,6 +661,36 @@ def test_scan_reads_every_sylvester_value_from_the_probe(route):
     assert np.array_equal(rep.sylvester[chosen], [probe.sigma_min(z) for z in rep.lam[chosen]])
 
 
+# what a stubbed ztrsyl returns on each call, from the real answer (x, scale, info)
+_FAILED_SOLVES = {
+    "non-finite-first-solve": [lambda x, scale, info: (np.full_like(x, np.nan), scale, info)],
+    "zero-scale-second-solve": [lambda *answer: answer, lambda x, scale, info: (x, 0.0, info)],
+    "illegal-argument": [lambda x, scale, info: (x, scale, -1)],
+    "zero-solution": [lambda x, scale, info: (np.zeros_like(x), scale, info)] * 2,
+}
+
+
+@pytest.mark.parametrize("answers", list(_FAILED_SOLVES.values()), ids=list(_FAILED_SOLVES))
+def test_iteration_reads_zero_when_a_solve_fails(monkeypatch, answers):
+    # a solve that fails, or an iterate of norm 0, ends the iteration at once
+    # with the sentinel 0.0; no request reaches these returns
+    from types import SimpleNamespace
+
+    import compext.extspec as extspec
+
+    calls = []
+    real = extspec.lapack.ztrsyl
+
+    def ztrsyl(*args, **kwargs):
+        calls.append(1)
+        return answers[len(calls) - 1](*real(*args, **kwargs))
+
+    monkeypatch.setattr(extspec, "lapack", SimpleNamespace(ztrsyl=ztrsyl))
+    probe = SylvesterProbe(_ROUTE_SECTIONS["iteration"](), seed=0)
+    assert probe.route == "iteration"
+    assert (probe.sigma_min(0.5 + 0.5j), len(calls)) == (0.0, len(answers))
+
+
 def test_certificate_route_reads_the_bound_at_every_lambda(monkeypatch):
     import compext.extspec as extspec
 

@@ -20,7 +20,6 @@ from compext import (
     inverse,
     is_automorphism_of_disk,
     is_fock_symbol,
-    is_inf,
     is_self_map_of_disk,
     multiplier,
     parse_complex,
@@ -41,10 +40,10 @@ def test_apply_rational_value():
 
 def test_apply_at_pole_and_infinity():
     f = LinearFractionalMap(1, 0.5, 0.5, 1)  # pole at z = -2
-    assert is_inf(apply(f, -2.0))
+    assert apply(f, -2.0) == INF
     assert apply(f, INF) == pytest.approx(2.0)  # a/c
     g = LinearFractionalMap(0.5, 0.3, 0, 1)  # affine fixes infinity
-    assert is_inf(apply(g, INF))
+    assert apply(g, INF) == INF
 
 
 def test_degenerate_coefficients_rejected():
@@ -87,7 +86,7 @@ def test_inverse_round_trip():
         g = inverse(f)
         for z in rng.standard_normal(3) + 1j * rng.standard_normal(3):
             w = apply(f, z)
-            if is_inf(w):
+            if w == INF:
                 continue
             assert apply(g, w) == pytest.approx(z, abs=1e-9)
 
@@ -106,9 +105,9 @@ def test_fixed_points_hyperbolic_automorphism():
 def test_fixed_points_affine():
     f = LinearFractionalMap(0.5, 0.5, 0, 1)  # 0.5 z + 0.5 fixes 1 and infinity
     fps = fixed_points(f)
-    finite = [p for p in fps if not is_inf(p)]
+    finite = [p for p in fps if p != INF]
     assert len(finite) == 1 and finite[0] == pytest.approx(1.0)
-    assert any(is_inf(p) for p in fps)
+    assert any(p == INF for p in fps)
 
 
 def test_fixed_points_parabolic_is_single():

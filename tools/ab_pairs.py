@@ -9,15 +9,20 @@ from pair to pair (OLD first in the first pair).  The seeds are --seeds, one
 per pair, or 1 .. K when none are given.  Nothing under either tree is
 changed.
 
-For every end-to-end metric that BENCHMARK.json lists (its name, unit and
-which direction is better), the report gives each side's median and
-quartiles over the pairs, the change of the medians relative to OLD's median,
-OLD's interquartile range, and the number of pairs NEW won (ties count for
-neither side).  A metric is marked "gain" when NEW won at least nine tenths
-of the pairs and the medians differ, in NEW's favour, by more than OLD's
-interquartile range; this is the rule a claimed gain is held to.  Each run's
-failed-request count and `correct` flag are reported too.  Exit status: 0
-when every run finished and was correct, 1 otherwise.
+For every end-to-end metric that BENCHMARK.json lists (its name, unit,
+which direction is better and its bound, a share of OLD's median), the
+report gives each side's median and quartiles over the pairs, the change of
+the medians relative to OLD's median, OLD's interquartile range, and the
+number of pairs NEW won (ties count for neither side).  Two rules mark a
+metric:
+  - no regression: "worse" when NEW's median is worse than OLD's by more
+    than the bound; otherwise "unresolved" when OLD's interquartile range
+    exceeds the bound, unless every NEW run is better than every OLD run;
+  - a claimed gain: "gain" when at least ten pairs ran, NEW won at least
+    nine tenths of them and the medians differ, in NEW's favour, by more
+    than OLD's interquartile range.
+Each run's failed-request count and `correct` flag are reported too.  Exit
+status: 0 when every run finished and was correct, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -64,12 +69,15 @@ def report(metrics: list, pairs: list) -> list:
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         iqr = o3 - o1
         ahead = (nm - om) if higher else (om - nm)
-        gain = wins >= 0.9 * len(pairs) and ahead > iqr
+        bound = m["bound"] * abs(om)
+        every_run_better = min(new) > max(old) if higher else max(new) < min(old)
+        verdict = "; worse" if -ahead > bound else "; unresolved" if iqr > bound and not every_run_better else ""
+        gain = len(pairs) >= 10 and wins >= 0.9 * len(pairs) and ahead > iqr
         rel = f"{(nm - om) / om:+.1%}" if om else "n/a"
         lines.append(
             f"{name} [{m['unit']}]: old {o1:.4g}/{om:.4g}/{o3:.4g}, new {n1:.4g}/{nm:.4g}/{n3:.4g}"
             f" (q1/median/q3); median {rel} of {om:.4g}, old IQR {iqr:.3g};"
-            f" new won {wins} of {len(pairs)}{'; gain' if gain else ''}"
+            f" new won {wins} of {len(pairs)}{verdict}{'; gain' if gain else ''}"
         )
     return lines
 
