@@ -25,6 +25,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -435,7 +436,8 @@ class SylvesterProbe:
     close to singular and always take the certificate: there the probe cannot
     tell lambdas apart, ext_scan's candidate-limiting default exists because
     of this, and scan output should be read as candidate localization, not as
-    membership proof.
+    membership proof.  Since every lambda flags there, an ext_scan that probes
+    every grid point needs no ratio distance for its flags.
     """
 
     def __init__(self, A: OperatorMatrix, seed: int = 0):
@@ -832,20 +834,34 @@ _RECIPES = {
 
 @dataclass
 class ExtScanReport:
-    """What one scan measured: the grid step and points, each point's ratio
-    distance, Sylvester value (nan where not probed) and flag, the ratio
-    threshold (0.999 of the step) and the probe budget as resolved from its
-    default.  A point flags when its Sylvester value is at most
-    SYLVESTER_THRESHOLD or its ratio distance is below the ratio threshold."""
+    """What one scan measured: the grid step and points, each point's
+    Sylvester value (nan where not probed) and flag, the ratio threshold
+    (0.999 of the step) and the probe budget as resolved from its default.  A
+    point flags when its Sylvester value is at most SYLVESTER_THRESHOLD or its
+    ratio distance is below the ratio threshold.
+
+    Each point's ratio distance (ratio_dist) and the scan's notes are read
+    from ratio_side(), which returns (ratio set, ratio distances, notes).
+    ext_scan's ratio_side computes them once, when first called: by ext_scan
+    when the flags or the candidate ranking need them, else on the first read
+    of ratio_dist or notes, which then raises any error of the ratio side (a
+    zgeev that does not converge, say)."""
 
     step: float
     lam: np.ndarray
-    ratio_dist: np.ndarray
     sylvester: np.ndarray
     flagged: np.ndarray
     ratio_threshold: float
     candidates: int | str
-    notes: list
+    ratio_side: Callable
+
+    @property
+    def ratio_dist(self) -> np.ndarray:
+        return self.ratio_side()[1]
+
+    @property
+    def notes(self) -> list:
+        return self.ratio_side()[2]
 
     def flagged_points(self) -> np.ndarray:
         return self.lam[self.flagged]
@@ -871,48 +887,55 @@ def ext_scan(
     hyperbolic and parabolic symbols, whose truncations are exponentially
     singular.  The notes say which: the filtered set, or, when it is empty,
     that every ratio distance is +inf.  The report holds what the scan
-    measured; the caller keeps what it passed in.
+    measured and, for its ratio side, A.
+
+    When the budget covers every grid point the probe runs first, and where
+    every probed value flags (the certificate route does so at every point)
+    no flag needs a ratio distance: the ratio set, the distances and the
+    notes are then left to the report, which computes them on first read
+    (see ExtScanReport).
     """
     lam, step = make_grid(grid)
-    notes = []
     rt = 0.999 * step
-
-    try:
-        ratios = ratio_set(A)
-    except SingularTruncationError:
-        ratios = ratio_set(A, filtered=True)
-        notes.append(
-            "ratio set from reliability-filtered eigenvalues "
-            f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"
-            if ratios.size
-            else "no reliable eigenvalues; ratio distances are +inf"
-        )
-
-    rd = ratio_distance(lam, ratios)
-
     if candidates is None:
         candidates = "all" if A.order <= 48 else 50
+    probed = A.order <= MAX_PROBE_ORDER
+
+    @cache
+    def ratio_side() -> tuple:
+        notes = []
+        try:
+            ratios = ratio_set(A)
+        except SingularTruncationError:
+            ratios = ratio_set(A, filtered=True)
+            notes.append(
+                "ratio set from reliability-filtered eigenvalues "
+                f"(tol={RELIABILITY_TOL:g}); strict mode found the truncation singular"
+                if ratios.size
+                else "no reliable eigenvalues; ratio distances are +inf"
+            )
+        if not probed:
+            notes.append(f"order > {MAX_PROBE_ORDER}: sylvester probe skipped, flags are ratio-only")
+        elif candidates != "all" and ratios.size == 0:
+            notes.append("no ratio ranking available: probing every grid point")
+        return ratios, ratio_distance(lam, ratios), notes
+
     sylv = np.full(lam.size, np.nan)
-    if A.order > MAX_PROBE_ORDER:
-        notes.append(f"order > {MAX_PROBE_ORDER}: sylvester probe skipped, flags are ratio-only")
-    else:
-        if candidates == "all" or ratios.size == 0:
-            chosen = np.arange(lam.size)
-            if candidates != "all":
-                notes.append("no ratio ranking available: probing every grid point")
-        else:
-            k = min(int(candidates), lam.size)
-            chosen = np.sort(np.argsort(rd, kind="stable")[:k])
+    if probed:
+        chosen = np.arange(lam.size)
+        if candidates != "all" and int(candidates) < lam.size:
+            ratios, rd, _ = ratio_side()
+            if ratios.size:
+                chosen = np.sort(np.argsort(rd, kind="stable")[: int(candidates)])
         if chosen.size:
             probe = SylvesterProbe(A, seed=seed)
             for i in chosen:
                 sylv[i] = probe.sigma_min(lam[i])
 
-    sylv_flag = np.where(np.isnan(sylv), np.inf, sylv) <= SYLVESTER_THRESHOLD
-    ratio_flag = rd < rt
-    flagged = sylv_flag | ratio_flag
-
-    return ExtScanReport(step, lam, rd, sylv, flagged, rt, candidates, notes)
+    flagged = np.where(np.isnan(sylv), np.inf, sylv) <= SYLVESTER_THRESHOLD
+    if not flagged.all():
+        flagged |= ratio_side()[1] < rt
+    return ExtScanReport(step, lam, sylv, flagged, rt, candidates, ratio_side)
 
 
 # ---------------------------------------------------------------------------

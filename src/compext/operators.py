@@ -308,23 +308,22 @@ def _powers(t: np.ndarray, order: int, affine: bool) -> np.ndarray:
     Built by doubling: once phi^0 .. phi^(k-1) are known, phi^k .. phi^(2k-2)
     are phi^(k-1) phi^m for m = 1 .. k-1, one product of the lower-triangular
     Toeplitz matrix T of phi^(k-1) with those columns, about log2(order)
-    products in all, each in one reused workspace.  Each product is taken in
-    blocks of rows, each block against the columns of T up to its diagonal
-    only; for affine phi phi^m has degree m, so the zero rows of the
-    right-hand block and of the result are skipped too.
+    products in all.  Each product is taken in blocks of rows, each block
+    against the columns of T up to its diagonal only; for affine phi phi^m
+    has degree m, so the zero rows of the right-hand block and of the result
+    are skipped too.
     """
     powers = np.zeros((order, order), dtype=np.complex128)
     powers[0, 0] = 1.0
     if order > 1:
         powers[:, 1] = t
-    work = np.empty((order, order), dtype=np.complex128)
     k = 2
     while k < order:
         cols = min(k - 1, order - k)
         # nonzero rows: of phi^1 .. phi^(k-1), and of the new columns
         depth, rows = (k, min(2 * k - 1, order)) if affine else (order, order)
-        T = work[:rows, :depth]
-        np.copyto(T, _toeplitz(powers[:, k - 1], order)[:rows, :depth])
+        # a contiguous copy: the strided Toeplitz view moves the products' last bits
+        T = np.ascontiguousarray(_toeplitz(powers[:, k - 1], order)[:rows, :depth])
         for r0 in range(0, rows, _ROW_BLOCK):
             r1 = min(r0 + _ROW_BLOCK, rows)
             inner = min(r1, depth)

@@ -648,9 +648,10 @@ def _reference_rows(rep):
 def _report(re, im, rd, sv, flagged):
     lam = np.empty(len(re), dtype=complex)
     lam.real, lam.imag = re, im
-    return ExtScanReport(0.5, lam, np.array(rd, dtype=float), np.array(sv, dtype=float),
-                         np.array(flagged, dtype=bool), 0.4995, 0,
-                         ["no reliable eigenvalues; ratio distances are +inf"])
+    ratio_side = (np.array([], dtype=complex), np.array(rd, dtype=float),
+                  ["no reliable eigenvalues; ratio distances are +inf"])
+    return ExtScanReport(0.5, lam, np.array(sv, dtype=float), np.array(flagged, dtype=bool), 0.4995, 0,
+                         lambda: ratio_side)
 
 
 def _assert_scan_output_matches_reference(rep):
@@ -793,7 +794,7 @@ def test_every_off_pool_json_output_is_strict():
             if text and not text.startswith(("%%MatrixMarket", "usage:")):
                 json.loads(text, parse_constant=_refuse)
                 documents += 1
-    assert documents == 29  # the other requests write Matrix Market text or help, or fail
+    assert documents == 30  # the other requests write Matrix Market text or help, or fail
 
 
 # ---------------------------------------------------------------------------

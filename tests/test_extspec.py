@@ -867,6 +867,74 @@ def test_scan_without_candidates_builds_no_probe(monkeypatch):
     assert probes == [1]
 
 
+@pytest.fixture
+def ratio_side_calls(monkeypatch):
+    """Count ratio_set calls and eigendecompositions with reliability."""
+    import compext.extspec as extspec
+    import compext.operators as operators
+
+    calls = []
+    for module, name in ((extspec, "ratio_set"), (operators, "_eig_with_reliability")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _hyperbolic_48():
+    return composition_matrix(standard_form("hyperbolic-automorphism", r=0.5), BERGMAN, 48)
+
+
+@pytest.mark.parametrize("candidates", [None, "all", 16, 50])
+def test_certificate_scan_of_every_point_leaves_the_ratio_side_unread(ratio_side_calls, candidates):
+    # the certificate flags every point it probes, so no flag needs a ratio
+    # distance, and the scan computes no ratio set and no eigenvalue
+    C = _hyperbolic_48()
+    rep = ext_scan(C, GridSpec("circle", 16), candidates=candidates)
+    assert rep.flagged.all() and np.isfinite(rep.sylvester).all()
+    assert ratio_side_calls == []
+    assert "eig_reliability" not in C.__dict__
+    rep.ratio_dist
+    assert ratio_side_calls.count("ratio_set") == 2  # strict, then filtered
+    rep.notes
+    assert ratio_side_calls.count("ratio_set") == 2  # computed once
+
+
+_FILTERED = ("ratio set from reliability-filtered eigenvalues (tol=1e-06); "
+             "strict mode found the truncation singular")
+_NO_RELIABLE = "no reliable eigenvalues; ratio distances are +inf"
+_ROTATION = LinearFractionalMap(cmath.exp(2j * math.pi * 0.1234), 0, 0, 1)
+
+# case -> (truncation, candidates, whether the scan leaves its ratio side unread, notes)
+DEFERRAL_CASES = {
+    "certificate": (_hyperbolic_48, "all", True, [_FILTERED]),
+    "exact": (lambda: composition_matrix(_ROTATION, BERGMAN, 24), None, False, []),
+    "order-past-probe": (lambda: composition_matrix(_ROTATION, BERGMAN, 130), None, False,
+                         ["order > 128: sylvester probe skipped, flags are ratio-only"]),
+    "ranking": (lambda: composition_matrix(LinearFractionalMap(0.9, 0.05, 0, 1), FOCK, 24), 3, False, []),
+    "zero": (lambda: _op(np.zeros((8, 8))), None, True, [_NO_RELIABLE]),
+    "empty-ratio-set": (lambda: composition_matrix(LinearFractionalMap(0.1, 3, 0, 1), SpaceSpec("fock", alpha=10), 8),
+                        50, True, [_NO_RELIABLE, "no ratio ranking available: probing every grid point"]),
+}
+
+
+@pytest.mark.parametrize("case", DEFERRAL_CASES)
+def test_ratio_side_read_later_equals_the_eager_one(ratio_side_calls, case):
+    make, candidates, deferred, notes = DEFERRAL_CASES[case]
+    rep = ext_scan(make(), GridSpec("circle", 16), candidates=candidates)
+    assert ("ratio_set" not in ratio_side_calls) == deferred
+    A = make()
+    try:
+        ratios = ratio_set(A)
+    except SingularTruncationError:
+        ratios = ratio_set(A, filtered=True)
+    assert np.array_equal(rep.ratio_dist, ratio_distance(rep.lam, ratios))
+    assert rep.notes == notes
+    assert np.array_equal(rep.flagged, (rep.sylvester <= 1e-6) | (rep.ratio_dist < rep.ratio_threshold))
+
+
 def test_scan_report_serialization_round_trip(capsys, tmp_path):
     w = np.exp(2j * np.pi / 3)
     phi = LinearFractionalMap(w, 0, 0, 1)  # C_phi is diag(w^k) on hardy

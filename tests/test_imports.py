@@ -6,11 +6,13 @@ extension module (scipy/linalg/_flapack) by itself, on first use
 loads no scipy module at all; classify, extcheck and matrix need no LAPACK
 from scipy, and neither do eigs, extscan and verify on a rotation, whose
 truncation is diagonal, so that its eigenvalues and probe values are read off
-the diagonal.  The other spectral requests (the reliability filter's zgeev,
-the Sylvester probe's zgees and ztrsyl) load the extension and the top-level
-scipy package only.  A later `import scipy.linalg` still works, binds its own
-_flapack, and computes the same bits.  Each check runs in a fresh
-interpreter, since the test process has loaded scipy.linalg already.
+the diagonal, nor verify on a section whose probe certifies every grid point
+it scans, which computes no ratio set.  The other spectral requests (the
+reliability filter's zgeev, the Sylvester probe's zgees and ztrsyl) load the
+extension and the top-level scipy package only.  A later `import
+scipy.linalg` still works, binds its own _flapack, and computes the same
+bits.  Each check runs in a fresh interpreter, since the test process has
+loaded scipy.linalg already.
 """
 import os
 import subprocess
@@ -92,6 +94,21 @@ def test_scans_of_rotations_never_load_scipy_linalg():
             for args in (fock, bergman):
                 for command in ("extscan", "verify"):
                     assert compext.cli.main([command] + args) == 0, (command, args)
+        assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    """)
+
+
+def test_verify_of_a_certified_section_loads_no_scipy():
+    # at n = 48 the hyperbolic automorphism's section is numerically singular:
+    # the probe's certificate flags all 16 scan points, so verify, which reads
+    # only the flags, never computes the ratio set and its zgeev
+    _run("""
+        import contextlib, io, sys
+        import compext.cli
+
+        argv = ["verify", "--phi=1,0.5,0.5,1", "--space", "bergman", "--n", "48", "--points", "16"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert compext.cli.main(argv) == 0
         assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     """)
 

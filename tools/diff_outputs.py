@@ -190,6 +190,10 @@ OFF_POOL = [
     # --candidates 3 and ratio_distance's return for an empty set
     ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
      "--candidates", "3"],
+    # the same with --candidates 50, past the 16 grid points: the probe certifies every point first,
+    # so the ratio note and then the "no ratio ranking" note come from the ratio side read for output
+    ["extscan", "--phi=0.1,3,0,1", "--space", "fock", "--alpha", "10", "--n", "8", "--points", "16",
+     "--candidates", "50"],
     # complex literals -0, .5i and 1e-3-2.5e2i in --phi, and their config echo
     ["classify", "--phi=-0,.5i,1e-3-2.5e2i,i"],
     # complex literals -0i, -0 and bare i in --phi and --lam, .5i in a witness
