@@ -15,7 +15,8 @@ Both probes are scanned over grids by ext_scan.  The probe settles each
 Sylvester value by the first of its routes that applies to the truncation:
 certificate, exact, dense or iteration (see SylvesterProbe).  The reported
 value is an upper bound on the true value, exact on the exact and dense
-routes -- apart from the 0.0 the iteration returns when a solve overflows.
+routes.  The iteration reads 0.0 only where a solve overflowed, the bound
+that the overflowed iterate gives; a LAPACK argument error raises ValueError.
 """
 
 from __future__ import annotations
@@ -425,10 +426,12 @@ class SylvesterProbe:
                    lambda at most ITERATION_STEPS steps of inverse power
                    iteration on the lifted normal equations from a start drawn
                    from `seed`, each step two triangular Sylvester solves
-                   (ztrsyl).  The estimate is an upper bound accurate to a
-                   small factor -- ample against thresholds here, which sit
-                   many orders away from the values they test -- and 0.0 when
-                   a solve overflows.
+                   (ztrsyl).  It reads the latest estimate once two agree to
+                   1% or at the step cap: an upper bound accurate to a small
+                   factor -- ample against thresholds here, which sit many
+                   orders away from the values they test -- and 0.0 where a
+                   solve overflowed (sigma_min <= 1/||iterate|| underflows).
+                   An illegal ztrsyl argument (info < 0) raises ValueError.
 
     So a near-singular A reads the certificate bound even where it is
     diagonal or small enough for the exact or dense value.  Truncations of
@@ -467,12 +470,13 @@ class SylvesterProbe:
         # trsyl solves op(A) X + isgn X op(B) = scale C for triangular A, B;
         # with B = -lam T, tranb="C" already conjugates lam, giving the
         # adjoint equation T^H Y - conj(lam) Y T^H = C.  lapack is looked up on
-        # the module, where __getattr__ loads it and a rebinding replaces it
+        # the module, where __getattr__ loads it and a rebinding replaces it.
+        # None where the solution overflowed (scale 0 or a non-finite entry)
         tr = "C" if adjoint_eq else "N"
         x, scale, info = sys.modules[__name__].lapack.ztrsyl(self.t, -lam * self.t, c, trana=tr, tranb=tr, isgn=1)
-        if info < 0 or not np.all(np.isfinite(x)) or scale == 0:
-            return None
-        return x / scale
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal trsyl")
+        return x / scale if scale != 0 and np.isfinite(x).all() else None
 
     def sigma_min(self, lam: complex) -> float:
         """sigma_min(Sylv_lambda) / (||A|| (1 + |lambda|)), by the probe's route."""
@@ -486,26 +490,18 @@ class SylvesterProbe:
             m = np.kron(self.eye, self.a) - lam * np.kron(self.a.T, self.eye)
             return float(np.linalg.svd(m, compute_uv=False)[-1]) / scale
 
-        v = self.v0
-        prev = None
+        v, est = self.v0, None
         for _ in range(ITERATION_STEPS):
             y = self._solve(lam, v, adjoint_eq=True)
-            if y is None:
-                return 0.0
-            z = self._solve(lam, y, adjoint_eq=False)
-            if z is None:
-                return 0.0
-            nz = np.linalg.norm(z)
-            if not np.isfinite(nz) or nz == 0:
-                return 0.0
+            z = None if y is None else self._solve(lam, y, adjoint_eq=False)
+            nz = 0.0 if z is None else np.linalg.norm(z)
+            if not 0 < nz < math.inf:
+                return 0.0  # no usable iterate: a solve overflowed
             v = z / nz
-            resid = self.t @ v - lam * (v @ self.t)
-            est = float(np.linalg.norm(resid))
+            prev, est = est, float(np.linalg.norm(self.t @ v - lam * (v @ self.t)))
             if prev is not None and abs(est - prev) <= 0.01 * prev:
-                prev = est
-                break
-            prev = est
-        return prev / scale
+                return est / scale  # two estimates agree to 1%
+        return est / scale  # the last estimate, at the step cap
 
 
 # ---------------------------------------------------------------------------

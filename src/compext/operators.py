@@ -216,7 +216,7 @@ def _eig_with_reliability(A: OperatorMatrix):
         )
     overlap = np.abs(np.einsum("ij,ij->j", vl.conj(), vr))
     norms = np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
-    rcond = overlap / np.where(norms == 0, 1.0, norms)
+    rcond = overlap / norms
     err = np.where(rcond > 0, eps * A.svdvals[0] / np.where(rcond == 0, 1.0, rcond), np.inf)
     return w, err
 

@@ -794,7 +794,7 @@ def test_every_off_pool_json_output_is_strict():
             if text and not text.startswith(("%%MatrixMarket", "usage:")):
                 json.loads(text, parse_constant=_refuse)
                 documents += 1
-    assert documents == 30  # the other requests write Matrix Market text or help, or fail
+    assert documents == 31  # the other requests write Matrix Market text or help, or fail
 
 
 # ---------------------------------------------------------------------------

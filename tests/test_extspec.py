@@ -51,6 +51,7 @@ from compext.extspec import (
     _rotation_circle,
     reliable,
 )
+import draws
 from lemmas import lemma_suite
 
 HARDY = SpaceSpec("hardy")
@@ -560,7 +561,7 @@ def _nonnormal_with_eigenvalues(mu, coupling, seed):
 
 @pytest.fixture
 def ztrsyl_calls(monkeypatch):
-    """Count the triangular Sylvester solves the probe makes."""
+    """The info of each triangular Sylvester solve the probe makes."""
     from types import SimpleNamespace
 
     import compext.extspec as extspec
@@ -569,8 +570,9 @@ def ztrsyl_calls(monkeypatch):
     real = extspec.lapack.ztrsyl
 
     def ztrsyl(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        answer = real(*args, **kwargs)
+        calls.append(answer[2])
+        return answer
 
     monkeypatch.setattr(extspec, "lapack", SimpleNamespace(ztrsyl=ztrsyl))
     return calls
@@ -661,19 +663,21 @@ def test_scan_reads_every_sylvester_value_from_the_probe(route):
     assert np.array_equal(rep.sylvester[chosen], [probe.sigma_min(z) for z in rep.lam[chosen]])
 
 
-# what a stubbed ztrsyl returns on each call, from the real answer (x, scale, info)
+# what a stubbed ztrsyl returns on each call, from the real answer (x, scale,
+# info), and what the iteration then gives
 _FAILED_SOLVES = {
-    "non-finite-first-solve": [lambda x, scale, info: (np.full_like(x, np.nan), scale, info)],
-    "zero-scale-second-solve": [lambda *answer: answer, lambda x, scale, info: (x, 0.0, info)],
-    "illegal-argument": [lambda x, scale, info: (x, scale, -1)],
-    "zero-solution": [lambda x, scale, info: (np.zeros_like(x), scale, info)] * 2,
+    "non-finite-first-solve": ([lambda x, scale, info: (np.full_like(x, np.nan), scale, info)], 0.0),
+    "zero-scale-second-solve": ([lambda *answer: answer, lambda x, scale, info: (x, 0.0, info)], 0.0),
+    "illegal-argument": ([lambda x, scale, info: (x, scale, -1)], ValueError),
+    "zero-solution": ([lambda x, scale, info: (np.zeros_like(x), scale, info)] * 2, 0.0),
 }
 
 
-@pytest.mark.parametrize("answers", list(_FAILED_SOLVES.values()), ids=list(_FAILED_SOLVES))
-def test_iteration_reads_zero_when_a_solve_fails(monkeypatch, answers):
-    # a solve that fails, or an iterate of norm 0, ends the iteration at once
-    # with the sentinel 0.0; no request reaches these returns
+@pytest.mark.parametrize("answers, outcome", list(_FAILED_SOLVES.values()), ids=list(_FAILED_SOLVES))
+def test_iteration_reads_zero_on_overflow_and_raises_on_an_illegal_argument(monkeypatch, answers, outcome):
+    # a solve that overflows (scale 0, or a non-finite or zero iterate) ends
+    # the iteration at once with the bound 0.0; an illegal argument (info < 0)
+    # raises as zgees and zgeev do; no request reaches either
     from types import SimpleNamespace
 
     import compext.extspec as extspec
@@ -688,7 +692,41 @@ def test_iteration_reads_zero_when_a_solve_fails(monkeypatch, answers):
     monkeypatch.setattr(extspec, "lapack", SimpleNamespace(ztrsyl=ztrsyl))
     probe = SylvesterProbe(_ROUTE_SECTIONS["iteration"](), seed=0)
     assert probe.route == "iteration"
-    assert (probe.sigma_min(0.5 + 0.5j), len(calls)) == (0.0, len(answers))
+    if outcome is ValueError:
+        with pytest.raises(ValueError, match="illegal value in 1-th argument of internal trsyl"):
+            probe.sigma_min(0.5 + 0.5j)
+    else:
+        assert probe.sigma_min(0.5 + 0.5j) == outcome
+    assert len(calls) == len(answers)
+
+
+@pytest.mark.parametrize(
+    "phi, space, order",
+    [
+        ((0.9, 0.05), FOCK, 17),
+        ((0.9, 0.05), FOCK, 24),
+        ((0.95, 0.1), FOCK, 24),
+        ((0.9, 0.05), BERGMAN, 24),
+    ],
+    ids=["fock-0.9-17", "fock-0.9-24", "fock-0.95-24", "bergman-0.9-24"],
+)
+def test_iteration_value_is_an_upper_bound(ztrsyl_calls, phi, space, order):
+    # the estimate is ||T v - lam v T|| at a unit v, so it never reads below
+    # the dense sigma_min, neither at an exact eigenvalue ratio mu_i/mu_j,
+    # where ztrsyl perturbs the near-singular system (info 1), nor off the
+    # spectrum (info 0).  An affine section is upper triangular, so mu is its
+    # diagonal
+    C = composition_matrix(LinearFractionalMap(*phi, 0, 1), space, order)
+    probe = SylvesterProbe(C, seed=0)
+    assert probe.route == "iteration"
+    mu = np.diag(C.entries)
+    ratios = [mu[i] / mu[j] for i, j in ((1, 0), (3, 1), (0, 2), (2, 7))]
+    off = [0.5 + 0.5j, -0.3 + 0.8j, 1.2j, 0.95 * np.exp(0.3j), 2 - 1j]
+    for lams, info in ((ratios, 1), (off, 0)):
+        ztrsyl_calls.clear()
+        for lam in lams:
+            assert probe.sigma_min(lam) >= (1 - 1e-9) * _dense_sigma_min(C.entries, lam)
+        assert set(ztrsyl_calls) == {info}
 
 
 def test_certificate_route_reads_the_bound_at_every_lambda(monkeypatch):
@@ -978,6 +1016,29 @@ def test_predicted_ext_dispatch():
     assert pe.kind == "discrete-cyclic" and pe.base == pytest.approx(0.5j)
     pe = predicted_ext(standard_form("parabolic-automorphism", a=2j), BERGMAN)
     assert pe.kind == "unit-circle"
+
+
+def _close(got, want) -> bool:
+    """Strings and None equal, numbers (and lists of them) to 1e-9 relative."""
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_close, got, want))
+    if want is None or isinstance(want, str):
+        return got == want
+    return abs(got - want) <= 1e-9 * abs(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(draws.STANDARD_BERGMAN)), st.integers(0, 2**32 - 1))
+def test_conjugation_keeps_the_class_and_the_prediction(kind, seed):
+    # psi = phi_b o phi o phi_b has C_psi = C_{phi_b} C_phi C_{phi_b}, so its
+    # class and predicted extended spectrum are phi's
+    phi = draws.STANDARD_BERGMAN[kind]
+    psi = draws.conjugate(phi, draws.conjugator(np.random.default_rng(seed)))
+    assert classify(psi).kind == classify(phi).kind == kind
+    got, want = predicted_ext(psi, BERGMAN), predicted_ext(phi, BERGMAN)
+    assert got.kind == want.kind and _close(got.base, want.base)
+    assert got.metadata.keys() == want.metadata.keys()
+    assert all(_close(got.metadata[key], value) for key, value in want.metadata.items())
 
 
 def test_predicted_ext_unresolved_cases():

@@ -86,7 +86,10 @@ OFF_POOL = [
     # the one verify whose scan the probe settles by inverse iteration (a multiplier near 1); it
     # exits 1, every witness row passing and scan-flags-near-powers reading a worst of 0.2639
     ["verify", "--phi=0.9,0.05,0,1", "--space", "bergman", "--n", "24"],
-    # Sylvester values settled by inverse iteration (ztrsyl solves) at n = 24
+    # Sylvester values settled by inverse iteration (ztrsyl solves) at n = 17, the smallest order on
+    # that route
+    ["extscan", "--phi=0.9,0.05,0,1", "--space", "fock", "--n", "17", "--points", "16"],
+    # at n = 24
     ["extscan", "--phi=0.95,0.1,0,1", "--space", "fock", "--n", "24", "--points", "16"],
     # and at n = 128, the probe's largest order; every other request takes the certificate, exact or
     # dense route
